@@ -21,7 +21,7 @@ from .model import (
     bitrate,
     frame_bytes,
 )
-from .netem import Drop, Packet, Path
+from .netem import Drop, Path
 from .power import EnergyConfig, EnergyMode, average_power, battery_life_gain
 from .render import Renderer, RenderRequest, decode_check
 from .session import (
@@ -40,7 +40,7 @@ __all__ = [
     "BandwidthStep", "ClientSpec", "ControllerConfig", "ControllerState",
     "DEFAULT_LADDER", "Drop", "EnergyConfig", "EnergyMode", "FrameFragment",
     "FrameMeta", "InputEvent", "KpiReport", "LevelChange", "NetworkProfile",
-    "NodeSpec", "Packet", "Path", "PowerProfile", "QualityLevel", "Reassembler",
+    "NodeSpec", "Path", "PowerProfile", "QualityLevel", "Reassembler",
     "Renderer", "RenderRequest", "RttEstimator", "RunTrace", "SessionSettings",
     "SessionTopology", "ValidationError", "WindowStats", "WireHeader",
     "average_power", "battery_life_gain", "bitrate", "build_report",

@@ -71,7 +71,6 @@ class RunTrace:
     queue_drop_timeline: list[int] = field(default_factory=list)
     drop_reasons: dict[str, int] = field(default_factory=dict)
     session_start: int = 0
-    local_presented: int = 0
 
     def all_rtt(self) -> list[int]:
         return [s for samples in self.rtt_samples.values() for s in samples]

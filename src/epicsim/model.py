@@ -204,9 +204,6 @@ class PowerProfile:
             raise ValidationError("battery_capacity must be positive")
 
 
-DEFAULT_POWER_PROFILE = PowerProfile()
-
-
 @dataclass(frozen=True, slots=True)
 class KpiReport:
     """Measured percentiles, throughput, loss and the three target verdicts.

@@ -19,7 +19,6 @@ earlier than the previous delivery on the path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 from .model import NetworkProfile, ValidationError, ceil_div
@@ -31,18 +30,6 @@ class Drop(Enum):
 
     LOSS = "loss"
     QUEUE = "queue_full"
-
-
-@dataclass(frozen=True, slots=True)
-class Packet:
-    """A wire-format datagram with its submission timestamp."""
-
-    data: bytes
-    submit_time: int
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
 
 
 class Path:
@@ -67,8 +54,8 @@ class Path:
         self.dropped_queue = 0
         # (serialization_end, size) per packet still occupying the buffer
         self._serializing: deque[tuple[int, int]] = deque()
-        # (arrival, packet), non-decreasing arrival by construction
-        self._pending: deque[tuple[int, Packet]] = deque()
+        # (arrival, datagram), non-decreasing arrival by construction
+        self._pending: deque[tuple[int, bytes]] = deque()
         self._last_arrival = 0
         self._last_submit = 0
         self._last_advance = 0
@@ -93,7 +80,7 @@ class Path:
     def set_bandwidth(self, bandwidth: int) -> None:
         """Swap the link rate mid-run (a bandwidth step in a scenario).
 
-        Packets already handed to the serializer keep their old completion
+        Datagrams already handed to the serializer keep their old completion
         times; the queue capacity is left as provisioned.
         """
         if bandwidth <= 0:
@@ -112,10 +99,11 @@ class Path:
         while q and q[0][0] <= now:
             self.queued_bytes -= q.popleft()[1]
 
-    def submit(self, pkt: Packet, now: int) -> int | Drop:
-        """Submit one packet; returns its delivery time or the drop reason."""
-        if pkt.size > self.profile.mtu:
-            raise ValidationError(f"packet of {pkt.size} B exceeds mtu {self.profile.mtu}")
+    def submit(self, data: bytes, now: int) -> int | Drop:
+        """Submit one datagram at `now`; returns its delivery time or the drop reason."""
+        size = len(data)
+        if size > self.profile.mtu:
+            raise ValidationError(f"packet of {size} B exceeds mtu {self.profile.mtu}")
         if now < self._last_submit:
             raise ValidationError("submission time regressed")
         self._last_submit = now
@@ -130,36 +118,32 @@ class Path:
             return Drop.LOSS
 
         self._drain_serialized(now)
-        if self.queued_bytes + pkt.size > self.profile.queue_capacity:
+        if self.queued_bytes + size > self.profile.queue_capacity:
             self.dropped_queue += 1
             return Drop.QUEUE
 
         start = now if now > self.busy_until else self.busy_until
-        end = start + ceil_div(pkt.size * 8 * 1_000_000, self.profile.bandwidth)
+        end = start + ceil_div(size * 8 * 1_000_000, self.profile.bandwidth)
         self.busy_until = end
-        self.queued_bytes += pkt.size
-        self._serializing.append((end, pkt.size))
+        self.queued_bytes += size
+        self._serializing.append((end, size))
 
         arrival = end + self.profile.one_way_latency + jitter_draw
         if arrival < self._last_arrival:
             arrival = self._last_arrival
         self._last_arrival = arrival
-        self._pending.append((arrival, pkt))
+        self._pending.append((arrival, data))
         return arrival
 
-    def advance_to(self, t: int) -> list[tuple[Packet, int]]:
-        """Pop every delivery with arrival <= t, in arrival order."""
+    def advance_to(self, t: int) -> list[tuple[bytes, int]]:
+        """Pop every (datagram, arrival) with arrival <= t, in arrival order."""
         if t < self._last_advance:
             raise ValidationError("advance time regressed")
         self._last_advance = t
-        out: list[tuple[Packet, int]] = []
+        out: list[tuple[bytes, int]] = []
         pending = self._pending
         while pending and pending[0][0] <= t:
-            arrival, pkt = pending.popleft()
-            out.append((pkt, arrival))
+            arrival, data = pending.popleft()
+            out.append((data, arrival))
             self.delivered += 1
         return out
-
-
-def path_new(profile: NetworkProfile, seed: int) -> Path:
-    return Path(profile, seed)

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import kpi, power
 from .adapt import ControllerConfig
@@ -30,7 +30,7 @@ from .model import (
     ValidationError,
     validate_ladder,
 )
-from .netem import Packet, Path
+from .netem import Path
 from .rng import derive_seed
 from .session import (
     BandwidthStep,
@@ -53,7 +53,6 @@ CTRL_DISCOVER = 0x01
 CTRL_OFFER = 0x02
 CTRL_DEPLOY = 0x03
 CTRL_READY = 0x04
-CTRL_ACK = 0x05
 
 _CTRL_NAMES = {CTRL_DISCOVER: "DISCOVER", CTRL_OFFER: "OFFER",
                CTRL_DEPLOY: "DEPLOY", CTRL_READY: "READY"}
@@ -212,6 +211,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         raise ValidationError("edge_hosted scenario needs at least one node")
     if mode == CLIENT_HOSTED and (master_id is None or master_uplink is None):
         raise ValidationError("client_hosted scenario needs topology.master and topology.master_uplink")
+    if mode == CLIENT_HOSTED and master_id not in {c.client_id for c in clients}:
+        raise ValidationError(f"topology.master {master_id} is not a client id")
 
     ctrl_doc = doc.get("controller", {})
     controller = ControllerConfig(
@@ -227,14 +228,20 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if not 0 <= start_level < len(ladder):
         raise ValidationError("controller.start_level outside the ladder")
 
-    steps = tuple(
-        BandwidthStep(
-            time_us=int(_require(e, "time", "events")),
-            bandwidth=int(_require(e, "bandwidth", "events")),
+    steps = []
+    for i, e in enumerate(doc.get("events", [])):
+        context = f"events[{i}]"
+        step = BandwidthStep(
+            time_us=int(_require(e, "time", context)),
+            bandwidth=int(_require(e, "bandwidth", context)),
             client_ids=tuple(int(x) for x in e["clients"]) if e.get("clients") else None,
         )
-        for e in doc.get("events", [])
-    )
+        if step.time_us < 0:
+            raise ValidationError(f"{context}: time must be non-negative")
+        unknown = set(step.client_ids or ()) - {c.client_id for c in clients}
+        if unknown:
+            raise ValidationError(f"{context}: unknown client ids {sorted(unknown)}")
+        steps.append(step)
 
     settings = SessionSettings(
         tick_us=int(doc.get("tick", 8_333)),
@@ -247,7 +254,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         controller=controller,
         shared_egress=_profile_from(doc["shared_egress"], "shared_egress")
         if doc.get("shared_egress") else None,
-        bandwidth_steps=steps,
+        bandwidth_steps=tuple(steps),
         prerender=int(doc.get("prerender", 0)),
     )
 
@@ -357,7 +364,7 @@ def deploy_handshake(profile: NetworkProfile, seed: int, session_id: int = 0,
         header = WireHeader(MsgType.CONTROL, session_id, seq, t)
         seq += 1
         send_times.setdefault(subtype, t)
-        result = path.submit(Packet(encode_message(header, bytes([subtype])), t), t)
+        result = path.submit(encode_message(header, bytes([subtype])), t)
         if isinstance(result, int):
             sched(result, kind)
 
@@ -376,14 +383,14 @@ def deploy_handshake(profile: NetworkProfile, seed: int, session_id: int = 0,
             send(pending, t, up, "up")
             sched(t + retry_us, "retry")
         elif kind == "up":
-            for pkt, at in up.advance_to(t):
-                subtype = decode_message(pkt.data)[1][0]
+            for data, at in up.advance_to(t):
+                subtype = decode_message(data)[1][0]
                 record(subtype, at)
                 reply = CTRL_OFFER if subtype == CTRL_DISCOVER else CTRL_READY
                 send(reply, at, down, "down")
         else:
-            for pkt, at in down.advance_to(t):
-                subtype = decode_message(pkt.data)[1][0]
+            for data, at in down.advance_to(t):
+                subtype = decode_message(data)[1][0]
                 record(subtype, at)
                 if subtype == CTRL_OFFER and pending == CTRL_DISCOVER:
                     pending = CTRL_DEPLOY
@@ -400,11 +407,11 @@ def deploy_handshake(profile: NetworkProfile, seed: int, session_id: int = 0,
 def scenario_topology(cfg: ScenarioConfig, node: NodeSpec | None) -> SessionTopology:
     if cfg.mode == EDGE_HOSTED:
         clients = tuple(
-            ClientSpec(c.client_id, c.paths[node.node_id], c.power, c.decode_throughput)
+            ClientSpec(c.client_id, c.paths[node.node_id], c.decode_throughput)
             for c in cfg.clients)
         return SessionTopology(EDGE_HOSTED, clients, host_node=node)
     clients = tuple(
-        ClientSpec(c.client_id, next(iter(c.paths.values())), c.power, c.decode_throughput)
+        ClientSpec(c.client_id, next(iter(c.paths.values())), c.decode_throughput)
         for c in cfg.clients)
     return SessionTopology(CLIENT_HOSTED, clients, master_id=cfg.master_id,
                            master_uplink=cfg.master_uplink, device_node=cfg.device_node)
@@ -413,20 +420,21 @@ def scenario_topology(cfg: ScenarioConfig, node: NodeSpec | None) -> SessionTopo
 def scenario_battery_gain(cfg: ScenarioConfig) -> float:
     """Offload-vs-local battery gain at the starting level.
 
-    Edge hosting makes every client a thin client; the master-server baseline
-    keeps rendering on a device (and adds its streaming radio), so its gain
-    over the classic single-user local setup is never positive.
+    Edge hosting makes every client a thin client, with the first client's
+    power profile.  The master-server baseline keeps rendering on the
+    master's device, with the master's profile: it renders one viewport per
+    client (a level that many times as wide) and adds its streaming radio, so
+    its gain over the classic single-user local setup is never positive.
     """
     level = cfg.ladder[cfg.settings.start_level]
-    profile = cfg.clients[0].power
+    throughputs = (cfg.power_pixel_throughput, cfg.power_decode_throughput)
     if cfg.mode == EDGE_HOSTED:
-        return power.default_gain(profile, level,
-                                  cfg.power_pixel_throughput, cfg.power_decode_throughput)
-    views = len(cfg.clients)
-    base_util = min(1.0, level.pixels / cfg.power_pixel_throughput * level.fps)
-    host_util = min(1.0, views * level.pixels / cfg.power_pixel_throughput * level.fps)
-    baseline = profile.p_idle + profile.p_render_local * base_util
-    master = profile.p_idle + profile.p_render_local * host_util + profile.p_radio
+        return power.default_gain(cfg.clients[0].power, level, *throughputs)
+    local = power.EnergyMode.LOCAL_RENDER
+    profile = next(c.power for c in cfg.clients if c.client_id == cfg.master_id)
+    views = replace(level, width=level.width * len(cfg.clients))
+    baseline = power.average_power(power.EnergyConfig(local, profile, level, *throughputs))
+    master = power.average_power(power.EnergyConfig(local, profile, views, *throughputs)) + profile.p_radio
     return (baseline / master - 1.0) * 100.0
 
 

@@ -48,12 +48,11 @@ from .model import (
     InputEvent,
     NetworkProfile,
     NodeSpec,
-    PowerProfile,
     QualityLevel,
     ValidationError,
     validate_ladder,
 )
-from .netem import Drop, Packet, Path
+from .netem import Drop, Path
 from .render import RenderRequest, Renderer, decode_check, encode_time_us, render_time_us
 from .rng import derive_seed
 from .transport import (
@@ -84,7 +83,6 @@ _F32 = struct.Struct(">f")
 class ClientSpec:
     client_id: int
     profile: NetworkProfile
-    power: PowerProfile = PowerProfile()
     decode_throughput: int = 7_000_000_000
 
     def __post_init__(self):
@@ -122,12 +120,12 @@ class SessionTopology:
 
 @dataclass(frozen=True, slots=True)
 class BandwidthStep:
-    """Change the link rate of the data paths of some clients mid-run."""
+    """Change the link rate of every non-probe path mid-run, or with client_ids
+    set, of only those clients' own non-probe paths (never a shared one)."""
 
     time_us: int
     bandwidth: int
     client_ids: tuple[int, ...] | None = None
-    include_probes: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +180,7 @@ class _ClientState:
         "spec", "is_master", "estimator", "reassembler", "controller",
         "last_presented", "next_frame_id", "input_seq",
         "frames", "window_delivered", "window_dropped", "window_bits",
-        "m2p", "rtt", "sync_received",
+        "m2p", "rtt",
     )
 
     def __init__(self, spec: ClientSpec, start_level: int, is_master: bool):
@@ -200,7 +198,14 @@ class _ClientState:
         self.window_bits = 0
         self.m2p: list[int] = []
         self.rtt: list[int] = []
-        self.sync_received = 0
+
+
+@dataclass(frozen=True, slots=True)
+class _PathRecord:
+    name: str
+    path: Path
+    kind: str               # "input", "frames" or "probe"
+    owner: int | None       # None for a path shared by every client
 
 
 class _Simulation:
@@ -220,7 +225,6 @@ class _Simulation:
         self.start = start_time
         self.end = start_time + duration_us
         self.duration = duration_us
-        self.now = start_time
 
         self.heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
@@ -243,14 +247,11 @@ class _Simulation:
             self.render_node = topology.device_node
         self.renderer = Renderer(self.render_node, derive_seed(seed, 0x5245))
 
-        # Paths.  Registry index doubles as the stable path identity in traces.
-        self.path_registry: list[Path] = []
-        self.path_names: list[str] = []
+        self.paths: list[_PathRecord] = []
         self.up_data: dict[int, Path] = {}
         self.down_frames: dict[int, Path] = {}
         self.up_probe: dict[int, Path] = {}
         self.down_probe: dict[int, Path] = {}
-        self._path_kind: dict[int, tuple[str, int | None]] = {}
         self._build_paths()
         for path in self.down_frames.values():
             if settings.sync_payload_bytes + 24 > path.profile.mtu:
@@ -268,49 +269,33 @@ class _Simulation:
 
     # -- wiring ---------------------------------------------------------
 
-    def _register(self, path: Path, name: str, kind: str, client_id: int | None) -> Path:
-        self.path_registry.append(path)
-        self.path_names.append(name)
-        self._path_kind[len(self.path_registry) - 1] = (kind, client_id)
+    def _add_path(self, name: str, profile: NetworkProfile, tag: tuple[int, int],
+                  kind: str, owner: int | None) -> Path:
+        path = Path(profile, derive_seed(self.seed, *tag))
+        self.paths.append(_PathRecord(name, path, kind, owner))
         return path
 
     def _build_paths(self):
-        t, s = self.topology, self.settings
-        if t.mode == EDGE_HOSTED:
-            shared = None
-            if s.shared_egress is not None:
-                shared = self._register(Path(s.shared_egress, derive_seed(self.seed, 0xE6, 5)),
-                                        "shared_egress", "frames", None)
-            for spec in t.clients:
-                cid = spec.client_id
-                self.up_data[cid] = self._register(
-                    Path(spec.profile, derive_seed(self.seed, cid, 1)), f"up_data[{cid}]", "input", cid)
-                if shared is not None:
-                    self.down_frames[cid] = shared
-                else:
-                    self.down_frames[cid] = self._register(
-                        Path(spec.profile, derive_seed(self.seed, cid, 2)), f"down_frames[{cid}]", "frames", cid)
-                self.up_probe[cid] = self._register(
-                    Path(spec.profile, derive_seed(self.seed, cid, 3)), f"up_probe[{cid}]", "probe_up", cid)
-                self.down_probe[cid] = self._register(
-                    Path(spec.profile, derive_seed(self.seed, cid, 4)), f"down_probe[{cid}]", "probe_down", cid)
-        else:
-            uplink = self._register(Path(t.master_uplink, derive_seed(self.seed, 0xAB, 6)),
-                                    "master_uplink", "frames", None)
-            for spec in t.clients:
-                cid = spec.client_id
-                if cid == self.master_id:
-                    continue
-                self.up_data[cid] = self._register(
-                    Path(spec.profile, derive_seed(self.seed, cid, 1)), f"up_data[{cid}]", "input", cid)
-                self.down_frames[cid] = uplink
-                self.up_probe[cid] = self._register(
-                    Path(spec.profile, derive_seed(self.seed, cid, 3)), f"up_probe[{cid}]", "probe_up", cid)
-                self.down_probe[cid] = self._register(
-                    Path(spec.profile, derive_seed(self.seed, cid, 4)), f"down_probe[{cid}]", "probe_down", cid)
+        """Register every path once; its index in self.paths is its identity in traces.
 
-    def _path_index(self, path: Path) -> int:
-        return next(i for i, p in enumerate(self.path_registry) if p is path)
+        Frames ride the master uplink (client_hosted), the shared egress, or
+        each client's own downstream path; the master itself has no paths.
+        """
+        t, s = self.topology, self.settings
+        shared = None
+        if t.mode == CLIENT_HOSTED:
+            shared = self._add_path("master_uplink", t.master_uplink, (0xAB, 6), "frames", None)
+        elif s.shared_egress is not None:
+            shared = self._add_path("shared_egress", s.shared_egress, (0xE6, 5), "frames", None)
+        for spec in t.clients:
+            cid, profile = spec.client_id, spec.profile
+            if cid == self.master_id:
+                continue
+            self.up_data[cid] = self._add_path(f"up_data[{cid}]", profile, (cid, 1), "input", cid)
+            self.down_frames[cid] = shared or self._add_path(
+                f"down_frames[{cid}]", profile, (cid, 2), "frames", cid)
+            self.up_probe[cid] = self._add_path(f"up_probe[{cid}]", profile, (cid, 3), "probe", cid)
+            self.down_probe[cid] = self._add_path(f"down_probe[{cid}]", profile, (cid, 4), "probe", cid)
 
     # -- event plumbing --------------------------------------------------
 
@@ -325,7 +310,7 @@ class _Simulation:
         return nxt
 
     def _submit(self, path: Path, data: bytes, t: int) -> int | Drop:
-        result = path.submit(Packet(data, t), t)
+        result = path.submit(data, t)
         if isinstance(result, int):
             self.push(result, "arrive", path)
         if self.log_packets:
@@ -353,12 +338,9 @@ class _Simulation:
 
     # -- host-side frame pipeline ------------------------------------------
 
-    def _level_of(self, st: _ClientState) -> int:
-        return st.controller.level
-
     def _on_frame(self, t: int, cid: int):
         st = self.clients[cid]
-        level_idx = self._level_of(st)
+        level_idx = st.controller.level
         level = self.ladder[level_idx]
         fid = st.next_frame_id
         st.next_frame_id += 1
@@ -373,15 +355,12 @@ class _Simulation:
         if nxt <= self.end:
             self.push(nxt, "frame", cid)
 
-    def _render_session(self, cid: int) -> int:
-        # client_hosted streams one shared scene rendered by the master
-        return self.master_id if self.master_id is not None else cid
-
     def _on_ready(self, t: int, cid: int, fid: int, level_idx: int, input_origin: int | None):
         st = self.clients[cid]
         level = self.ladder[level_idx]
-        meta, payload = self.renderer.render(RenderRequest(
-            fid, level, self.settings.scene_complexity, self._render_session(cid)))
+        # client_hosted streams one shared scene rendered by the master
+        scene = self.master_id if self.master_id is not None else cid
+        meta, payload = self.renderer.render(RenderRequest(fid, level, self.settings.scene_complexity, scene))
         path = self.down_frames[cid]
         frags = fragment(fid, payload, path.profile.mtu)
         state = _FrameState(meta, input_origin, meta.payload_size * 8)
@@ -417,8 +396,8 @@ class _Simulation:
     # -- arrivals ------------------------------------------------------------
 
     def _on_arrive(self, t: int, path: Path):
-        for pkt, at in path.advance_to(t):
-            header, payload = decode_message(pkt.data)
+        for data, at in path.advance_to(t):
+            header, payload = decode_message(data)
             cid = header.session_id
             if header.msg_type == MsgType.INPUT:
                 self.host_input_origin[cid] = header.timestamp
@@ -432,8 +411,6 @@ class _Simulation:
                 st.rtt.append(sample)
             elif header.msg_type == MsgType.FRAME_FRAG:
                 self._on_fragment(at, cid, payload)
-            elif header.msg_type == MsgType.STATE_SYNC:
-                self.clients[cid].sync_received += 1
 
     def _on_fragment(self, t: int, cid: int, payload: bytes):
         st = self.clients[cid]
@@ -507,8 +484,7 @@ class _Simulation:
             abandoned = st.reassembler.sweep(t)
             for fid in abandoned:
                 self._drop_frame(cid, fid, "reassembly_abandoned")
-        drops = sum(p.dropped_queue for i, p in enumerate(self.path_registry)
-                    if self._path_kind[i][0] == "frames")
+        drops = sum(r.path.dropped_queue for r in self.paths if r.kind == "frames")
         self.queue_drop_timeline.append(drops)
         self.window_index += 1
         nxt = t + cfg.window_us
@@ -516,14 +492,10 @@ class _Simulation:
             self.push(nxt, "window", )
 
     def _on_bwstep(self, t: int, step: BandwidthStep):
-        targets = set(step.client_ids) if step.client_ids is not None else None
-        for i, path in enumerate(self.path_registry):
-            kind, cid = self._path_kind[i]
-            if kind.startswith("probe") and not step.include_probes:
-                continue
-            if targets is not None and cid is not None and cid not in targets:
-                continue
-            path.set_bandwidth(step.bandwidth)
+        targets = step.client_ids
+        for r in self.paths:
+            if r.kind != "probe" and (targets is None or r.owner in targets):
+                r.path.set_bandwidth(step.bandwidth)
         logger.info("t=%d bandwidth step to %d b/s", t, step.bandwidth)
 
     # -- main loop ----------------------------------------------------------
@@ -549,7 +521,6 @@ class _Simulation:
         heap = self.heap
         while heap and heap[0][0] <= self.end:
             t, _, kind, args = heapq.heappop(heap)
-            self.now = t
             getattr(self, self._HANDLERS[kind])(t, *args)
 
         return self._build_trace()
@@ -557,6 +528,7 @@ class _Simulation:
     def _build_trace(self) -> RunTrace:
         trace = RunTrace(duration_us=self.duration, session_start=self.start)
         totals = FrameCounts()
+        path_ids = {id(r.path): i for i, r in enumerate(self.paths)}
         for cid, st in self.clients.items():
             trace.rtt_samples[cid] = st.rtt
             trace.motion_to_photon[cid] = st.m2p
@@ -567,14 +539,14 @@ class _Simulation:
             totals.delivered += st.frames.delivered
             totals.dropped += st.frames.dropped
             if not st.is_master:
-                trace.frame_path_ids[cid] = self._path_index(self.down_frames[cid])
+                trace.frame_path_ids[cid] = path_ids[id(self.down_frames[cid])]
         trace.frames = totals
         trace.level_changes = self.level_changes
         trace.queue_drop_timeline = self.queue_drop_timeline
         trace.drop_reasons = dict(self.drop_reasons)
-        for i, path in enumerate(self.path_registry):
-            trace.path_counters[self.path_names[i]] = (
-                path.submitted, path.delivered, path.dropped_loss, path.dropped_queue)
+        for r in self.paths:
+            p = r.path
+            trace.path_counters[r.name] = (p.submitted, p.delivered, p.dropped_loss, p.dropped_queue)
         pending = sum(1 for s in self.frame_states.values() if s.status == "pending")
         assert trace.frames.in_flight == pending, "frame conservation violated"
         return trace

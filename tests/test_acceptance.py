@@ -18,7 +18,7 @@ from epicsim import orchestrator
 from epicsim.kpi import queue_drops_growing
 from epicsim.livenet import EchoServer, live_probe
 from epicsim.model import DEFAULT_LADDER, NetworkProfile, NodeSpec, bitrate
-from epicsim.netem import Drop, Packet, Path as NetemPath
+from epicsim.netem import Drop, Path as NetemPath
 from epicsim.power import DEVICE_DECODE_THROUGHPUT, DEVICE_PIXEL_THROUGHPUT
 from epicsim.session import ClientSpec, SessionSettings, compare_topologies
 from epicsim.transport import (
@@ -150,7 +150,7 @@ def test_criterion_5_netem_oracle_equivalence():
         path = NetemPath(profile, seed)
         got = []
         for t, size in submissions:
-            outcome = path.submit(Packet(bytes(size), t), t)
+            outcome = path.submit(bytes(size), t)
             if isinstance(outcome, int):
                 got.append(("delivered", outcome))
             else:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from epicsim.model import NetworkProfile, ValidationError
-from epicsim.netem import Drop, Packet, Path, path_new
+from epicsim.netem import Drop, Path
 from reference_netem import reference_simulate
 
 
@@ -16,14 +16,14 @@ def _profile(**kw):
 
 
 def test_fresh_path_has_zero_counters():
-    path = path_new(_profile(), seed=42)
+    path = Path(_profile(), seed=42)
     assert (path.submitted, path.delivered, path.dropped_loss, path.dropped_queue) == (0, 0, 0, 0)
     assert path.in_flight == 0
 
 
 def test_identical_construction_compares_equal():
-    assert path_new(_profile(), 42) == path_new(_profile(), 42)
-    assert path_new(_profile(), 42) != path_new(_profile(), 43)
+    assert Path(_profile(), 42) == Path(_profile(), 42)
+    assert Path(_profile(), 42) != Path(_profile(), 43)
 
 
 def test_small_mtu_rejected():
@@ -33,26 +33,26 @@ def test_small_mtu_rejected():
 
 def test_serialization_plus_latency():
     path = Path(_profile(), seed=1)
-    arrival = path.submit(Packet(bytes(1250), 0), 0)
+    arrival = path.submit(bytes(1250), 0)
     assert arrival == 3_000  # 1000 us serialization + 2000 us latency
 
 
 def test_near_zero_impairments():
     path = Path(_profile(one_way_latency=0, bandwidth=10**12), seed=1)
-    arrival = path.submit(Packet(bytes(1250), 0), 0)
+    arrival = path.submit(bytes(1250), 0)
     assert arrival <= 1  # at most the 1 us serialization round-up
 
 
 def test_fifo_serializer_backlog():
     path = Path(_profile(), seed=1)
-    first = path.submit(Packet(bytes(1250), 0), 0)
-    second = path.submit(Packet(bytes(1250), 0), 0)
+    first = path.submit(bytes(1250), 0)
+    second = path.submit(bytes(1250), 0)
     assert (first, second) == (3_000, 4_000)
 
 
 def test_advance_boundaries():
     path = Path(_profile(), seed=1)
-    pkt = Packet(bytes(1250), 0)
+    pkt = bytes(1250)
     path.submit(pkt, 0)
     assert path.advance_to(2_999) == []
     assert path.advance_to(3_000) == [(pkt, 3_000)]
@@ -62,14 +62,14 @@ def test_advance_boundaries():
 def test_oversized_packet_rejected():
     path = Path(_profile(mtu=1400), seed=1)
     with pytest.raises(ValidationError):
-        path.submit(Packet(bytes(1401), 0), 0)
+        path.submit(bytes(1401), 0)
 
 
 def test_time_regression_rejected():
     path = Path(_profile(), seed=1)
-    path.submit(Packet(b"x", 100), 100)
+    path.submit(b"x", 100)
     with pytest.raises(ValidationError):
-        path.submit(Packet(b"x", 50), 50)
+        path.submit(b"x", 50)
     path.advance_to(5_000)
     with pytest.raises(ValidationError):
         path.advance_to(4_000)
@@ -77,18 +77,18 @@ def test_time_regression_rejected():
 
 def test_queue_drop_tail():
     path = Path(_profile(queue_capacity=2_500), seed=1)
-    assert isinstance(path.submit(Packet(bytes(1250), 0), 0), int)
-    assert isinstance(path.submit(Packet(bytes(1250), 0), 0), int)
-    assert path.submit(Packet(bytes(1250), 0), 0) is Drop.QUEUE
+    assert isinstance(path.submit(bytes(1250), 0), int)
+    assert isinstance(path.submit(bytes(1250), 0), int)
+    assert path.submit(bytes(1250), 0) is Drop.QUEUE
     # after the backlog serializes, space frees up again
-    assert isinstance(path.submit(Packet(bytes(1250), 0), 2_000), int)
+    assert isinstance(path.submit(bytes(1250), 2_000), int)
 
 
 def test_minimum_latency_invariant():
     path = Path(_profile(jitter=700), seed=9)
     ser = math.ceil(1250 * 8 * 1e6 / 10_000_000)
     for k in range(50):
-        result = path.submit(Packet(bytes(1250), k * 10), k * 10)
+        result = path.submit(bytes(1250), k * 10)
         if isinstance(result, int):
             assert result - k * 10 >= 2_000 + ser
 
@@ -97,19 +97,19 @@ def test_fifo_order_preserved_under_jitter():
     path = Path(_profile(jitter=5_000), seed=77)
     order = []
     for k in range(200):
-        result = path.submit(Packet(k.to_bytes(4, "big"), k * 50), k * 50)
+        result = path.submit(k.to_bytes(4, "big"), k * 50)
         if isinstance(result, int):
             order.append(result)
     assert order == sorted(order)
     delivered = path.advance_to(10**9)
-    indexes = [int.from_bytes(pkt.data, "big") for pkt, _ in delivered]
+    indexes = [int.from_bytes(data, "big") for data, _ in delivered]
     assert indexes == sorted(indexes)
 
 
 def test_conservation_counters():
     path = Path(_profile(loss_rate=0.2, queue_capacity=3_000), seed=5)
     for k in range(500):
-        path.submit(Packet(bytes(1000), k * 17), k * 17)
+        path.submit(bytes(1000), k * 17)
     assert path.submitted == 500
     assert path.submitted == path.delivered + path.dropped_loss + path.dropped_queue + path.in_flight
     path.advance_to(10**9)
@@ -121,10 +121,10 @@ def test_throughput_cap_during_busy_period():
     profile = _profile(one_way_latency=0, queue_capacity=10**9)
     path = Path(profile, seed=1)
     for _ in range(100):
-        path.submit(Packet(bytes(1250), 0), 0)
+        path.submit(bytes(1250), 0)
     deliveries = path.advance_to(10**9)
     a, b = 1_000, 50_000
-    inside = sum(pkt.size for pkt, at in deliveries if a < at <= b)
+    inside = sum(len(data) for data, at in deliveries if a < at <= b)
     assert inside * 8 <= profile.bandwidth * (b - a) / 1e6 + profile.mtu * 8
 
 
@@ -133,7 +133,7 @@ def test_determinism_identical_traces():
         path = Path(_profile(jitter=900, loss_rate=0.1, queue_capacity=4_000), seed=123)
         log = []
         for k in range(300):
-            log.append(path.submit(Packet(bytes(800), k * 33), k * 33))
+            log.append(path.submit(bytes(800), k * 33))
         log.append(path.advance_to(10**9))
         return log
 
@@ -145,17 +145,17 @@ def test_loss_rate_convergence():
     n = 100_000
     path = Path(_profile(loss_rate=p, bandwidth=10**12, queue_capacity=10**9), seed=2024)
     for k in range(n):
-        path.submit(Packet(b"x", k), k)
+        path.submit(b"x", k)
     observed = path.dropped_loss / n
     assert abs(observed - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
 def test_bandwidth_step_changes_future_serialization():
     path = Path(_profile(one_way_latency=0), seed=1)
-    before = path.submit(Packet(bytes(1250), 0), 0)
+    before = path.submit(bytes(1250), 0)
     assert before == 1_000
     path.set_bandwidth(1_000_000)
-    after = path.submit(Packet(bytes(1250), 10_000), 10_000)
+    after = path.submit(bytes(1250), 10_000)
     assert after == 20_000  # 10 ms serialization at 1 Mb/s
 
 
@@ -180,7 +180,7 @@ def test_event_driven_path_matches_stepper_reference():
         path = Path(profile, seed)
         got = []
         for t, size in submissions:
-            result = path.submit(Packet(bytes(size), t), t)
+            result = path.submit(bytes(size), t)
             if isinstance(result, int):
                 got.append(("delivered", result))
             else:

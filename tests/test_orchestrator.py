@@ -66,6 +66,13 @@ def test_unknown_topology_mode_rejected():
         parse_scenario(_nominal_doc(topology={"mode": "mesh"}))
 
 
+def test_unknown_master_rejected():
+    doc = json.loads((SCENARIOS / "master-server.json").read_text())
+    doc["topology"]["master"] = 9
+    with pytest.raises(ValidationError, match="topology.master 9"):
+        parse_scenario(doc)
+
+
 def test_duplicate_client_ids_rejected():
     doc = _nominal_doc()
     doc["clients"].append(copy.deepcopy(doc["clients"][0]))
@@ -80,6 +87,25 @@ def test_non_monotone_ladder_rejected():
     ])
     with pytest.raises(ValidationError):
         parse_scenario(doc)
+
+
+def test_bandwidth_step_events_validated():
+    step = {"time": 1_000, "bandwidth": 30_000_000}
+    with pytest.raises(ValidationError, match=r"events\[1\].*unknown client"):
+        parse_scenario(_nominal_doc(events=[step, dict(step, clients=[0, 99])]))
+    with pytest.raises(ValidationError, match=r"events\[0\].*non-negative"):
+        parse_scenario(_nominal_doc(events=[dict(step, time=-1)]))
+
+
+def test_targeted_bandwidth_step_spares_other_clients_and_shared_egress():
+    cfg = scale_clients(load_scenario(str(SCENARIOS / "shared-egress.json")), 4)
+    step = {"time": 0, "bandwidth": 30_000_000}
+    targeted = run_scenario(parse_scenario(dict(cfg.raw, events=[dict(step, clients=[3])])))
+    for cid in (0, 1, 2):
+        frames = targeted.trace.per_client_frames[cid]
+        assert (frames.sent, frames.delivered) == (90, 90)
+    everyone = run_scenario(parse_scenario(dict(cfg.raw, events=[step])))
+    assert everyone.trace.per_client_frames[0].delivered < 90  # the shared egress is stepped
 
 
 # -- node selection --------------------------------------------------------------
@@ -190,6 +216,20 @@ def test_battery_gain_edge_vs_master():
     assert edge == pytest.approx(50.0)
     hosted = scenario_battery_gain(load_scenario(str(SCENARIOS / "master-server.json")))
     assert hosted < 0  # rendering for everyone plus the radio can only hurt
+
+
+def test_battery_gain_uses_the_master_profile():
+    doc = json.loads((SCENARIOS / "master-server.json").read_text())
+    doc["topology"]["master"] = 2
+    doc["clients"][2]["power"] = {"p_idle": 2.0, "p_render_local": 6.0, "p_radio": 0.5}
+    doc["power_model"] = {"device_pixel_throughput": 1_000_000_000}
+    util = 1920 * 1080 / 1_000_000_000 * 60          # one 1080p60 viewport, unsaturated
+    baseline = 2.0 + 6.0 * util
+    master = 2.0 + 6.0 * 4 * util + 0.5               # four viewports plus the radio
+    gain = scenario_battery_gain(parse_scenario(doc))
+    assert gain == pytest.approx((baseline / master - 1.0) * 100.0)
+    doc["topology"]["master"] = 0                      # default profile on client 0
+    assert scenario_battery_gain(parse_scenario(doc)) != pytest.approx(gain)
 
 
 def test_scale_clients_replicates_template():

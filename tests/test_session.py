@@ -150,6 +150,15 @@ def test_bandwidth_step_forces_downgrade_and_settles():
     assert all(c.time > 2_000_000 for c in trace.level_changes)
 
 
+def test_targeted_bandwidth_step_throttles_only_its_clients():
+    topo = _edge((ClientSpec(0, NOMINAL), ClientSpec(1, NOMINAL)))
+    settings = SessionSettings(adaptation=False,
+                               bandwidth_steps=(BandwidthStep(0, 30_000_000, client_ids=(1,)),))
+    trace = run_session(topo, DEFAULT_LADDER, 1_000_000, settings, seed=3)
+    assert trace.per_client_frames[0].dropped == 0
+    assert trace.per_client_frames[1].dropped > 0
+
+
 def test_adaptation_disabled_holds_the_level():
     topo = _edge((ClientSpec(0, NOMINAL),))
     settings = SessionSettings(adaptation=False,
