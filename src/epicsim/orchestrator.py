@@ -168,6 +168,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     name = str(doc.get("name", "scenario"))
     seed = int(doc.get("seed", 0))
     duration = int(_require(doc, "duration", "scenario"))
+    if duration < 1_000_000:
+        raise ValidationError("duration must be at least 1000000 us (1 s of simulated time)")
     ladder = _ladder_from(doc["ladder"], "ladder") if doc.get("ladder") else DEFAULT_LADDER
 
     nodes = tuple(_node_from(n, "nodes") for n in doc.get("nodes", []))
@@ -238,6 +240,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         )
         if step.time_us < 0:
             raise ValidationError(f"{context}: time must be non-negative")
+        if step.bandwidth <= 0:
+            raise ValidationError(f"{context}: bandwidth must be positive")
         unknown = set(step.client_ids or ()) - {c.client_id for c in clients}
         if unknown:
             raise ValidationError(f"{context}: unknown client ids {sorted(unknown)}")

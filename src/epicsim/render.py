@@ -3,7 +3,9 @@
 Frames are deterministic byte streams derived from (seed, session, frame id),
 with render/encode/decode latencies modeled from pixel throughput.  No real
 rasterization or codec bitstream is involved; compression is captured by the
-ladder's bits-per-pixel alone.
+ladder's bits-per-pixel alone.  The simulator uses only the latency models
+and the frame size: it never generates a frame's bytes or checksum.
+`Renderer` and `decode_check` serve the byte-level tests and demos.
 """
 
 from __future__ import annotations
@@ -111,6 +113,12 @@ class Renderer:
         return meta, payload
 
 
+def decode_time_us(level: QualityLevel, decode_throughput: int) -> int:
+    if decode_throughput <= 0:
+        raise ValidationError("decode throughput must be positive")
+    return ceil_div(level.pixels * 1_000_000, decode_throughput)
+
+
 def decode_check(meta: FrameMeta, payload: bytes, level: QualityLevel, decode_throughput: int) -> int:
     """Verify a received frame and return the modeled decode time in microseconds."""
     if level.level_index != meta.level_index:
@@ -119,6 +127,4 @@ def decode_check(meta: FrameMeta, payload: bytes, level: QualityLevel, decode_th
         raise LengthMismatch(f"payload is {len(payload)} B, expected {meta.payload_size} B")
     if zlib.crc32(payload) != meta.checksum:
         raise ChecksumMismatch("payload checksum does not match frame metadata")
-    if decode_throughput <= 0:
-        raise ValidationError("decode throughput must be positive")
-    return ceil_div(level.pixels * 1_000_000, decode_throughput)
+    return decode_time_us(level, decode_throughput)

@@ -65,6 +65,10 @@ class SplitMix64:
             raise ValueError("n must be positive")
         return self.next_u64() % n
 
+    def skip(self, n: int) -> None:
+        """Advance past `n` outputs without computing them (the state is a counter)."""
+        self.state = (self.state + n * _GAMMA) & MASK64
+
     def fill_bytes(self, n: int) -> bytes:
         """Produce `n` bytes: consecutive outputs, each little-endian packed."""
         if n < 0:
@@ -77,5 +81,5 @@ class SplitMix64:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z = z ^ (z >> np.uint64(31))
-        self.state = (self.state + k * _GAMMA) & MASK64
+        self.skip(k)
         return z.astype("<u8").tobytes()[:n]

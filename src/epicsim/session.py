@@ -6,6 +6,11 @@ and probe RTT with PING/PONG pairs; the host renders each client's stream at
 the current quality level's frame rate, encodes, fragments, and streams the
 frames downstream, broadcasting a small state-sync message periodically.
 
+Small messages are encoded on the wire format and each delivery is an event.
+A frame is carried as its fragments' wire sizes, submitted to its path as one
+burst, and resolved by one event: the frame's completion or abandonment,
+computed from the fragments' arrival times.  No frame bytes are generated.
+
 Two topologies are supported.  In edge_hosted mode the render host is an
 edge node and every client gets an independent emulated path.  In
 client_hosted mode (the classic master-server baseline) the first user's
@@ -24,6 +29,15 @@ arrives complete but stale (an out-of-order completion under latest-wins
 presentation), or when reassembly abandons it; otherwise it is delivered at
 presentation time.  Frames still unresolved when the run ends count as
 in-flight.
+
+The receiver keeps the rules of `transport.Reassembler`: a frame pending more
+than the reassembly timeout after its first fragment is abandoned by its own
+late fragment (`frame_outcome`) or by the next controller window's sweep,
+whichever comes first, and a frame older than the last completed one never
+completes.  Events at one microsecond run in push order.  A frame's outcome
+event takes the place in that order of the submission that first reached
+the path's arrival at that microsecond, the packet with which a receiver
+polling the path would have seen it.
 """
 
 from __future__ import annotations
@@ -50,23 +64,24 @@ from .model import (
     NodeSpec,
     QualityLevel,
     ValidationError,
+    frame_bytes,
     validate_ladder,
 )
 from .netem import Drop, Path
-from .render import RenderRequest, Renderer, decode_check, encode_time_us, render_time_us
+from .render import decode_time_us, encode_time_us, render_time_us
 from .rng import derive_seed
 from .transport import (
+    REASSEMBLY_TIMEOUT_US,
     MsgType,
-    Reassembler,
     RttEstimator,
     WireHeader,
-    decode_fragment,
     decode_message,
-    encode_fragment,
     encode_input_payload,
     encode_message,
-    fragment,
+    fragment_sizes,
+    frame_outcome,
 )
+from .transport import encode_fragment  # noqa: F401  perfbench/tracer.py::_pristine reads it here
 
 logger = logging.getLogger("epicsim.session")
 
@@ -147,6 +162,8 @@ class SessionSettings:
             raise ValidationError("intervals must be positive")
         if self.prerender not in (0, 1):
             raise ValidationError("prerender depth is 0 or 1")
+        if self.scene_complexity < 0.1:
+            raise ValidationError("scene_complexity must be at least 0.1")
 
 
 def _f32(x: float) -> float:
@@ -166,10 +183,9 @@ def synthetic_input(t: int, k: int) -> InputEvent:
 
 
 class _FrameState:
-    __slots__ = ("meta", "input_origin", "status", "bits")
+    __slots__ = ("input_origin", "status", "bits")
 
-    def __init__(self, meta, input_origin, bits):
-        self.meta = meta
+    def __init__(self, input_origin, bits):
         self.input_origin = input_origin
         self.status = "pending"
         self.bits = bits
@@ -177,8 +193,8 @@ class _FrameState:
 
 class _ClientState:
     __slots__ = (
-        "spec", "is_master", "estimator", "reassembler", "controller",
-        "last_presented", "next_frame_id", "input_seq",
+        "spec", "is_master", "estimator", "controller",
+        "last_completed", "awaiting", "last_presented", "next_frame_id", "input_seq",
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
     )
@@ -187,8 +203,10 @@ class _ClientState:
         self.spec = spec
         self.is_master = is_master
         self.estimator = RttEstimator()
-        self.reassembler = Reassembler()
         self.controller = ControllerState(level=start_level)
+        self.last_completed = -1
+        # first fragment arrival of each whole frame whose outcome event is pending
+        self.awaiting: dict[int, int] = {}
         self.last_presented = -1
         self.next_frame_id = 0
         self.input_seq = 0
@@ -228,7 +246,7 @@ class _Simulation:
 
         self.heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
-        self.log_packets = logger.isEnabledFor(logging.DEBUG)
+        self.log_frames = logger.isEnabledFor(logging.DEBUG)
 
         self.master_id = topology.master_id if topology.mode == CLIENT_HOSTED else None
         self.clients: dict[int, _ClientState] = {}
@@ -245,7 +263,6 @@ class _Simulation:
             self.render_node = node
         else:
             self.render_node = topology.device_node
-        self.renderer = Renderer(self.render_node, derive_seed(seed, 0x5245))
 
         self.paths: list[_PathRecord] = []
         self.up_data: dict[int, Path] = {}
@@ -253,6 +270,8 @@ class _Simulation:
         self.up_probe: dict[int, Path] = {}
         self.down_probe: dict[int, Path] = {}
         self._build_paths()
+        # push order of the submission that first reached each frame path's last_arrival
+        self.arrival_seq = {id(r.path): 0 for r in self.paths if r.kind == "frames"}
         for path in self.down_frames.values():
             if settings.sync_payload_bytes + 24 > path.profile.mtu:
                 raise ValidationError("sync payload does not fit the downstream MTU")
@@ -309,13 +328,11 @@ class _Simulation:
         self.wire_seq[key] = nxt + 1
         return nxt
 
-    def _submit(self, path: Path, data: bytes, t: int) -> int | Drop:
+    def _submit(self, path: Path, data: bytes, t: int) -> None:
+        """Submit a small message; its delivery is an "arrive" event."""
         result = path.submit(data, t)
         if isinstance(result, int):
             self.push(result, "arrive", path)
-        if self.log_packets:
-            logger.debug("t=%d submit %dB -> %s", t, len(data), result)
-        return result
 
     # -- periodic client-side events --------------------------------------
 
@@ -357,24 +374,36 @@ class _Simulation:
 
     def _on_ready(self, t: int, cid: int, fid: int, level_idx: int, input_origin: int | None):
         st = self.clients[cid]
-        level = self.ladder[level_idx]
-        # client_hosted streams one shared scene rendered by the master
-        scene = self.master_id if self.master_id is not None else cid
-        meta, payload = self.renderer.render(RenderRequest(fid, level, self.settings.scene_complexity, scene))
+        size = frame_bytes(self.ladder[level_idx])
         path = self.down_frames[cid]
-        frags = fragment(fid, payload, path.profile.mtu)
-        state = _FrameState(meta, input_origin, meta.payload_size * 8)
-        self.frame_states[(cid, fid)] = state
+        path.advance_to(t)  # forget packets that have arrived; nothing reads them
+        before = path.last_arrival
+        arrivals = path.submit_burst(fragment_sizes(size, path.profile.mtu), t)
+        self._seq += 1
+        seq = self._seq
+        self.frame_states[(cid, fid)] = _FrameState(input_origin, size * 8)
         st.frames.sent += 1
-        for frag in frags:
-            wire = encode_fragment(cid, self._next_seq("h", cid, MsgType.FRAME_FRAG), t, frag)
-            result = self._submit(path, wire, t)
-            if isinstance(result, Drop) and state.status == "pending":
-                self._drop_frame(cid, fid, "fragment_" + result.value)
+        dropped = [d for d in Drop if d in arrivals]
+        if dropped:
+            outcome, end = "fragment_" + min(dropped, key=arrivals.index).value, t
+            self._drop_frame(cid, fid, outcome)
+        else:
+            end, completed = frame_outcome(arrivals)
+            outcome = "completes" if completed else "reassembly_abandoned"
+            # a whole frame arriving at the instant of an earlier packet is
+            # seen with that packet; the tie-break keeps path order
+            order = self.arrival_seq[id(path)] if end == before else seq
+            st.awaiting[fid] = arrivals[0]
+            heapq.heappush(self.heap, (end, order, "outcome", (seq, cid, fid, level_idx, completed)))
+        if path.last_arrival != before:
+            self.arrival_seq[id(path)] = seq
+        if self.log_frames:
+            logger.debug("t=%d client %d frame %d: %d fragments, %d dropped, %s at %d", t, cid, fid,
+                         len(arrivals), sum(map(arrivals.count, Drop)), outcome, end)
 
     def _on_present_local(self, t: int, cid: int, fid: int, level_idx: int, started: int):
         st = self.clients[cid]
-        state = _FrameState(None, started, 0)
+        state = _FrameState(started, 0)
         state.status = "delivered"
         self.frame_states[(cid, fid)] = state
         st.frames.sent += 1
@@ -385,10 +414,14 @@ class _Simulation:
 
     def _on_sync(self, t: int):
         payload = bytes(self.settings.sync_payload_bytes)
-        for cid in self.down_frames:
+        for cid, path in self.down_frames.items():
             header = WireHeader(MsgType.STATE_SYNC, cid,
                                 self._next_seq("h", cid, MsgType.STATE_SYNC), t)
-            self._submit(self.down_frames[cid], encode_message(header, payload), t)
+            before = path.last_arrival
+            path.submit(encode_message(header, payload), t)  # nothing reads its arrival
+            if path.last_arrival != before:
+                self._seq += 1
+                self.arrival_seq[id(path)] = self._seq
         nxt = t + self.settings.sync_interval_us
         if nxt <= self.end:
             self.push(nxt, "sync")
@@ -397,7 +430,7 @@ class _Simulation:
 
     def _on_arrive(self, t: int, path: Path):
         for data, at in path.advance_to(t):
-            header, payload = decode_message(data)
+            header, _ = decode_message(data)
             cid = header.session_id
             if header.msg_type == MsgType.INPUT:
                 self.host_input_origin[cid] = header.timestamp
@@ -409,23 +442,18 @@ class _Simulation:
                 sample = at - header.timestamp
                 st.estimator.update(sample)
                 st.rtt.append(sample)
-            elif header.msg_type == MsgType.FRAME_FRAG:
-                self._on_fragment(at, cid, payload)
 
-    def _on_fragment(self, t: int, cid: int, payload: bytes):
+    def _on_outcome(self, t: int, _seq: int, cid: int, fid: int, level_idx: int, completed: bool):
         st = self.clients[cid]
-        event = st.reassembler.offer(decode_fragment(payload), t)
-        for fid in event.abandoned:
+        del st.awaiting[fid]
+        if self.frame_states[(cid, fid)].status != "pending" or fid <= st.last_completed:
+            return  # swept by a window, or older than a completed frame: never completes
+        if completed:
+            st.last_completed = fid
+            decode_us = decode_time_us(self.ladder[level_idx], st.spec.decode_throughput)
+            self.push(t + decode_us, "present", cid, fid)
+        else:
             self._drop_frame(cid, fid, "reassembly_abandoned")
-        if event.completed is None:
-            return
-        fid, data = event.completed
-        state = self.frame_states[(cid, fid)]
-        if state.status != "pending":
-            return
-        decode_us = decode_check(state.meta, data, self.ladder[state.meta.level_index],
-                                 st.spec.decode_throughput)
-        self.push(t + decode_us, "present", cid, fid)
 
     def _on_present(self, t: int, cid: int, fid: int):
         st = self.clients[cid]
@@ -481,9 +509,9 @@ class _Simulation:
             st.window_delivered = 0
             st.window_dropped = 0
             st.window_bits = 0
-            abandoned = st.reassembler.sweep(t)
-            for fid in abandoned:
-                self._drop_frame(cid, fid, "reassembly_abandoned")
+            for fid, first in st.awaiting.items():
+                if t - first > REASSEMBLY_TIMEOUT_US and fid > st.last_completed:
+                    self._drop_frame(cid, fid, "reassembly_abandoned")
         drops = sum(r.path.dropped_queue for r in self.paths if r.kind == "frames")
         self.queue_drop_timeline.append(drops)
         self.window_index += 1
@@ -502,7 +530,7 @@ class _Simulation:
 
     _HANDLERS = {
         "input": "_on_input", "ping": "_on_ping", "frame": "_on_frame",
-        "ready": "_on_ready", "arrive": "_on_arrive", "present": "_on_present",
+        "ready": "_on_ready", "arrive": "_on_arrive", "outcome": "_on_outcome", "present": "_on_present",
         "present_local": "_on_present_local", "sync": "_on_sync",
         "window": "_on_window", "bwstep": "_on_bwstep",
     }
@@ -522,7 +550,9 @@ class _Simulation:
         while heap and heap[0][0] <= self.end:
             t, _, kind, args = heapq.heappop(heap)
             getattr(self, self._HANDLERS[kind])(t, *args)
-
+        for r in self.paths:
+            if r.kind == "frames":
+                r.path.advance_to(self.end)  # count the deliveries no event polled
         return self._build_trace()
 
     def _build_trace(self) -> RunTrace:

@@ -16,11 +16,18 @@ loopback mode, so header layout is normative and big-endian throughout:
 Frame payloads ride FRAME_FRAG messages whose payload starts with an 8-byte
 sub-header (frame id u32, fragment index u16, fragment count u16) followed by
 the fragment's slice of the encoded frame.
+
+The codec and `Reassembler` are the normative format: the UDP loopback mode
+and the tests run real bytes through them.  The in-process simulator carries
+a frame as its fragments' wire sizes (`fragment_sizes`) and reads the frame's
+fate off their arrival times (`frame_outcome`); only its small messages
+(input, probes, state sync) are encoded.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -115,21 +122,37 @@ def fragment_capacity(mtu: int) -> int:
     return mtu - HEADER_LEN - FRAG_HEADER_LEN
 
 
-def fragment(frame_id: int, payload: bytes, mtu: int) -> list[FrameFragment]:
-    """Split an encoded frame into MTU-sized fragments, in order, no overlap."""
-    if not payload:
+def _fragment_count(n_bytes: int, mtu: int) -> int:
+    if n_bytes <= 0:
         raise ValidationError("cannot fragment an empty payload")
     if mtu < 128:
         raise ValidationError("mtu must be at least 128 bytes")
-    capacity = fragment_capacity(mtu)
-    count = -(-len(payload) // capacity)
+    count = -(-n_bytes // fragment_capacity(mtu))
     if count > MAX_FRAGMENTS:
         raise ValidationError(f"frame needs {count} fragments, limit is {MAX_FRAGMENTS}")
+    return count
+
+
+def fragment(frame_id: int, payload: bytes, mtu: int) -> list[FrameFragment]:
+    """Split an encoded frame into MTU-sized fragments, in order, no overlap."""
+    count = _fragment_count(len(payload), mtu)
+    capacity = fragment_capacity(mtu)
     view = memoryview(payload)
     return [
         FrameFragment(frame_id, i, count, bytes(view[i * capacity:(i + 1) * capacity]))
         for i in range(count)
     ]
+
+
+def fragment_sizes(n_bytes: int, mtu: int) -> list[int]:
+    """Wire size of each FRAME_FRAG message an `n_bytes` frame is sent as.
+
+    Equal to the lengths of `encode_fragment` over `fragment`, without bytes.
+    """
+    count = _fragment_count(n_bytes, mtu)
+    sizes = [mtu] * count
+    sizes[-1] = n_bytes - (count - 1) * fragment_capacity(mtu) + HEADER_LEN + FRAG_HEADER_LEN
+    return sizes
 
 
 def encode_fragment(session_id: int, sequence: int, timestamp: int, frag: FrameFragment) -> bytes:
@@ -232,6 +255,21 @@ class Reassembler:
     def sweep(self, now: int) -> tuple[int, ...]:
         """Expire timed-out pendings without offering a fragment."""
         return tuple(self._expire(now))
+
+
+def frame_outcome(arrivals: list[int]) -> tuple[int, bool]:
+    """(time, completed) of a frame all of whose fragments arrive, in arrival order.
+
+    The frame is abandoned at the first arrival more than the reassembly
+    timeout after the first one, where `Reassembler.offer` expires it on
+    receiving that fragment; otherwise it completes at the last arrival.
+    Newer frames, older completions and timeout sweeps are the receiver's to
+    apply.
+    """
+    late = bisect_right(arrivals, arrivals[0] + REASSEMBLY_TIMEOUT_US)
+    if late < len(arrivals):
+        return arrivals[late], False
+    return arrivals[-1], True
 
 
 @dataclass(slots=True)

@@ -83,7 +83,8 @@ CASES: dict[str, tuple[str, int | None, int | None, dict]] = {
 }
 
 
-def _override(doc: dict, overrides: dict) -> dict:
+def apply_overrides(doc: dict, overrides: dict) -> dict:
+    """A copy of a raw scenario with one case's overrides applied."""
     doc = copy.deepcopy(doc)
     doc.update(overrides.get("doc", {}))
     for entry in doc["clients"]:
@@ -101,7 +102,7 @@ def case_config(name: str) -> orchestrator.ScenarioConfig:
     scenario, seed, n, overrides = CASES[name]
     cfg = orchestrator.load_scenario(str(ROOT / "scenarios" / scenario))
     if seed is not None or overrides:
-        doc = _override(cfg.raw, overrides)
+        doc = apply_overrides(cfg.raw, overrides)
         if seed is not None:
             doc["seed"] = seed
         cfg = orchestrator.parse_scenario(doc)

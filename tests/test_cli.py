@@ -50,6 +50,19 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
     assert main(["validate", "--scenario", str(tmp_path / "missing.json")]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("patch, key", [
+    ({"duration": 10}, "duration"),
+    ({"events": [{"time": 0, "bandwidth": 0}]}, "events[0]"),
+])
+def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
+    doc = dict(json.loads(mini_scenario.read_text()), **patch)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert main(["run", "--scenario", str(bad)]) == EXIT_VALIDATION
+
+
 def test_sweep_prints_table(mini_scenario, capsys):
     code = main(["sweep", "--scenario", str(mini_scenario),
                  "--param", "clients.paths.1.bandwidth", "--values", "700000000,100000000"])

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epicsim.model import NetworkProfile, ValidationError
 from epicsim.netem import Drop, Path
@@ -189,3 +190,87 @@ def test_event_driven_path_matches_stepper_reference():
         expected = reference_simulate(profile, seed, submissions)
         assert got == expected, f"trial {trial} diverged"
     assert total == 1_000
+
+
+def _outcome(result):
+    if isinstance(result, int):
+        return ("delivered", result)
+    return ("loss",) if result is Drop.LOSS else ("queue",)
+
+
+def _timing_state(path):
+    """Path._state() with each pending datagram's bytes replaced by its size."""
+    state = list(path._state())
+    state[9] = tuple((arrival, len(d) if isinstance(d, bytes) else d) for arrival, d in state[9])
+    return tuple(state)
+
+
+_profiles = st.builds(
+    NetworkProfile,
+    one_way_latency=st.integers(0, 5_000),
+    jitter=st.sampled_from([0, 0, 1, 300, 3_000]),
+    loss_rate=st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]),
+    bandwidth=st.integers(1_000_000, 1_000_000_000),
+    mtu=st.just(1_400),
+    queue_capacity=st.integers(1_400, 40_000),
+)
+_sizes = st.lists(st.integers(1, 1_400), min_size=1, max_size=40)
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("burst"), st.integers(0, 3_000), _sizes),
+    st.tuples(st.just("single"), st.integers(0, 3_000), st.integers(1, 1_400)),
+    st.tuples(st.just("bandwidth"), st.just(0), st.integers(1_000_000, 1_000_000_000)),
+    st.tuples(st.just("advance"), st.integers(0, 20_000), st.none()),
+), max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=_profiles, seed=st.integers(0, 2**64 - 1), ops=_ops)
+def test_burst_equals_a_per_packet_submit_loop(profile, seed, ops):
+    burst, loop = Path(profile, seed), Path(profile, seed)
+    now = 0
+    for op, dt, arg in ops:
+        now += dt
+        if op == "burst":
+            got = burst.submit_burst(arg, now)
+            assert got == [loop.submit(bytes(size), now) for size in arg]
+        elif op == "single":
+            assert burst.submit(bytes(arg), now) == loop.submit(bytes(arg), now)
+        elif op == "bandwidth":
+            burst.set_bandwidth(arg)
+            loop.set_bandwidth(arg)
+        else:
+            delivered = [(len(d) if isinstance(d, bytes) else d, at) for d, at in burst.advance_to(now)]
+            assert delivered == [(len(d), at) for d, at in loop.advance_to(now)]
+        assert _timing_state(burst) == _timing_state(loop)
+        assert burst.rng.state == loop.rng.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=_profiles.filter(lambda p: p.bandwidth >= 20_000_000), seed=st.integers(0, 2**64 - 1),
+       bursts=st.lists(st.tuples(st.integers(0, 3_000), _sizes), min_size=1, max_size=6))
+def test_bursts_match_stepper_reference(profile, seed, bursts):
+    """The stepper walks every microsecond, so the backlog is kept short."""
+    path = Path(profile, seed)
+    submissions, got, now = [], [], 0
+    for dt, sizes in bursts:
+        now += dt
+        submissions += [(now, size) for size in sizes]
+        got += [_outcome(r) for r in path.submit_burst(sizes, now)]
+    assert got == reference_simulate(profile, seed, submissions)
+
+
+def test_lossless_jitterless_burst_skips_its_draws_in_one_step():
+    path = Path(_profile(), seed=9)
+    path.submit_burst([1_500] * 100, 0)
+    assert path.rng.state == Path(_profile(), seed=9).rng.state + 100 * 0x9E3779B97F4A7C15 & (2**64 - 1)
+
+
+def test_burst_rejects_oversize_and_time_regression_before_any_change():
+    path = Path(_profile(), seed=1)
+    path.submit_burst([100], 500)
+    before = _timing_state(path)
+    with pytest.raises(ValidationError):
+        path.submit_burst([100, 1_501], 600)
+    with pytest.raises(ValidationError):
+        path.submit_burst([100], 400)
+    assert _timing_state(path) == before

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from epicsim.kpi import build_report
@@ -192,3 +194,20 @@ def test_input_drives_motion_to_photon():
     assert m2p, "frames should carry input provenance"
     # photon latency >= uplink latency + render + encode + downlink latency
     assert min(m2p) >= 2_000 + 415 + 519 + 2_000
+
+
+def test_packet_logging_is_one_line_per_frame(caplog):
+    caplog.set_level(logging.DEBUG, logger="epicsim.session")
+    profile = NetworkProfile(one_way_latency=2_000, jitter=500, loss_rate=0.01,
+                             bandwidth=700_000_000, mtu=1400)
+    trace = run_session(_edge((ClientSpec(0, profile),)), DEFAULT_LADDER, 1_000_000,
+                        SessionSettings(), seed=1)
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(lines) == trace.frames.sent
+    assert all("fragments" in line for line in lines)
+    assert any("fragment_loss" in line for line in lines)
+
+
+def test_scene_complexity_floor_is_a_settings_check():
+    with pytest.raises(ValidationError, match="scene_complexity"):
+        SessionSettings(scene_complexity=0.05)

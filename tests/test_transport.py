@@ -8,6 +8,8 @@ from epicsim.model import ValidationError
 from epicsim.transport import (
     FRAG_HEADER_LEN,
     HEADER_LEN,
+    MAX_FRAGMENTS,
+    REASSEMBLY_TIMEOUT_US,
     FrameFragment,
     MsgType,
     Reassembler,
@@ -23,6 +25,8 @@ from epicsim.transport import (
     encode_message,
     fragment,
     fragment_capacity,
+    fragment_sizes,
+    frame_outcome,
 )
 
 GOLDEN_PING = bytes.fromhex("45504943" "01" "03" "00" "00" "00000001" "00000007" "00000000000003E8")
@@ -225,3 +229,86 @@ def test_rtt_estimator_rejects_nonpositive():
         est.update(0)
     with pytest.raises(ValidationError):
         est.update(-5)
+
+
+@given(size=st.integers(1, 300_000), mtu=st.integers(128, 9_000))
+@settings(max_examples=200, deadline=None)
+def test_fragment_sizes_are_the_encoded_fragment_lengths(size, mtu):
+    if -(-size // fragment_capacity(mtu)) > MAX_FRAGMENTS:
+        return
+    assert fragment_sizes(size, mtu) == [len(encode_fragment(1, 0, 0, f)) for f in fragment(1, bytes(size), mtu)]
+
+
+@pytest.mark.parametrize("size, mtu", [(0, 1_400), (100, 127), (MAX_FRAGMENTS * 96 + 1, 128)])
+def test_fragment_sizes_rejects_what_fragment_rejects(size, mtu):
+    with pytest.raises(ValidationError) as sized:
+        fragment_sizes(size, mtu)
+    with pytest.raises(ValidationError) as real:
+        fragment(1, bytes(size), mtu)
+    assert str(sized.value) == str(real.value)
+
+
+@st.composite
+def _frame_timeline(draw):
+    """One frame's arrivals plus window sweeps, merged into one event order.
+
+    Windows may fall on an arrival's microsecond, on either side of it.
+    """
+    gaps = draw(st.lists(st.integers(0, 60_000), min_size=1, max_size=24))
+    start = draw(st.integers(0, 100_000))
+    arrivals = [start + sum(gaps[:i + 1]) for i in range(len(gaps))]
+    windows = draw(st.lists(st.one_of(st.integers(0, arrivals[-1] + 100_000), st.sampled_from(arrivals)),
+                            max_size=12, unique=True))
+    events = [((a, 1, i), "fragment") for i, a in enumerate(arrivals)]
+    events += [((w, draw(st.sampled_from([0, 2])), -1), "window") for w in windows]
+    return arrivals, [(key[0], kind) for key, kind in sorted(events)], draw(st.booleans())
+
+
+def _reassembler_fate(arrivals, timeline, stale):
+    """Feed the frame to a real Reassembler; returns (kind, time) or None."""
+    r = Reassembler()
+    if stale:  # a newer frame completed before this one's first fragment
+        r.offer(FrameFragment(8, 0, 1, b"n"), arrivals[0])
+    index = 0
+    for t, kind in timeline:
+        if kind == "window":
+            if 7 in r.sweep(t):
+                return "abandoned", t
+            continue
+        event = r.offer(FrameFragment(7, index, len(arrivals), b"x"), t)
+        index += 1
+        if 7 in event.abandoned:
+            return "abandoned", t
+        if event.completed and event.completed[0] == 7:
+            return "completed", t
+    return None
+
+
+def _frame_rule(arrivals, timeline, stale):
+    """frame_outcome, with a window sweeping the frame if it runs first."""
+    if stale:
+        return None
+    end, completed = frame_outcome(arrivals)
+    index = 0
+    for t, kind in timeline:
+        if kind == "window" and t - arrivals[0] > REASSEMBLY_TIMEOUT_US:
+            return "abandoned", t
+        if kind == "fragment":
+            if t == end and (arrivals.index(end) <= index):
+                return ("completed" if completed else "abandoned"), end
+            index += 1
+    raise AssertionError("the outcome fragment is in the timeline")
+
+
+@given(_frame_timeline())
+@settings(max_examples=250, deadline=None)
+def test_frame_outcome_and_window_sweep_agree_with_reassembler(timeline):
+    arrivals, merged, stale = timeline
+    assert _frame_rule(arrivals, merged, stale) == _reassembler_fate(arrivals, merged, stale)
+
+
+def test_frame_outcome_examples():
+    assert frame_outcome([10, 20, 30]) == (30, True)
+    assert frame_outcome([0, 250_000]) == (250_000, True)
+    assert frame_outcome([0, 100_000, 250_001, 400_000]) == (250_001, False)
+    assert frame_outcome([5]) == (5, True)
