@@ -201,7 +201,8 @@ def _outcome(result):
 def _timing_state(path):
     """Path._state() with each pending datagram's bytes replaced by its size."""
     state = list(path._state())
-    state[9] = tuple((arrival, len(d) if isinstance(d, bytes) else d) for arrival, d in state[9])
+    pending = 9  # tuple(path._pending)
+    state[pending] = tuple((at, len(d) if isinstance(d, bytes) else d) for at, d in state[pending])
     return tuple(state)
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from capture_goldens import apply_overrides
 from epicsim import orchestrator, session
-from epicsim.model import frame_bytes
+from epicsim.model import NetworkProfile, NodeSpec, QualityLevel, frame_bytes
 from epicsim.netem import Drop
 from epicsim.render import decode_time_us
 from epicsim.transport import MsgType, Reassembler, decode_fragment, decode_message, encode_fragment, fragment
@@ -32,6 +32,7 @@ class _Logged(session._Simulation):
         super().__init__(*args, **kwargs)
         self.log = []
         self.frame_path_ids = {id(path) for path in self.down_frames.values()}
+        self.path_names = {id(r.path): r.name for r in self.paths}
 
     def _drop_frame(self, cid, fid, reason):
         if self.frame_states[(cid, fid)].status == "pending":
@@ -46,8 +47,7 @@ class _Logged(session._Simulation):
     def handled(self, t, kind, args):
         if kind == "outcome" or (kind == "arrive" and id(args[0]) in self.frame_path_ids):
             return  # frame deliveries: the reference has one per packet, production one per frame
-        names = {id(r.path): r.name for r in self.paths}
-        self.log.append((t, kind, *(names.get(id(a), a) for a in args)))
+        self.log.append((t, kind, *(self.path_names.get(id(a), a) for a in args)))
 
 
 class _PerPacket(_Logged):
@@ -171,10 +171,10 @@ def _drive_clamped_frame(cls):
     per-packet receiver sees the frame in the sync's arrive event, which was
     scheduled before the window.
     """
-    profile = session.NetworkProfile(one_way_latency=2_000, jitter=1_000_000, bandwidth=700_000_000)
+    profile = NetworkProfile(one_way_latency=2_000, jitter=1_000_000, bandwidth=700_000_000)
     topology = session.SessionTopology("edge_hosted", (session.ClientSpec(0, profile),),
-                                       host_node=session.NodeSpec(1, 5_000_000_000, 4_000_000_000))
-    ladder = orchestrator._ladder_from(TINY_LADDER, "ladder")
+                                       host_node=NodeSpec(1, 5_000_000_000, 4_000_000_000))
+    ladder = tuple(QualityLevel(**level) for level in TINY_LADDER)
     sim = cls(topology, ladder, 1_000_000, session.SessionSettings(), 3, 0)
     path = sim.down_frames[0]
     sim._on_sync(0)
