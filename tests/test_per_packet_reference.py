@@ -145,6 +145,14 @@ CASES = {
         "paths": {"bandwidth": 5_000_000, "mtu": 32_000, "queue_capacity": 2_000_000}}),
     "master-uplink": ("master-server.json", None, {"doc": {"duration": 1_000_000},
                                                    "link": {"jitter": 3_000, "loss_rate": 0.002}}),
+    # encoding slower than the frame interval: after a downgrade the next,
+    # smaller frame is ready first, completes first, and the older frame's
+    # fragments all arrive stale, so it never resolves
+    "slow-encode": ("edge-nominal.json", None, {
+        "doc": {"duration": 1_500_000, "events": [{"time": 500_000, "bandwidth": 60_000_000}],
+                "nodes": [{"node_id": 1, "pixel_throughput": 5_000_000_000, "encode_throughput": 10_000_000}],
+                "controller": {"enabled": True, "start_level": 0, "window": 100_000}},
+        "paths": {"loss_rate": 0.0005, "queue_capacity": 8_000_000}}),
 }
 
 
