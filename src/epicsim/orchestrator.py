@@ -28,6 +28,7 @@ from .model import (
     PowerProfile,
     QualityLevel,
     ValidationError,
+    as_bpp,
     validate_ladder,
 )
 from .netem import Path
@@ -108,107 +109,151 @@ class ScenarioConfig:
     raw: dict
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ValidationError(f"{context}: missing required key {key!r}")
-    return mapping[key]
+_REQUIRED = object()
 
 
-def _profile_from(obj: dict, context: str) -> NetworkProfile:
+def _get(obj: dict, key: str, where: str, default=_REQUIRED):
+    """obj[key], or `default`; `where` is obj's key path, so errors name the key."""
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise ValidationError(f"{where}: missing required key {key!r}")
+    return default
+
+
+def _to(kind, value, where: str):
+    """`value` converted by `kind` (int, float or as_bpp); `where` is its key path."""
     try:
-        return NetworkProfile(
-            one_way_latency=int(_require(obj, "one_way_latency", context)),
-            jitter=int(obj.get("jitter", 0)),
-            loss_rate=float(obj.get("loss_rate", 0.0)),
-            bandwidth=int(_require(obj, "bandwidth", context)),
-            mtu=int(obj.get("mtu", 1400)),
-            queue_capacity=int(obj["queue_capacity"]) if "queue_capacity" in obj else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{context}: {exc}") from exc
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where} must be a number, not {value!r:.40}") from None
 
 
-def _node_from(obj: dict, context: str) -> NodeSpec:
+def _number(obj: dict, key: str, where: str, kind=int, default=_REQUIRED):
+    return _to(kind, _get(obj, key, where, default), f"{where}.{key}")
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a JSON object, not {value!r:.40}")
+    return value
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a JSON array, not {value!r:.40}")
+    return value
+
+
+def _profile_from(obj, where: str) -> NetworkProfile:
+    obj = _object(obj, where)
+    fields = dict(
+        one_way_latency=_number(obj, "one_way_latency", where),
+        jitter=_number(obj, "jitter", where, default=0),
+        loss_rate=_number(obj, "loss_rate", where, float, 0.0),
+        bandwidth=_number(obj, "bandwidth", where),
+        mtu=_number(obj, "mtu", where, default=1400),
+        queue_capacity=_number(obj, "queue_capacity", where) if "queue_capacity" in obj else None,
+    )
+    try:
+        return NetworkProfile(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _node_from(obj, where: str) -> NodeSpec:
+    obj = _object(obj, where)
     return NodeSpec(
-        node_id=int(_require(obj, "node_id", context)),
-        pixel_throughput=int(_require(obj, "pixel_throughput", context)),
-        encode_throughput=int(_require(obj, "encode_throughput", context)),
-        max_sessions=int(obj.get("max_sessions", 16)),
+        node_id=_number(obj, "node_id", where),
+        pixel_throughput=_number(obj, "pixel_throughput", where),
+        encode_throughput=_number(obj, "encode_throughput", where),
+        max_sessions=_number(obj, "max_sessions", where, default=16),
     )
 
 
-def _power_from(obj: dict) -> PowerProfile:
+def _power_from(obj, where: str) -> PowerProfile:
+    obj = _object(obj, where)
     return PowerProfile(
-        p_idle=float(obj.get("p_idle", 3.0)),
-        p_render_local=float(obj.get("p_render_local", 4.5)),
-        p_radio=float(obj.get("p_radio", 1.2)),
-        p_decode=float(obj.get("p_decode", 0.8)),
-        battery_capacity=float(obj.get("battery_capacity", 7.6)),
+        p_idle=_number(obj, "p_idle", where, float, 3.0),
+        p_render_local=_number(obj, "p_render_local", where, float, 4.5),
+        p_radio=_number(obj, "p_radio", where, float, 1.2),
+        p_decode=_number(obj, "p_decode", where, float, 0.8),
+        battery_capacity=_number(obj, "battery_capacity", where, float, 7.6),
     )
 
 
-def _ladder_from(entries: list, context: str) -> tuple[QualityLevel, ...]:
-    levels = tuple(
-        QualityLevel(
-            level_index=int(_require(e, "level_index", context)),
-            width=int(_require(e, "width", context)),
-            height=int(_require(e, "height", context)),
-            fps=int(_require(e, "fps", context)),
-            bpp=_require(e, "bpp", context),
-        )
-        for e in entries
+def _ladder_from(entries, where: str) -> tuple[QualityLevel, ...]:
+    levels = []
+    for i, e in enumerate(_array(entries, where)):
+        at = f"{where}[{i}]"
+        e = _object(e, at)
+        levels.append(QualityLevel(
+            level_index=_number(e, "level_index", at),
+            width=_number(e, "width", at),
+            height=_number(e, "height", at),
+            fps=_number(e, "fps", at),
+            bpp=_number(e, "bpp", at, as_bpp),
+        ))
+    return validate_ladder(tuple(levels))
+
+
+def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
+    entry = _object(entry, where)
+    cid = _number(entry, "id", where)
+    raw_paths = _object(_get(entry, "paths", where), f"{where}.paths")
+    if "bandwidth" in raw_paths:
+        # single-profile shorthand, applied to every candidate node
+        profile = _profile_from(raw_paths, f"{where}.paths")
+        paths = {nid: profile for nid in node_ids} or {0: profile}
+    else:
+        paths = {}
+        for key, val in raw_paths.items():
+            nid = _to(int, key, f"{where}.paths key")
+            if node_ids and nid not in node_ids:
+                raise ValidationError(f"client {cid}: path references unknown node {nid}")
+            paths[nid] = _profile_from(val, f"{where}.paths.{key}")
+    return ScenarioClient(
+        client_id=cid,
+        paths=paths,
+        power=_power_from(entry.get("power", {}), f"{where}.power"),
+        decode_throughput=_number(entry, "decode_throughput", where, default=7_000_000_000),
     )
-    return validate_ladder(levels)
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
-    """Validate a scenario JSON document and bind it to domain types."""
+    """Validate a scenario JSON document and bind it to domain types.
+
+    Every malformed input raises `ValidationError` naming its key path, such
+    as `clients[1].paths.bandwidth`.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("scenario must be a JSON object")
     name = str(doc.get("name", "scenario"))
-    seed = int(doc.get("seed", 0))
-    duration = int(_require(doc, "duration", "scenario"))
+    seed = _number(doc, "seed", "scenario", default=0)
+    duration = _number(doc, "duration", "scenario")
     if duration < 1_000_000:
         raise ValidationError("duration must be at least 1000000 us (1 s of simulated time)")
     ladder = _ladder_from(doc["ladder"], "ladder") if doc.get("ladder") else DEFAULT_LADDER
 
-    nodes = tuple(_node_from(n, "nodes") for n in doc.get("nodes", []))
+    nodes = tuple(_node_from(n, f"nodes[{i}]") for i, n in enumerate(_array(doc.get("nodes", []), "nodes")))
     if len({n.node_id for n in nodes}) != len(nodes):
         raise ValidationError("node ids must be unique")
     node_ids = {n.node_id for n in nodes}
 
-    clients = []
-    for entry in _require(doc, "clients", "scenario"):
-        cid = int(_require(entry, "id", "client"))
-        raw_paths = _require(entry, "paths", f"client {cid}")
-        if isinstance(raw_paths, dict) and "bandwidth" in raw_paths:
-            # single-profile shorthand, applied to every candidate node
-            profile = _profile_from(raw_paths, f"client {cid} path")
-            paths = {nid: profile for nid in node_ids} or {0: profile}
-        else:
-            paths = {}
-            for key, val in raw_paths.items():
-                nid = int(key)
-                if node_ids and nid not in node_ids:
-                    raise ValidationError(f"client {cid}: path references unknown node {nid}")
-                paths[nid] = _profile_from(val, f"client {cid} path to node {nid}")
-        clients.append(ScenarioClient(
-            client_id=cid,
-            paths=paths,
-            power=_power_from(entry.get("power", {})),
-            decode_throughput=int(entry.get("decode_throughput", 7_000_000_000)),
-        ))
+    clients = [_client_from(entry, f"clients[{i}]", node_ids)
+               for i, entry in enumerate(_array(_get(doc, "clients", "scenario"), "clients"))]
     if not clients:
         raise ValidationError("scenario needs at least one client")
     if len({c.client_id for c in clients}) != len(clients):
         raise ValidationError("client ids must be unique")
 
-    topo = doc.get("topology", {"mode": EDGE_HOSTED})
+    topo = _object(doc.get("topology", {"mode": EDGE_HOSTED}), "topology")
     mode = topo.get("mode", EDGE_HOSTED)
     if mode not in (EDGE_HOSTED, CLIENT_HOSTED):
         raise ValidationError(f"unknown topology mode {mode!r}")
-    master_id = int(topo["master"]) if "master" in topo else None
-    master_uplink = _profile_from(topo["master_uplink"], "master_uplink") if "master_uplink" in topo else None
+    master_id = _number(topo, "master", "topology") if "master" in topo else None
+    master_uplink = (_profile_from(topo["master_uplink"], "topology.master_uplink")
+                     if "master_uplink" in topo else None)
     if mode == EDGE_HOSTED and not nodes:
         raise ValidationError("edge_hosted scenario needs at least one node")
     if mode == CLIENT_HOSTED and (master_id is None or master_uplink is None):
@@ -216,27 +261,30 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if mode == CLIENT_HOSTED and master_id not in {c.client_id for c in clients}:
         raise ValidationError(f"topology.master {master_id} is not a client id")
 
-    ctrl_doc = doc.get("controller", {})
+    ctrl_doc = _object(doc.get("controller", {}), "controller")
     controller = ControllerConfig(
-        rtt_budget=int(ctrl_doc.get("rtt_budget", 7_000)),
-        loss_threshold=float(ctrl_doc.get("loss_threshold", 0.02)),
-        throughput_factor=float(ctrl_doc.get("throughput_factor", 0.9)),
-        k_down=int(ctrl_doc.get("k_down", 2)),
-        k_up=int(ctrl_doc.get("k_up", 12)),
-        cooldown=int(ctrl_doc.get("cooldown", 4)),
-        window_us=int(ctrl_doc.get("window", 250_000)),
+        rtt_budget=_number(ctrl_doc, "rtt_budget", "controller", default=7_000),
+        loss_threshold=_number(ctrl_doc, "loss_threshold", "controller", float, 0.02),
+        throughput_factor=_number(ctrl_doc, "throughput_factor", "controller", float, 0.9),
+        k_down=_number(ctrl_doc, "k_down", "controller", default=2),
+        k_up=_number(ctrl_doc, "k_up", "controller", default=12),
+        cooldown=_number(ctrl_doc, "cooldown", "controller", default=4),
+        window_us=_number(ctrl_doc, "window", "controller", default=250_000),
     )
-    start_level = int(ctrl_doc.get("start_level", 0))
+    start_level = _number(ctrl_doc, "start_level", "controller", default=0)
     if not 0 <= start_level < len(ladder):
         raise ValidationError("controller.start_level outside the ladder")
 
     steps = []
-    for i, e in enumerate(doc.get("events", [])):
+    for i, e in enumerate(_array(doc.get("events", []), "events")):
         context = f"events[{i}]"
+        e = _object(e, context)
+        targets = _array(e["clients"], f"{context}.clients") if e.get("clients") else None
         step = BandwidthStep(
-            time_us=int(_require(e, "time", context)),
-            bandwidth=int(_require(e, "bandwidth", context)),
-            client_ids=tuple(int(x) for x in e["clients"]) if e.get("clients") else None,
+            time_us=_number(e, "time", context),
+            bandwidth=_number(e, "bandwidth", context),
+            client_ids=tuple(_to(int, x, f"{context}.clients[{j}]") for j, x in enumerate(targets))
+            if targets else None,
         )
         if step.time_us < 0:
             raise ValidationError(f"{context}: time must be non-negative")
@@ -248,37 +296,37 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         steps.append(step)
 
     settings = SessionSettings(
-        tick_us=int(doc.get("tick", 8_333)),
-        ping_interval_us=int(doc.get("ping_interval", 100_000)),
-        sync_interval_us=int(doc.get("sync_interval", 50_000)),
-        sync_payload_bytes=int(doc.get("state_sync_bytes", 256)),
-        scene_complexity=float(doc.get("scene_complexity", 1.0)),
+        tick_us=_number(doc, "tick", "scenario", default=8_333),
+        ping_interval_us=_number(doc, "ping_interval", "scenario", default=100_000),
+        sync_interval_us=_number(doc, "sync_interval", "scenario", default=50_000),
+        sync_payload_bytes=_number(doc, "state_sync_bytes", "scenario", default=256),
+        scene_complexity=_number(doc, "scene_complexity", "scenario", float, 1.0),
         start_level=start_level,
         adaptation=bool(ctrl_doc.get("enabled", True)),
         controller=controller,
         shared_egress=_profile_from(doc["shared_egress"], "shared_egress")
         if doc.get("shared_egress") else None,
         bandwidth_steps=tuple(steps),
-        prerender=int(doc.get("prerender", 0)),
+        prerender=_number(doc, "prerender", "scenario", default=0),
     )
 
-    budget_doc = doc.get("budgets", {})
+    budget_doc = _object(doc.get("budgets", {}), "budgets")
     budgets = Budgets(
-        rtt_p95=int(budget_doc.get("rtt_p95", 7_000)),
-        loss=float(budget_doc.get("loss", 0.02)),
+        rtt_p95=_number(budget_doc, "rtt_p95", "budgets", default=7_000),
+        loss=_number(budget_doc, "loss", "budgets", float, 0.02),
     )
 
-    power_doc = doc.get("power_model", {})
+    power_doc = _object(doc.get("power_model", {}), "power_model")
     return ScenarioConfig(
         name=name, seed=seed, duration=duration, ladder=ladder, nodes=nodes,
         clients=tuple(clients), mode=mode, master_id=master_id,
         master_uplink=master_uplink, settings=settings, budgets=budgets,
-        device_node=_node_from(topo["device_node"], "device_node")
+        device_node=_node_from(topo["device_node"], "topology.device_node")
         if "device_node" in topo else DEVICE_NODE,
-        power_pixel_throughput=int(power_doc.get("device_pixel_throughput",
-                                                 power.DEVICE_PIXEL_THROUGHPUT)),
-        power_decode_throughput=int(power_doc.get("device_decode_throughput",
-                                                  power.DEVICE_DECODE_THROUGHPUT)),
+        power_pixel_throughput=_number(power_doc, "device_pixel_throughput", "power_model",
+                                       default=power.DEVICE_PIXEL_THROUGHPUT),
+        power_decode_throughput=_number(power_doc, "device_decode_throughput", "power_model",
+                                        default=power.DEVICE_DECODE_THROUGHPUT),
         raw=copy.deepcopy(doc),
     )
 

@@ -10,8 +10,6 @@ a time; the fold is order-sensitive, so ``derive_seed(s, a, b)`` and
 
 from __future__ import annotations
 
-import numpy as np
-
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -71,6 +69,8 @@ class SplitMix64:
 
     def fill_bytes(self, n: int) -> bytes:
         """Produce `n` bytes: consecutive outputs, each little-endian packed."""
+        import numpy as np  # epicsim's only numpy user; imported here to keep it out of `import epicsim`
+
         if n < 0:
             raise ValueError("byte count must be non-negative")
         if n == 0:

@@ -53,6 +53,13 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
 @pytest.mark.parametrize("patch, key", [
     ({"duration": 10}, "duration"),
     ({"events": [{"time": 0, "bandwidth": 0}]}, "events[0]"),
+    ({"clients": 5}, "clients"),
+    ({"nodes": 3}, "nodes"),
+    ({"topology": "edge"}, "topology"),
+    ({"controller": [1]}, "controller"),
+    ({"duration": "ten"}, "duration"),
+    ({"seed": "x"}, "seed"),
+    ({"ladder": [{"level_index": 0, "width": 640, "height": 360, "fps": 30, "bpp": "abc"}]}, "ladder[0].bpp"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)

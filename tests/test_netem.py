@@ -215,17 +215,36 @@ _profiles = st.builds(
     mtu=st.just(1_400),
     queue_capacity=st.integers(1_400, 40_000),
 )
+# no loss and no jitter, so netem admits equal sizes as runs; slow links and
+# deep queues make runs long enough for an advance or a submit to land inside
+_draw_free = st.builds(
+    NetworkProfile,
+    one_way_latency=st.integers(0, 2_000),
+    bandwidth=st.integers(1_000_000, 100_000_000),
+    mtu=st.just(1_400),
+    queue_capacity=st.integers(20_000, 40_000),
+)
 _sizes = st.lists(st.integers(1, 1_400), min_size=1, max_size=40)
+# runs of equal sizes: a frame's fragments (full MTU then a shorter last one),
+# or a few long repeats, so that an advance, a submit or the queue cut can land
+# inside a run
+_runs = st.one_of(
+    st.builds(lambda k, last: [1_400] * k + [last], st.integers(1, 60), st.integers(1, 1_400)),
+    st.lists(st.tuples(st.integers(1, 1_400), st.integers(1, 80)), min_size=1, max_size=3).map(
+        lambda runs: [size for size, k in runs for _ in range(k)]),
+)
 _ops = st.lists(st.one_of(
     st.tuples(st.just("burst"), st.integers(0, 3_000), _sizes),
+    st.tuples(st.just("burst"), st.integers(0, 3_000), _runs),
     st.tuples(st.just("single"), st.integers(0, 3_000), st.integers(1, 1_400)),
     st.tuples(st.just("bandwidth"), st.just(0), st.integers(1_000_000, 1_000_000_000)),
     st.tuples(st.just("advance"), st.integers(0, 20_000), st.none()),
+    st.tuples(st.just("advance"), st.integers(0, 3_000), st.none()),
 ), max_size=25)
 
 
 @settings(max_examples=200, deadline=None)
-@given(profile=_profiles, seed=st.integers(0, 2**64 - 1), ops=_ops)
+@given(profile=_profiles | _draw_free, seed=st.integers(0, 2**64 - 1), ops=_ops)
 def test_burst_equals_a_per_packet_submit_loop(profile, seed, ops):
     burst, loop = Path(profile, seed), Path(profile, seed)
     now = 0
@@ -244,11 +263,13 @@ def test_burst_equals_a_per_packet_submit_loop(profile, seed, ops):
             assert delivered == [(len(d), at) for d, at in loop.advance_to(now)]
         assert _timing_state(burst) == _timing_state(loop)
         assert burst.rng.state == loop.rng.state
+        assert burst.in_flight == loop.in_flight
 
 
 @settings(max_examples=60, deadline=None)
-@given(profile=_profiles.filter(lambda p: p.bandwidth >= 20_000_000), seed=st.integers(0, 2**64 - 1),
-       bursts=st.lists(st.tuples(st.integers(0, 3_000), _sizes), min_size=1, max_size=6))
+@given(profile=(_profiles | _draw_free).filter(lambda p: p.bandwidth >= 20_000_000),
+       seed=st.integers(0, 2**64 - 1),
+       bursts=st.lists(st.tuples(st.integers(0, 3_000), _sizes | _runs), min_size=1, max_size=6))
 def test_bursts_match_stepper_reference(profile, seed, bursts):
     """The stepper walks every microsecond, so the backlog is kept short."""
     path = Path(profile, seed)

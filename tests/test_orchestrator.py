@@ -3,10 +3,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epicsim.model import CapacityError, NetworkProfile, ValidationError
 from epicsim.orchestrator import (
     HandshakeTimeout,
+    ScenarioConfig,
     deploy_handshake,
     load_scenario,
     load_search,
@@ -106,6 +108,48 @@ def test_targeted_bandwidth_step_spares_other_clients_and_shared_egress():
         assert (frames.sent, frames.delivered) == (90, 90)
     everyone = run_scenario(parse_scenario(dict(cfg.raw, events=[step])))
     assert everyone.trace.per_client_frames[0].delivered < 90  # the shared egress is stepped
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _key_paths(value, prefix=()):
+    """Every key path inside a JSON document, lists indexed by position."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+_SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
+_OPTIONAL = ("seed", "name", "ladder", "nodes", "topology", "controller", "events", "tick",
+             "ping_interval", "sync_interval", "state_sync_bytes", "scene_complexity",
+             "shared_egress", "prerender", "budgets", "power_model")
+_SITES = sorted({(name, path) for name, doc in _SHIPPED.items()
+                 for path in [(), *_key_paths(doc), *((key,) for key in _OPTIONAL)]}, key=repr)
+
+
+@settings(max_examples=500, deadline=None)
+@given(site=st.sampled_from(_SITES), value=_json)
+def test_any_json_value_parses_or_raises_validation_error(site, value):
+    """A shipped scenario with the whole document, or one key present or
+    optional in it, replaced by any JSON value."""
+    name, path = site
+    doc = value
+    if path:
+        doc = copy.deepcopy(_SHIPPED[name])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    try:
+        assert isinstance(parse_scenario(doc), ScenarioConfig)
+    except ValidationError:
+        pass
 
 
 # -- node selection --------------------------------------------------------------

@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+
+import epicsim
 from epicsim.rng import SplitMix64, derive_seed, mix64
 
 # Reference outputs of the standard SplitMix64 sequence from state 0.
@@ -60,3 +66,12 @@ def test_derive_seed_is_order_sensitive():
 def test_mix64_is_deterministic_and_64bit():
     assert 0 <= mix64(2**64 - 1) < 2**64
     assert mix64(12345) == mix64(12345)
+
+
+def test_import_epicsim_leaves_numpy_unloaded():
+    """numpy is imported by `fill_bytes` only, so a run that never fills bytes skips its set-up."""
+    src = str(pathlib.Path(epicsim.__file__).resolve().parents[1])
+    probe = "import sys, epicsim; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
