@@ -15,11 +15,12 @@ Jitter can place a later packet's raw arrival before an earlier one's; to
 keep the path order-preserving, each delivery time is clamped to be no
 earlier than the previous delivery on the path.
 
-`Path.submit` takes one datagram's bytes.  `Path.submit_burst` takes the
-sizes of back-to-back datagrams submitted at one instant, such as the
-fragments of a frame, and carries each as its size.  A burst makes the same
-decisions, in the same order, and leaves the same state as one `submit` per
-size.
+`Path.submit` takes one datagram: its bytes, or any item with the size of
+the datagram it stands for, such as a message record.  `Path.submit_burst`
+takes the sizes of back-to-back datagrams submitted at one instant, such as
+the fragments of a frame, and carries each as its size.  A burst makes the
+same decisions, in the same order, and leaves the same state as one `submit`
+per size.
 
 In-flight datagrams are kept as runs.  `_serializing` holds runs
 `(first_end, tx, count, size)`: `count` datagrams of `size` bytes whose
@@ -86,9 +87,9 @@ class Path:
         # runs (first_end, tx, count, size) still occupying the buffer; the
         # i-th packet of a run finishes serializing at first_end + i * tx
         self._serializing: deque[tuple[int, int, int, int]] = deque()
-        # runs (first_arrival, step, count, datagram or size), non-decreasing
+        # runs (first_arrival, step, count, item or size), non-decreasing
         # arrival by construction; the i-th arrives at first_arrival + i * step
-        self._pending: deque[tuple[int, int, int, bytes | int]] = deque()
+        self._pending: deque[tuple[int, int, int, object]] = deque()
         # delivery time of the latest admitted datagram; later ones are clamped to it
         self.last_arrival = 0
         self._last_submit = 0
@@ -130,9 +131,13 @@ class Path:
             queue_capacity=self.profile.queue_capacity,
         )
 
-    def submit(self, data: bytes, now: int) -> int | Drop:
-        """Submit one datagram at `now`; returns its delivery time or the drop reason."""
-        return self._admit((len(data),), (data,), now)[0]
+    def submit(self, data, now: int, size: int | None = None) -> int | Drop:
+        """Submit one datagram at `now`; returns its delivery time or the drop reason.
+
+        `data` is the datagram's bytes, or any item standing for a datagram
+        of `size` bytes; `advance_to` later yields it as given.
+        """
+        return self._admit((len(data) if size is None else size,), (data,), now)[0]
 
     def submit_burst(self, sizes: list[int], now: int) -> list[int | Drop]:
         """Submit datagrams of `sizes` bytes back to back at `now`.
@@ -237,15 +242,16 @@ class Path:
             serializing.popleft()
         return queued
 
-    def advance_to(self, t: int) -> list[tuple[bytes | int, int]]:
+    def advance_to(self, t: int) -> list[tuple[object, int]]:
         """Pop every (datagram, arrival) with arrival <= t, in arrival order.
 
-        A datagram submitted in a burst is popped as its size.
+        A datagram is popped as it was submitted: its bytes or item, or its
+        size when submitted in a burst.
         """
         if t < self._last_advance:
             raise ValidationError("advance time regressed")
         self._last_advance = t
-        out: list[tuple[bytes | int, int]] = []
+        out: list[tuple[object, int]] = []
         pending = self._pending
         while pending and pending[0][0] <= t:
             at, step, count, item = pending[0]

@@ -43,7 +43,7 @@ from .session import (
     SessionTopology,
     run_session,
 )
-from .transport import MsgType, WireHeader, decode_message, encode_message
+from .transport import HEADER_LEN, MsgType, WireHeader, decode_message, encode_message
 
 logger = logging.getLogger("epicsim.orchestrator")
 
@@ -295,12 +295,18 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             raise ValidationError(f"{context}: unknown client ids {sorted(unknown)}")
         steps.append(step)
 
+    sync_bytes = _number(doc, "state_sync_bytes", "scenario", default=256)
+    if sync_bytes < 0:
+        raise ValidationError(f"scenario.state_sync_bytes must be non-negative, not {sync_bytes}")
+    complexity = _number(doc, "scene_complexity", "scenario", float, 1.0)
+    if not 0.1 <= complexity < math.inf:
+        raise ValidationError(f"scenario.scene_complexity must be finite and at least 0.1, not {complexity}")
     settings = SessionSettings(
         tick_us=_number(doc, "tick", "scenario", default=8_333),
         ping_interval_us=_number(doc, "ping_interval", "scenario", default=100_000),
         sync_interval_us=_number(doc, "sync_interval", "scenario", default=50_000),
-        sync_payload_bytes=_number(doc, "state_sync_bytes", "scenario", default=256),
-        scene_complexity=_number(doc, "scene_complexity", "scenario", float, 1.0),
+        sync_payload_bytes=sync_bytes,
+        scene_complexity=complexity,
         start_level=start_level,
         adaptation=bool(ctrl_doc.get("enabled", True)),
         controller=controller,
@@ -309,6 +315,18 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         bandwidth_steps=tuple(steps),
         prerender=_number(doc, "prerender", "scenario", default=0),
     )
+
+    # the state sync rides every path that can carry frames
+    if mode == CLIENT_HOSTED:
+        frame_paths = [("topology.master_uplink", master_uplink)]
+    elif settings.shared_egress is not None:
+        frame_paths = [("shared_egress", settings.shared_egress)]
+    else:
+        frame_paths = [(f"clients[{i}].paths", p) for i, c in enumerate(clients) for p in c.paths.values()]
+    for where, profile in frame_paths:
+        if HEADER_LEN + sync_bytes > profile.mtu:
+            raise ValidationError(f"scenario.state_sync_bytes: a {HEADER_LEN + sync_bytes} B state sync "
+                                  f"does not fit the {profile.mtu} B mtu of {where}")
 
     budget_doc = _object(doc.get("budgets", {}), "budgets")
     budgets = Budgets(

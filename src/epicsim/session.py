@@ -6,10 +6,11 @@ and probe RTT with PING/PONG pairs; the host renders each client's stream at
 the current quality level's frame rate, encodes, fragments, and streams the
 frames downstream, broadcasting a small state-sync message periodically.
 
-Small messages are encoded on the wire format and each delivery is an event.
-A frame is carried as its fragments' wire sizes, submitted to its path as one
-burst, and resolved by one event: the frame's completion or abandonment,
-computed from the fragments' arrival times.  No frame bytes are generated.
+No message is encoded.  A small message is a `(MsgType, client_id, timestamp)`
+record submitted with its wire size, and each delivery is an event.  A frame
+is carried as its fragments' wire sizes, submitted to its path as one burst,
+and resolved by one event: the frame's completion or abandonment, computed
+from the fragments' arrival times.  No frame bytes are generated.
 
 Two topologies are supported.  In edge_hosted mode the render host is an
 edge node and every client gets an independent emulated path.  In
@@ -71,17 +72,15 @@ from .netem import Drop, Path
 from .render import decode_time_us, encode_time_us, render_time_us
 from .rng import derive_seed
 from .transport import (
+    HEADER_LEN,
+    INPUT_PAYLOAD_LEN,
     REASSEMBLY_TIMEOUT_US,
     MsgType,
     RttEstimator,
-    WireHeader,
-    decode_message,
-    encode_input_payload,
-    encode_message,
     fragment_sizes,
     frame_outcome,
 )
-from .transport import encode_fragment  # noqa: F401  perfbench/tracer.py::_pristine reads it here
+from .transport import decode_message, encode_fragment  # noqa: F401  read by perfbench/tracer.py::_pristine
 
 logger = logging.getLogger("epicsim.session")
 
@@ -92,6 +91,7 @@ DEVICE_NODE = NodeSpec(node_id=-1, pixel_throughput=200_000_000,
                        encode_throughput=250_000_000, max_sessions=16)
 
 _F32 = struct.Struct(">f")
+_INPUT_BYTES = HEADER_LEN + INPUT_PAYLOAD_LEN  # wire size of an INPUT message
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,8 +162,10 @@ class SessionSettings:
             raise ValidationError("intervals must be positive")
         if self.prerender not in (0, 1):
             raise ValidationError("prerender depth is 0 or 1")
-        if self.scene_complexity < 0.1:
-            raise ValidationError("scene_complexity must be at least 0.1")
+        if self.sync_payload_bytes < 0:
+            raise ValidationError("sync_payload_bytes must be non-negative")
+        if not 0.1 <= self.scene_complexity < math.inf:
+            raise ValidationError("scene_complexity must be finite and at least 0.1")
 
 
 def _f32(x: float) -> float:
@@ -171,7 +173,7 @@ def _f32(x: float) -> float:
 
 
 def synthetic_input(t: int, k: int) -> InputEvent:
-    """Deterministic pose: a slow walk around a 4-second circle."""
+    """Deterministic pose: a slow walk around a 4-second circle (a run sends records, not poses)."""
     theta = (t % 4_000_000) / 4_000_000 * 2.0 * math.pi
     half = theta / 2.0
     return InputEvent(
@@ -194,7 +196,7 @@ class _FrameState:
 class _ClientState:
     __slots__ = (
         "spec", "is_master", "estimator", "controller",
-        "last_completed", "awaiting", "last_presented", "next_frame_id", "input_seq",
+        "last_completed", "awaiting", "last_presented", "next_frame_id",
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
     )
@@ -209,7 +211,6 @@ class _ClientState:
         self.awaiting: dict[int, int] = {}
         self.last_presented = -1
         self.next_frame_id = 0
-        self.input_seq = 0
         self.frames = FrameCounts()
         self.window_delivered = 0
         self.window_dropped = 0
@@ -263,6 +264,14 @@ class _Simulation:
             self.render_node = node
         else:
             self.render_node = topology.device_node
+        node, complexity = self.render_node, settings.scene_complexity
+        # per level: frame bytes, render us, encode us, frame interval us
+        self.level_costs = [
+            (frame_bytes(level), render_time_us(level, complexity, node.pixel_throughput),
+             encode_time_us(level, node.encode_throughput), round(1_000_000 / level.fps))
+            for level in ladder]
+        # fragment sizes by (frame bytes, mtu), filled as frames are first streamed
+        self.fragments: dict[tuple[int, int], list[int]] = {}
 
         self.paths: list[_PathRecord] = []
         self.up_data: dict[int, Path] = {}
@@ -272,13 +281,13 @@ class _Simulation:
         self._build_paths()
         # push order of the submission that first reached each frame path's last_arrival
         self.arrival_seq = {id(r.path): 0 for r in self.paths if r.kind == "frames"}
+        self.sync_bytes = HEADER_LEN + settings.sync_payload_bytes
         for path in self.down_frames.values():
-            if settings.sync_payload_bytes + 24 > path.profile.mtu:
+            if self.sync_bytes > path.profile.mtu:
                 raise ValidationError("sync payload does not fit the downstream MTU")
 
         self.host_input_origin: dict[int, int | None] = {c: None for c in self.clients}
         self.frame_states: dict[tuple[int, int], _FrameState] = {}
-        self.wire_seq: dict[tuple[str, int, int], int] = {}
         self.level_changes: list[LevelChange] = []
         self.window_index = 0
         self.queue_drop_timeline: list[int] = []
@@ -322,33 +331,22 @@ class _Simulation:
         self._seq += 1
         heapq.heappush(self.heap, (t, self._seq, kind, args))
 
-    def _next_seq(self, side: str, session_id: int, msg_type: int) -> int:
-        key = (side, session_id, msg_type)
-        nxt = self.wire_seq.get(key, 0)
-        self.wire_seq[key] = nxt + 1
-        return nxt
-
-    def _submit(self, path: Path, data: bytes, t: int) -> None:
-        """Submit a small message; its delivery is an "arrive" event."""
-        result = path.submit(data, t)
+    def _submit(self, path: Path, record, t: int, size: int | None = None) -> None:
+        """Submit a small message of `size` wire bytes; its delivery is an "arrive" event."""
+        result = path.submit(record, t, size)
         if isinstance(result, int):
             self.push(result, "arrive", path)
 
     # -- periodic client-side events --------------------------------------
 
     def _on_input(self, t: int, cid: int):
-        st = self.clients[cid]
-        event = synthetic_input(t, st.input_seq)
-        header = WireHeader(MsgType.INPUT, cid, self._next_seq("c", cid, MsgType.INPUT), t)
-        self._submit(self.up_data[cid], encode_message(header, encode_input_payload(event)), t)
-        st.input_seq += 1
+        self._submit(self.up_data[cid], (MsgType.INPUT, cid, t), t, _INPUT_BYTES)
         nxt = t + self.settings.tick_us
         if nxt <= self.end:
             self.push(nxt, "input", cid)
 
     def _on_ping(self, t: int, cid: int):
-        header = WireHeader(MsgType.PING, cid, self._next_seq("c", cid, MsgType.PING), t)
-        self._submit(self.up_probe[cid], encode_message(header), t)
+        self._submit(self.up_probe[cid], (MsgType.PING, cid, t), t, HEADER_LEN)
         nxt = t + self.settings.ping_interval_us
         if nxt <= self.end:
             self.push(nxt, "ping", cid)
@@ -358,27 +356,29 @@ class _Simulation:
     def _on_frame(self, t: int, cid: int):
         st = self.clients[cid]
         level_idx = st.controller.level
-        level = self.ladder[level_idx]
+        _, rt, et, interval = self.level_costs[level_idx]
         fid = st.next_frame_id
         st.next_frame_id += 1
-        rt = render_time_us(level, self.settings.scene_complexity, self.render_node.pixel_throughput)
         if st.is_master:
             self.push(t + rt, "present_local", cid, fid, level_idx, t)
         else:
-            et = encode_time_us(level, self.render_node.encode_throughput)
             ready = t + (0 if self.settings.prerender else rt) + et
             self.push(ready, "ready", cid, fid, level_idx, self.host_input_origin[cid])
-        nxt = t + round(1_000_000 / level.fps)
+        nxt = t + interval
         if nxt <= self.end:
             self.push(nxt, "frame", cid)
 
     def _on_ready(self, t: int, cid: int, fid: int, level_idx: int, input_origin: int | None):
         st = self.clients[cid]
-        size = frame_bytes(self.ladder[level_idx])
+        size = self.level_costs[level_idx][0]
         path = self.down_frames[cid]
+        key = (size, path.profile.mtu)
+        sizes = self.fragments.get(key)
+        if sizes is None:
+            sizes = self.fragments[key] = fragment_sizes(*key)
         path.advance_to(t)  # forget packets that have arrived; nothing reads them
         before = path.last_arrival
-        arrivals = path.submit_burst(fragment_sizes(size, path.profile.mtu), t)
+        arrivals = path.submit_burst(sizes, t)
         self._seq += 1
         seq = self._seq
         self.frame_states[(cid, fid)] = _FrameState(input_origin, size * 8)
@@ -413,12 +413,9 @@ class _Simulation:
         st.m2p.append(t - started)
 
     def _on_sync(self, t: int):
-        payload = bytes(self.settings.sync_payload_bytes)
         for cid, path in self.down_frames.items():
-            header = WireHeader(MsgType.STATE_SYNC, cid,
-                                self._next_seq("h", cid, MsgType.STATE_SYNC), t)
             before = path.last_arrival
-            path.submit(encode_message(header, payload), t)  # nothing reads its arrival
+            path.submit((MsgType.STATE_SYNC, cid, t), t, self.sync_bytes)  # nothing reads its arrival
             if path.last_arrival != before:
                 self._seq += 1
                 self.arrival_seq[id(path)] = self._seq
@@ -429,17 +426,14 @@ class _Simulation:
     # -- arrivals ------------------------------------------------------------
 
     def _on_arrive(self, t: int, path: Path):
-        for data, at in path.advance_to(t):
-            header, _ = decode_message(data)
-            cid = header.session_id
-            if header.msg_type == MsgType.INPUT:
-                self.host_input_origin[cid] = header.timestamp
-            elif header.msg_type == MsgType.PING:
-                pong = WireHeader(MsgType.PONG, cid, header.sequence, header.timestamp)
-                self._submit(self.down_probe[cid], encode_message(pong), at)
-            elif header.msg_type == MsgType.PONG:
+        for (msg_type, cid, stamp), at in path.advance_to(t):
+            if msg_type is MsgType.INPUT:
+                self.host_input_origin[cid] = stamp
+            elif msg_type is MsgType.PING:  # the PONG echoes the PING's timestamp
+                self._submit(self.down_probe[cid], (MsgType.PONG, cid, stamp), at, HEADER_LEN)
+            elif msg_type is MsgType.PONG:
                 st = self.clients[cid]
-                sample = at - header.timestamp
+                sample = at - stamp
                 st.estimator.update(sample)
                 st.rtt.append(sample)
 

@@ -20,8 +20,9 @@ the fragment's slice of the encoded frame.
 The codec and `Reassembler` are the normative format: the UDP loopback mode
 and the tests run real bytes through them.  The in-process simulator carries
 a frame as its fragments' wire sizes (`fragment_sizes`) and reads the frame's
-fate off their arrival times (`frame_outcome`); only its small messages
-(input, probes, state sync) are encoded.
+fate off their arrival times (`frame_outcome`); it carries a small message
+(input, probes, state sync) as a `(MsgType, session id, timestamp)` record of
+the message's encoded size, and encodes no message.
 """
 
 from __future__ import annotations

@@ -60,6 +60,10 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
     ({"duration": "ten"}, "duration"),
     ({"seed": "x"}, "seed"),
     ({"ladder": [{"level_index": 0, "width": 640, "height": 360, "fps": 30, "bpp": "abc"}]}, "ladder[0].bpp"),
+    ({"state_sync_bytes": -1}, "scenario.state_sync_bytes"),
+    ({"state_sync_bytes": 5000}, "scenario.state_sync_bytes"),
+    ({"scene_complexity": float("nan")}, "scenario.scene_complexity"),
+    ({"scene_complexity": float("inf")}, "scenario.scene_complexity"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)

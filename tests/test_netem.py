@@ -281,6 +281,30 @@ def test_bursts_match_stepper_reference(profile, seed, bursts):
     assert got == reference_simulate(profile, seed, submissions)
 
 
+@settings(max_examples=200, deadline=None)
+@given(profile=_profiles | _draw_free, seed=st.integers(0, 2**64 - 1),
+       ops=st.lists(st.tuples(st.integers(0, 3_000), st.one_of(st.integers(1, 1_400), st.none())), max_size=30))
+def test_submitting_an_item_with_its_size_equals_submitting_that_many_bytes(profile, seed, ops):
+    """A record ("msg", i, size) submitted with `size` against `size` bytes; None advances."""
+    items, loop = Path(profile, seed), Path(profile, seed)
+    in_flight, now = [], 0
+    for i, (dt, size) in enumerate(ops):
+        now += dt
+        if size is None:
+            got = items.advance_to(now)
+            assert got == [(in_flight.pop(0), at) for _, at in loop.advance_to(now)]
+        else:
+            record = ("msg", i, size)
+            result = items.submit(record, now, size)
+            assert result == loop.submit(bytes(size), now)
+            if isinstance(result, int):
+                in_flight.append(record)
+        state = list(items._state())
+        state[9] = tuple((at, item[2]) for at, item in state[9])  # pending records by their sizes
+        assert tuple(state) == _timing_state(loop)
+        assert items.rng.state == loop.rng.state
+
+
 def test_lossless_jitterless_burst_skips_its_draws_in_one_step():
     path = Path(_profile(), seed=9)
     path.submit_burst([1_500] * 100, 0)

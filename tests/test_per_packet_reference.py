@@ -8,6 +8,11 @@ controller window.  The production session carries a frame as a burst of
 sizes with one outcome event.  Both must give the same trace and handle the
 same events in the same order, including jittery paths where a whole frame
 arrives at the clamped arrival of an earlier packet.
+
+`_WireMessages` runs the small messages the same way: input, PING/PONG and
+state sync are encoded on the wire format, with `synthetic_input` poses and
+per-sender sequence numbers, and decoded on arrival.  The production session
+carries each as a `(MsgType, client_id, timestamp)` record of its wire size.
 """
 
 import heapq
@@ -16,11 +21,21 @@ from pathlib import Path
 import pytest
 
 from capture_goldens import apply_overrides
-from epicsim import orchestrator, session
+from epicsim import netem, orchestrator, session
 from epicsim.model import NetworkProfile, NodeSpec, QualityLevel, frame_bytes
 from epicsim.netem import Drop
 from epicsim.render import decode_time_us
-from epicsim.transport import MsgType, Reassembler, decode_fragment, decode_message, encode_fragment, fragment
+from epicsim.transport import (
+    MsgType,
+    Reassembler,
+    WireHeader,
+    decode_fragment,
+    decode_message,
+    encode_fragment,
+    encode_input_payload,
+    encode_message,
+    fragment,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -74,8 +89,8 @@ class _PerPacket(_Logged):
     def _on_sync(self, t):
         payload = bytes(self.settings.sync_payload_bytes)
         for cid, path in self.down_frames.items():
-            header = session.WireHeader(MsgType.STATE_SYNC, cid, 0, t)
-            self._submit(path, session.encode_message(header, payload), t)
+            header = WireHeader(MsgType.STATE_SYNC, cid, 0, t)
+            self._submit(path, encode_message(header, payload), t)
         if t + self.settings.sync_interval_us <= self.end:
             self.push(t + self.settings.sync_interval_us, "sync")
 
@@ -102,6 +117,59 @@ class _PerPacket(_Logged):
         for cid, reassembler in self.reassemblers.items():
             for fid in reassembler.sweep(t):
                 self._drop_frame(cid, fid, "reassembly_abandoned")
+
+
+class _WireMessages(_Logged):
+    """Small messages as wire bytes: encoded on submit, decoded on arrival."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sequences = {}
+        self.inputs_sent = dict.fromkeys(self.clients, 0)
+
+    def _encode(self, side, msg_type, cid, t, payload=b""):
+        """One message, numbered per sender side, session and type."""
+        key = (side, cid, msg_type)
+        sequence = self.sequences.get(key, 0)
+        self.sequences[key] = sequence + 1
+        return encode_message(WireHeader(msg_type, cid, sequence, t), payload)
+
+    def _on_input(self, t, cid):
+        pose = session.synthetic_input(t, self.inputs_sent[cid])
+        self.inputs_sent[cid] += 1
+        self._submit(self.up_data[cid], self._encode("c", MsgType.INPUT, cid, t, encode_input_payload(pose)), t)
+        if t + self.settings.tick_us <= self.end:
+            self.push(t + self.settings.tick_us, "input", cid)
+
+    def _on_ping(self, t, cid):
+        self._submit(self.up_probe[cid], self._encode("c", MsgType.PING, cid, t), t)
+        if t + self.settings.ping_interval_us <= self.end:
+            self.push(t + self.settings.ping_interval_us, "ping", cid)
+
+    def _on_sync(self, t):
+        payload = bytes(self.settings.sync_payload_bytes)
+        for cid, path in self.down_frames.items():
+            before = path.last_arrival
+            path.submit(self._encode("h", MsgType.STATE_SYNC, cid, t, payload), t)
+            if path.last_arrival != before:
+                self._seq += 1
+                self.arrival_seq[id(path)] = self._seq
+        if t + self.settings.sync_interval_us <= self.end:
+            self.push(t + self.settings.sync_interval_us, "sync")
+
+    def _on_arrive(self, t, path):
+        for data, at in path.advance_to(t):
+            header, _ = decode_message(data)
+            cid = header.session_id
+            if header.msg_type == MsgType.INPUT:
+                self.host_input_origin[cid] = header.timestamp
+            elif header.msg_type == MsgType.PING:
+                pong = WireHeader(MsgType.PONG, cid, header.sequence, header.timestamp)
+                self._submit(self.down_probe[cid], encode_message(pong), at)
+            elif header.msg_type == MsgType.PONG:
+                sample = at - header.timestamp
+                self.clients[cid].estimator.update(sample)
+                self.clients[cid].rtt.append(sample)
 
 
 def _run(cfg, cls, monkeypatch):
@@ -156,18 +224,58 @@ CASES = {
 }
 
 
+# the shipped scenarios, whose paths are draw-free, shortened to 1 s
+WIRE_CASES = {
+    **CASES,
+    "edge-nominal": ("edge-nominal.json", None, {"doc": {"duration": 1_000_000}}),
+    "master-server": ("master-server.json", None, {"doc": {"duration": 1_000_000}}),
+    "shared-egress": ("shared-egress.json", 4, {"doc": {"duration": 1_000_000}}),
+}
+
+
+def _config(case, seed):
+    scenario, n, overrides = WIRE_CASES[case]
+    doc = apply_overrides(orchestrator.load_scenario(str(SCENARIOS / scenario)).raw, overrides)
+    cfg = orchestrator.parse_scenario(dict(doc, seed=seed))
+    return cfg if n is None else orchestrator.scale_clients(cfg, n)
+
+
 @pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("seed", [1, 2])
 def test_frame_datapath_matches_per_packet_reference(case, seed, monkeypatch):
-    scenario, n, overrides = CASES[case]
-    doc = apply_overrides(orchestrator.load_scenario(str(SCENARIOS / scenario)).raw, overrides)
-    cfg = orchestrator.parse_scenario(dict(doc, seed=seed))
-    if n is not None:
-        cfg = orchestrator.scale_clients(cfg, n)
+    cfg = _config(case, seed)
     trace, log = _run(cfg, _Logged, monkeypatch)
     ref_trace, ref_log = _run(cfg, _PerPacket, monkeypatch)
     assert trace == ref_trace
     assert log == ref_log
+
+
+@pytest.mark.parametrize("case", list(WIRE_CASES))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_message_records_match_the_wire_byte_path(case, seed, monkeypatch):
+    cfg = _config(case, seed)
+    trace, log = _run(cfg, _Logged, monkeypatch)
+    ref_trace, ref_log = _run(cfg, _WireMessages, monkeypatch)
+    assert trace == ref_trace
+    assert log == ref_log
+
+
+def test_each_record_has_the_wire_size_of_its_message(monkeypatch):
+    sizes = {}
+    submit = netem.Path.submit
+
+    def recording(path, data, now, size=None):
+        if size is not None:
+            sizes.setdefault(data[0], set()).add(size)
+        return submit(path, data, now, size)
+
+    monkeypatch.setattr(netem.Path, "submit", recording)
+    doc = orchestrator.load_scenario(str(SCENARIOS / "shared-egress.json")).raw
+    orchestrator.run_scenario(orchestrator.parse_scenario(dict(doc, state_sync_bytes=300)))
+    payloads = {MsgType.INPUT: encode_input_payload(session.synthetic_input(0, 0)),
+                MsgType.PING: b"", MsgType.PONG: b"", MsgType.STATE_SYNC: bytes(300)}
+    assert sizes == {kind: {len(encode_message(WireHeader(kind, 0, 0, 0), payload))}
+                     for kind, payload in payloads.items()}
 
 
 def _drive_clamped_frame(cls):

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import pytest
 
@@ -211,3 +212,10 @@ def test_packet_logging_is_one_line_per_frame(caplog):
 def test_scene_complexity_floor_is_a_settings_check():
     with pytest.raises(ValidationError, match="scene_complexity"):
         SessionSettings(scene_complexity=0.05)
+
+
+@pytest.mark.parametrize("field", [{"sync_payload_bytes": -1}, {"scene_complexity": math.nan},
+                                   {"scene_complexity": math.inf}])
+def test_settings_reject_a_negative_sync_and_a_non_finite_complexity(field):
+    with pytest.raises(ValidationError, match=next(iter(field))):
+        SessionSettings(**field)
