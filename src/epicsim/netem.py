@@ -18,9 +18,11 @@ earlier than the previous delivery on the path.
 `Path.submit` takes one datagram: its bytes, or any item with the size of
 the datagram it stands for, such as a message record.  `Path.submit_burst`
 takes the sizes of back-to-back datagrams submitted at one instant, such as
-the fragments of a frame, and carries each as its size.  A burst makes the
-same decisions, in the same order, and leaves the same state as one `submit`
-per size.
+the fragments of a frame, and carries each as its size.  `Path.submit_series`
+takes `count` datagrams of one size submitted at `first + i * step`, such as
+a client's periodic input, and also carries each as its size.  A burst or a
+series makes the same decisions, in the same order, and leaves the same
+state as one `submit` per datagram.
 
 In-flight datagrams are kept as runs.  `_serializing` holds runs
 `(first_end, tx, count, size)`: `count` datagrams of `size` bytes whose
@@ -41,10 +43,19 @@ is admitted in a fixed number of steps, exactly as one `submit` per datagram:
 - One queue cut.  The queue admits `(capacity - queued) // size` datagrams
   of a run and drops the rest; a smaller size that follows may still fit.
 
-A single datagram, a burst holding an empty one, and every admission on a
-path with loss or jitter go through the per-datagram loop, which draws per
-datagram and writes runs of one.  `_state()` expands every run into one
-tuple per datagram, so paths compare equal whatever runs they hold.
+A series on such a path is one run as well when each datagram finds the
+serializer idle: `busy_until <= first` and a serialization time `tx` of at
+most `step`.  Each datagram then leaves at its own submission time and has
+finished before the next one is submitted, so the queue holds one datagram
+at a time (it fits: the queue holds at least one MTU), the arrivals are
+`first + tx + latency + i * step`, and only the last datagram is left
+serializing.
+
+A single datagram, a burst holding an empty one, any other series, and every
+admission on a path with loss or jitter go through the per-datagram loop,
+which draws per datagram and writes runs of one.  `_state()` expands every
+run into one tuple per datagram, so paths compare equal whatever runs they
+hold.
 """
 
 from __future__ import annotations
@@ -146,6 +157,35 @@ class Path:
         `submit` per size would; `advance_to` later yields each one's size.
         """
         return self._admit(sizes, sizes, now)
+
+    def submit_series(self, size: int, first: int, step: int, count: int) -> list[int | Drop]:
+        """Submit `count` datagrams of `size` bytes, the i-th at `first + i * step`.
+
+        Returns one delivery time or drop reason per datagram, exactly as one
+        `submit` per datagram would; `advance_to` later yields each one's size.
+        """
+        profile = self.profile
+        if count <= 0:
+            return []
+        if size > profile.mtu:
+            raise ValidationError(f"packet of {size} B exceeds mtu {profile.mtu}")
+        if first < self._last_submit or step < 0:
+            raise ValidationError("submission time regressed")
+        tx = ceil_div(size * 8 * 1_000_000, profile.bandwidth)
+        if profile.loss_rate > 0 or profile.jitter > 0 or self.busy_until > first or not 0 < tx <= step:
+            return [self._admit((size,), (size,), first + i * step)[0] for i in range(count)]
+        # a closed-form run, exact by the module docstring
+        self.rng.skip(count)
+        self.submitted += count
+        self._last_submit = last_submit = first + (count - 1) * step
+        self.busy_until = busy = last_submit + tx
+        self.queued_bytes = size
+        self._serializing.clear()  # every end so far is at most busy_until <= first
+        self._serializing.append((busy, tx, 1, size))
+        arrival = first + tx + profile.one_way_latency
+        self.last_arrival = busy + profile.one_way_latency
+        self._pending.append((arrival, step, count, size))
+        return list(range(arrival, self.last_arrival + 1, step))
 
     def _admit(self, sizes, cargo, now: int) -> list[int | Drop]:
         """The per-datagram loop: loss draw, drop-tail queue, serializer, clamp.

@@ -200,6 +200,8 @@ def _ladder_from(entries, where: str) -> tuple[QualityLevel, ...]:
 def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
     entry = _object(entry, where)
     cid = _number(entry, "id", where)
+    if not 0 <= cid < 2**32:
+        raise ValidationError(f"{where}.id must fit in 32 bits, not {cid}")
     raw_paths = _object(_get(entry, "paths", where), f"{where}.paths")
     if "bandwidth" in raw_paths:
         # single-profile shorthand, applied to every candidate node
@@ -212,11 +214,15 @@ def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
             if node_ids and nid not in node_ids:
                 raise ValidationError(f"client {cid}: path references unknown node {nid}")
             paths[nid] = _profile_from(val, f"{where}.paths.{key}")
+    decode_throughput = _number(entry, "decode_throughput", where, default=7_000_000_000)
+    if decode_throughput <= 0:
+        raise ValidationError(f"{where}.decode_throughput must be a positive integer, "
+                              f"not {entry['decode_throughput']!r:.40}")
     return ScenarioClient(
         client_id=cid,
         paths=paths,
         power=_power_from(entry.get("power", {}), f"{where}.power"),
-        decode_throughput=_number(entry, "decode_throughput", where, default=7_000_000_000),
+        decode_throughput=decode_throughput,
     )
 
 

@@ -6,11 +6,35 @@ and probe RTT with PING/PONG pairs; the host renders each client's stream at
 the current quality level's frame rate, encodes, fragments, and streams the
 frames downstream, broadcasting a small state-sync message periodically.
 
-No message is encoded.  A small message is a `(MsgType, client_id, timestamp)`
-record submitted with its wire size, and each delivery is an event.  A frame
-is carried as its fragments' wire sizes, submitted to its path as one burst,
-and resolved by one event: the frame's completion or abandonment, computed
-from the fragments' arrival times.  No frame bytes are generated.
+No message is encoded.  A PING, PONG or state sync is a `(MsgType, client_id,
+timestamp)` record submitted with its wire size, and each delivery is an
+event.  A frame is carried as its fragments' wire sizes, submitted to its path
+as one burst, and resolved by one event: the frame's completion or
+abandonment, computed from the fragments' arrival times.  No frame bytes are
+generated.
+
+Inputs are neither records nor events.  The host reads an input for one thing:
+when a frame starts, the send time of the latest input it holds becomes the
+frame's motion-to-photon origin.  A client's inputs are sent at
+`start + k * tick` on its own `up_data` path, which carries nothing else, so
+the session submits them as one netem series (`Path.submit_series`) at the
+start of the run, and again after each bandwidth step that reaches that path,
+up to the next such step or the end of the run.  The input at `start` is sent
+before a step at `start`; an input at any later time T after a step at T.
+Each frame event reads the arrivals with a cursor.
+
+The tie rule makes that read equal to an event loop in which each input is an
+event that pushes its own arrive event, and the arrive event sets the host's
+latest input.  A frame event at `t` sees every input arriving before `t`.
+The inputs arriving at `t` are seen if the arrive event of the first of them
+was pushed before this frame event.  That input was sent at `s`, and this
+frame event was pushed by the client's previous one, at `prev`: the inputs
+are seen when `s < prev`, or when `s == prev` and the input event at `prev`
+ran before the frame event at `prev`.  That order is one bool per client.  It
+is true at `start`, where the run pushes the input first.  At a later frame
+event at T, the input event at T was pushed at `T - tick` and the frame event
+at `prev`: the bool is true if `T - tick < prev`, false if `T - tick > prev`,
+and keeps its value at `prev` if they are equal.
 
 Two topologies are supported.  In edge_hosted mode the render host is an
 edge node and every client gets an independent emulated path.  In
@@ -199,9 +223,10 @@ class _ClientState:
         "last_completed", "awaiting", "last_presented", "next_frame_id",
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
+        "inputs", "input_bounds", "input_cursor", "input_origin", "input_first", "last_frame",
     )
 
-    def __init__(self, spec: ClientSpec, start_level: int, is_master: bool):
+    def __init__(self, spec: ClientSpec, start_level: int, is_master: bool, start: int):
         self.spec = spec
         self.is_master = is_master
         self.estimator = RttEstimator()
@@ -217,6 +242,14 @@ class _ClientState:
         self.window_bits = 0
         self.m2p: list[int] = []
         self.rtt: list[int] = []
+        # the input stream (module docstring): the arrival or drop of each
+        # admitted input, indexed by k for the input sent at start + k * tick
+        self.inputs: list[int | Drop] = []
+        self.input_bounds: list[int] = []     # admission boundaries, the next one last
+        self.input_cursor = 0                 # first input the host has not yet seen
+        self.input_origin: int | None = None  # send time of the latest input seen
+        self.input_first = True               # the input event at last_frame ran first
+        self.last_frame = start               # time of the latest frame event
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,7 +286,7 @@ class _Simulation:
         self.clients: dict[int, _ClientState] = {}
         for spec in topology.clients:
             self.clients[spec.client_id] = _ClientState(
-                spec, settings.start_level, spec.client_id == self.master_id)
+                spec, settings.start_level, spec.client_id == self.master_id, start_time)
 
         if topology.mode == EDGE_HOSTED:
             node = topology.host_node
@@ -286,7 +319,13 @@ class _Simulation:
             if self.sync_bytes > path.profile.mtu:
                 raise ValidationError("sync payload does not fit the downstream MTU")
 
-        self.host_input_origin: dict[int, int | None] = {c: None for c in self.clients}
+        for cid in self.up_data:
+            bounds = []
+            for step in settings.bandwidth_steps:
+                at = self.start + step.time_us
+                if at <= self.end and (step.client_ids is None or cid in step.client_ids):
+                    bounds.append(at + 1 if at == self.start else at)  # the input at start goes first
+            self.clients[cid].input_bounds = [self.end + 1, *sorted(bounds, reverse=True)]
         self.frame_states: dict[tuple[int, int], _FrameState] = {}
         self.level_changes: list[LevelChange] = []
         self.window_index = 0
@@ -337,13 +376,40 @@ class _Simulation:
         if isinstance(result, int):
             self.push(result, "arrive", path)
 
-    # -- periodic client-side events --------------------------------------
+    # -- client-side streams ----------------------------------------------
 
-    def _on_input(self, t: int, cid: int):
-        self._submit(self.up_data[cid], (MsgType.INPUT, cid, t), t, _INPUT_BYTES)
-        nxt = t + self.settings.tick_us
-        if nxt <= self.end:
-            self.push(nxt, "input", cid)
+    def _admit_inputs(self, cid: int):
+        """Submit the client's inputs sent before its next admission boundary."""
+        st, tick = self.clients[cid], self.settings.tick_us
+        k = len(st.inputs)
+        count = (st.input_bounds.pop() - 1 - self.start) // tick + 1 - k
+        st.inputs += self.up_data[cid].submit_series(_INPUT_BYTES, self.start + k * tick, tick, count)
+
+    def _read_inputs(self, st: _ClientState, t: int) -> int | None:
+        """Send time of the latest input the host holds when the frame at `t` starts.
+
+        Reads the admitted arrivals from the cursor under the tie rule of the
+        module docstring, then records this frame event's place in push order.
+        """
+        inputs, k, n = st.inputs, st.input_cursor, len(st.inputs)
+        start, tick, prev = self.start, self.settings.tick_us, st.last_frame
+        seen = t - 1  # the latest arrival seen
+        while k < n:
+            at = inputs[k]
+            if at.__class__ is int:
+                sent = start + k * tick
+                if at > seen:  # the first input arriving at t decides for all of them
+                    if at != t or not (sent < prev or sent == prev and st.input_first):
+                        break
+                    seen = t
+                st.input_origin = sent
+            k += 1
+        st.input_cursor = k
+        pushed = t - tick  # the input event at t was pushed then, this frame event at prev
+        if pushed != prev:
+            st.input_first = pushed < prev
+        st.last_frame = t
+        return st.input_origin
 
     def _on_ping(self, t: int, cid: int):
         self._submit(self.up_probe[cid], (MsgType.PING, cid, t), t, HEADER_LEN)
@@ -363,7 +429,7 @@ class _Simulation:
             self.push(t + rt, "present_local", cid, fid, level_idx, t)
         else:
             ready = t + (0 if self.settings.prerender else rt) + et
-            self.push(ready, "ready", cid, fid, level_idx, self.host_input_origin[cid])
+            self.push(ready, "ready", cid, fid, level_idx, self._read_inputs(st, t))
         nxt = t + interval
         if nxt <= self.end:
             self.push(nxt, "frame", cid)
@@ -427,9 +493,7 @@ class _Simulation:
 
     def _on_arrive(self, t: int, path: Path):
         for (msg_type, cid, stamp), at in path.advance_to(t):
-            if msg_type is MsgType.INPUT:
-                self.host_input_origin[cid] = stamp
-            elif msg_type is MsgType.PING:  # the PONG echoes the PING's timestamp
+            if msg_type is MsgType.PING:  # the PONG echoes the PING's timestamp
                 self._submit(self.down_probe[cid], (MsgType.PONG, cid, stamp), at, HEADER_LEN)
             elif msg_type is MsgType.PONG:
                 st = self.clients[cid]
@@ -518,12 +582,14 @@ class _Simulation:
         for r in self.paths:
             if r.kind != "probe" and (targets is None or r.owner in targets):
                 r.path.set_bandwidth(step.bandwidth)
+                if r.kind == "input":
+                    self._admit_inputs(r.owner)
         logger.info("t=%d bandwidth step to %d b/s", t, step.bandwidth)
 
     # -- main loop ----------------------------------------------------------
 
     _HANDLERS = {
-        "input": "_on_input", "ping": "_on_ping", "frame": "_on_frame",
+        "ping": "_on_ping", "frame": "_on_frame",
         "ready": "_on_ready", "arrive": "_on_arrive", "outcome": "_on_outcome", "present": "_on_present",
         "present_local": "_on_present_local", "sync": "_on_sync",
         "window": "_on_window", "bwstep": "_on_bwstep",
@@ -532,7 +598,7 @@ class _Simulation:
     def run(self) -> RunTrace:
         for cid, st in self.clients.items():
             if not st.is_master:
-                self.push(self.start, "input", cid)
+                self._admit_inputs(cid)
                 self.push(self.start, "ping", cid)
             self.push(self.start, "frame", cid)
         self.push(self.start, "sync")
@@ -545,7 +611,7 @@ class _Simulation:
             t, _, kind, args = heapq.heappop(heap)
             getattr(self, self._HANDLERS[kind])(t, *args)
         for r in self.paths:
-            if r.kind == "frames":
+            if r.kind != "probe":
                 r.path.advance_to(self.end)  # count the deliveries no event polled
         return self._build_trace()
 

@@ -27,6 +27,7 @@ the message's encoded size, and encodes no message.
 
 from __future__ import annotations
 
+import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -198,23 +199,29 @@ class Reassembler:
     id are dropped as stale.
     """
 
-    __slots__ = ("timeout_us", "last_completed", "_pending",
+    __slots__ = ("timeout_us", "last_completed", "_pending", "_oldest",
                  "completed_count", "abandoned_count", "duplicate_count", "stale_count")
 
     def __init__(self, timeout_us: int = REASSEMBLY_TIMEOUT_US):
         self.timeout_us = timeout_us
         self.last_completed = -1
         self._pending: dict[int, _Partial] = {}
+        # at most the earliest first_seen pending; left stale when a frame leaves
+        self._oldest = math.inf
         self.completed_count = 0
         self.abandoned_count = 0
         self.duplicate_count = 0
         self.stale_count = 0
 
     def _expire(self, now: int) -> list[int]:
-        expired = [fid for fid, p in self._pending.items() if now - p.first_seen > self.timeout_us]
+        if now - self._oldest <= self.timeout_us:
+            return []  # nothing pending can have expired
+        pending = self._pending
+        expired = [fid for fid, p in pending.items() if now - p.first_seen > self.timeout_us]
         for fid in expired:
-            del self._pending[fid]
+            del pending[fid]
         self.abandoned_count += len(expired)
+        self._oldest = min((p.first_seen for p in pending.values()), default=math.inf)
         return expired
 
     def offer(self, frag: FrameFragment, now: int) -> ReassemblyEvent:
@@ -228,6 +235,7 @@ class Reassembler:
         if partial is None:
             partial = _Partial(frag.frag_count, now)
             self._pending[frag.frame_id] = partial
+            self._oldest = min(self._oldest, now)
         elif partial.count != frag.frag_count:
             raise ReassemblyError(
                 f"frame {frag.frame_id}: fragment count {frag.frag_count} != {partial.count}"

@@ -9,6 +9,7 @@ import pytest
 from epicsim.cli import EXIT_KPI, EXIT_OK, EXIT_VALIDATION, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+_MINI_PATH = {"one_way_latency": 2_000, "bandwidth": 700_000_000}
 
 
 @pytest.fixture()
@@ -64,6 +65,10 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
     ({"state_sync_bytes": 5000}, "scenario.state_sync_bytes"),
     ({"scene_complexity": float("nan")}, "scenario.scene_complexity"),
     ({"scene_complexity": float("inf")}, "scenario.scene_complexity"),
+    ({"clients": [{"id": -1, "paths": _MINI_PATH}]}, "clients[0].id"),
+    ({"clients": [{"id": 2**32, "paths": _MINI_PATH}]}, "clients[0].id"),
+    ({"clients": [{"id": 0, "paths": _MINI_PATH, "decode_throughput": 0}]}, "clients[0].decode_throughput"),
+    ({"clients": [{"id": 0, "paths": _MINI_PATH, "decode_throughput": 0.5}]}, "clients[0].decode_throughput"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)

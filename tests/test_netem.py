@@ -320,3 +320,67 @@ def test_burst_rejects_oversize_and_time_regression_before_any_change():
     with pytest.raises(ValidationError):
         path.submit_burst([100], 400)
     assert _timing_state(path) == before
+
+
+# draw-free with a queue of one or two MTUs, so a busy serializer drops series datagrams
+_tiny_queue = st.builds(
+    NetworkProfile,
+    one_way_latency=st.integers(0, 2_000),
+    bandwidth=st.integers(1_000_000, 100_000_000),
+    mtu=st.just(1_400),
+    queue_capacity=st.integers(1_400, 2_800),
+)
+# (op, gap before it, argument): a series of (size, step, count) starting up to
+# 300 us before the last submission, so that it must raise; bursts that keep
+# the serializer busy
+_series_ops = st.lists(st.one_of(
+    st.tuples(st.just("series"), st.integers(-300, 3_000),
+              st.tuples(st.sampled_from([24, 56]) | st.integers(1, 1_400), st.integers(0, 20_000),
+                        st.integers(0, 30))),
+    st.tuples(st.just("burst"), st.integers(0, 3_000), _runs),
+    st.tuples(st.just("bandwidth"), st.just(0), st.integers(1_000_000, 1_000_000_000)),
+    st.tuples(st.just("advance"), st.integers(0, 20_000), st.none()),
+), max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=_profiles | _draw_free | _tiny_queue, seed=st.integers(0, 2**64 - 1), ops=_series_ops)
+def test_series_equals_a_per_datagram_submit_loop(profile, seed, ops):
+    series, loop = Path(profile, seed), Path(profile, seed)
+    now = 0
+    for op, dt, arg in ops:
+        if op == "series":
+            size, step, count = arg
+            first = now + dt
+            if first < loop._last_submit and count:
+                with pytest.raises(ValidationError):
+                    series.submit_series(size, first, step, count)
+                with pytest.raises(ValidationError):
+                    loop.submit(bytes(size), first)
+            else:
+                got = series.submit_series(size, first, step, count)
+                assert got == [loop.submit(bytes(size), first + i * step) for i in range(count)]
+                if count:
+                    now = max(now, first + (count - 1) * step)
+        elif op == "burst":
+            now += dt
+            assert series.submit_burst(arg, now) == loop.submit_burst(arg, now)
+        elif op == "bandwidth":
+            series.set_bandwidth(arg)
+            loop.set_bandwidth(arg)
+        else:
+            now += dt
+            delivered = series.advance_to(now)
+            assert delivered == [(len(d) if isinstance(d, bytes) else d, at) for d, at in loop.advance_to(now)]
+        assert _timing_state(series) == _timing_state(loop)
+        assert series.rng.state == loop.rng.state
+
+
+def test_draw_free_series_on_an_idle_path_is_one_pending_run():
+    path = Path(_profile(), seed=9)
+    path.submit_burst([1_500] * 4, 0)  # serialized by 4_800 us
+    arrivals = path.submit_series(56, 5_000, 8_333, 1_000)
+    assert arrivals == list(range(5_045 + 2_000, 5_045 + 2_000 + 1_000 * 8_333, 8_333))
+    assert len(path._pending) == 2 and path._pending[-1] == (7_045, 8_333, 1_000, 56)
+    assert list(path._serializing) == [(5_000 + 999 * 8_333 + 45, 45, 1, 56)]
+    assert path.rng.state == Path(_profile(), seed=9).rng.state + 1_004 * 0x9E3779B97F4A7C15 & (2**64 - 1)

@@ -11,8 +11,12 @@ arrives at the clamped arrival of an earlier packet.
 
 `_WireMessages` runs the small messages the same way: input, PING/PONG and
 state sync are encoded on the wire format, with `synthetic_input` poses and
-per-sender sequence numbers, and decoded on arrival.  The production session
-carries each as a `(MsgType, client_id, timestamp)` record of its wire size.
+per-sender sequence numbers, and decoded on arrival.  Each input is also an
+"input" event whose message has its own "arrive" event, which sets the
+host's latest input for the next frame to read.  The production session
+carries PING/PONG and state sync as `(MsgType, client_id, timestamp)`
+records of their wire size, and admits each client's inputs as one netem
+series that a frame reads when it starts.
 """
 
 import heapq
@@ -47,6 +51,7 @@ class _Logged(session._Simulation):
         super().__init__(*args, **kwargs)
         self.log = []
         self.frame_path_ids = {id(path) for path in self.down_frames.values()}
+        self.polled_path_ids = self.frame_path_ids | {id(path) for path in self.up_data.values()}
         self.path_names = {id(r.path): r.name for r in self.paths}
 
     def _drop_frame(self, cid, fid, reason):
@@ -60,8 +65,9 @@ class _Logged(session._Simulation):
         super().push(t, kind, *args)
 
     def handled(self, t, kind, args):
-        if kind == "outcome" or (kind == "arrive" and id(args[0]) in self.frame_path_ids):
-            return  # frame deliveries: the reference has one per packet, production one per frame
+        if kind in ("outcome", "input") or (
+                kind == "arrive" and id(args[0]) in self.polled_path_ids):
+            return  # deliveries of frames and inputs: production has one event per frame and none per input
         self.log.append((t, kind, *(self.path_names.get(id(a), a) for a in args)))
 
 
@@ -120,12 +126,41 @@ class _PerPacket(_Logged):
 
 
 class _WireMessages(_Logged):
-    """Small messages as wire bytes: encoded on submit, decoded on arrival."""
+    """Small messages as wire bytes, encoded on submit and decoded on arrival;
+    inputs as events, seen by a frame when their arrive event ran before it."""
+
+    _HANDLERS = {**session._Simulation._HANDLERS, "input": "_on_input"}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.sequences = {}
         self.inputs_sent = dict.fromkeys(self.clients, 0)
+        self.host_input_origin = dict.fromkeys(self.clients)
+
+    def run(self):
+        """The event loop with one "input" event per client and tick, pushed before its ping."""
+        for cid, st in self.clients.items():
+            if not st.is_master:
+                self.push(self.start, "input", cid)
+                self.push(self.start, "ping", cid)
+            self.push(self.start, "frame", cid)
+        self.push(self.start, "sync")
+        self.push(self.start + self.settings.controller.window_us, "window")
+        for step in self.settings.bandwidth_steps:
+            self.push(self.start + step.time_us, "bwstep", step)
+        while self.heap and self.heap[0][0] <= self.end:
+            t, _, kind, args = session.heapq.heappop(self.heap)
+            getattr(self, self._HANDLERS[kind])(t, *args)
+        for r in self.paths:
+            if r.kind == "frames":
+                r.path.advance_to(self.end)
+        return self._build_trace()
+
+    def _admit_inputs(self, cid):
+        pass  # each "input" event submits its own
+
+    def _read_inputs(self, st, t):
+        return self.host_input_origin[st.spec.client_id]
 
     def _encode(self, side, msg_type, cid, t, payload=b""):
         """One message, numbered per sender side, session and type."""
@@ -173,6 +208,11 @@ class _WireMessages(_Logged):
 
 
 def _run(cfg, cls, monkeypatch):
+    return _run_logged(lambda: orchestrator.run_scenario(cfg).trace, cls, monkeypatch)
+
+
+def _run_logged(run, cls, monkeypatch):
+    """`run()` with `cls` as the session's simulation; returns its trace and handled-event log."""
     sims = []
 
     class Recording(cls):
@@ -190,8 +230,8 @@ def _run(cfg, cls, monkeypatch):
         m.setattr(session, "_Simulation", Recording)
         m.setattr(session, "heapq", type("Heap", (), {"heappush": staticmethod(heapq.heappush),
                                                       "heappop": staticmethod(heappop)}))
-        result = orchestrator.run_scenario(cfg)
-    return result.trace, sims[-1].log
+        trace = run()
+    return trace, sims[-1].log
 
 
 TINY_LADDER = [
@@ -261,15 +301,21 @@ def test_message_records_match_the_wire_byte_path(case, seed, monkeypatch):
 
 
 def test_each_record_has_the_wire_size_of_its_message(monkeypatch):
+    """Records go through `Path.submit`; the input stream, the only series, through `submit_series`."""
     sizes = {}
-    submit = netem.Path.submit
+    submit, submit_series = netem.Path.submit, netem.Path.submit_series
 
     def recording(path, data, now, size=None):
         if size is not None:
             sizes.setdefault(data[0], set()).add(size)
         return submit(path, data, now, size)
 
+    def recording_series(path, size, first, step, count):
+        sizes.setdefault(MsgType.INPUT, set()).add(size)
+        return submit_series(path, size, first, step, count)
+
     monkeypatch.setattr(netem.Path, "submit", recording)
+    monkeypatch.setattr(netem.Path, "submit_series", recording_series)
     doc = orchestrator.load_scenario(str(SCENARIOS / "shared-egress.json")).raw
     orchestrator.run_scenario(orchestrator.parse_scenario(dict(doc, state_sync_bytes=300)))
     payloads = {MsgType.INPUT: encode_input_payload(session.synthetic_input(0, 0)),
@@ -310,3 +356,71 @@ def test_clamped_frame_resolves_where_the_earlier_packet_arrived():
     ref_log, _ = _drive_clamped_frame(_PerPacket)
     assert log == ref_log
     assert log.index(("complete", arrival + 1, 0, 0)) < log.index((arrival, "window"))
+
+
+# 56 B inputs take 1 us to serialize at 448 Mb/s and 2 us at 224 Mb/s
+_TIE_BANDWIDTH, _STEP_BANDWIDTH = 448_000_000, 224_000_000
+# (fps, ticks per frame interval): ticks that divide the interval
+_TIE_RATES = [(24, 1), (24, 3), (50, 1), (50, 2), (60, 1), (60, 7), (120, 1), (120, 13)]
+_TIE_VARIANTS = {
+    "plain": {},
+    # every input but the first is sent after the step, so ties need its tx
+    "step-at-0": {"steps": (session.BandwidthStep(0, _STEP_BANDWIDTH),), "tx": 2},
+    # client 1's inputs stop tying 300 ms in; client 0's go on
+    "targeted-step": {"steps": (session.BandwidthStep(300_000, _STEP_BANDWIDTH, (1,)),)},
+    "lossy": {"link": {"loss_rate": 0.05}},
+    "jittery": {"link": {"jitter": 3}},
+    "client-hosted": {"hosted": True},
+    "offset": {"start": 8_004},
+}
+
+
+def _tie_case(fps, per_frame, ahead, variant):
+    """Two clients whose inputs arrive at a frame event's exact microsecond.
+
+    The frame interval is `per_frame` ticks, and the one-way latency is
+    `ahead` ticks less the input's serialization time, so that the input
+    sent `ahead` ticks before each frame event arrives exactly at it: before
+    the previous frame event when `ahead > per_frame`, at it when equal, and
+    after it when less.
+    """
+    interval = round(1_000_000 / fps)
+    tick = interval // per_frame
+    assert tick * per_frame == interval
+    v = _TIE_VARIANTS[variant]
+    profile = NetworkProfile(one_way_latency=ahead * tick - v.get("tx", 1), bandwidth=_TIE_BANDWIDTH,
+                             **v.get("link", {}))
+    clients = tuple(session.ClientSpec(cid, profile) for cid in (0, 1))
+    if v.get("hosted"):
+        topology = session.SessionTopology("client_hosted", clients + (session.ClientSpec(2, profile),),
+                                           master_id=2, master_uplink=profile)
+    else:
+        topology = session.SessionTopology("edge_hosted", clients,
+                                           host_node=NodeSpec(1, 5_000_000_000, 4_000_000_000))
+    ladder = (QualityLevel(0, 96, 64, fps, 0.8),)
+    settings = session.SessionSettings(tick_us=tick, bandwidth_steps=v.get("steps", ()))
+    return topology, ladder, 1_000_000, settings, 5, v.get("start", 0)
+
+
+# each rate runs plain and two other variants in turn, so that every variant
+# meets a rate with one tick per frame and a rate with several
+_OTHER_VARIANTS = list(_TIE_VARIANTS)[1:]
+_TIE_CASES = [(fps, per_frame, ahead, variant)
+              for j, (fps, per_frame) in enumerate(_TIE_RATES)
+              for ahead in sorted({max(per_frame - 1, 1), per_frame, per_frame + 1})
+              for variant in ("plain", _OTHER_VARIANTS[j % 6], _OTHER_VARIANTS[(j + 1) % 6])]
+
+
+def test_inputs_arriving_as_a_frame_starts_match_input_events(monkeypatch):
+    """The tie rule of the session docstring against inputs delivered as events.
+
+    Each case has inputs that arrive at a frame event's microsecond, sent
+    before, at and after the previous frame event, with ticks that make the
+    input and frame events at one microsecond run in either order.
+    """
+    for case in _TIE_CASES:
+        args = _tie_case(*case)
+        trace, log = _run_logged(lambda: session.run_session(*args), _Logged, monkeypatch)
+        ref_trace, ref_log = _run_logged(lambda: session.run_session(*args), _WireMessages, monkeypatch)
+        assert trace == ref_trace, case
+        assert log == ref_log, case
