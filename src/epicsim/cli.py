@@ -144,7 +144,9 @@ def _cmd_stresstest(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    orchestrator.load_scenario(args.scenario)
+    cfg = orchestrator.load_scenario(args.scenario)
+    if cfg.mode == orchestrator.EDGE_HOSTED:
+        orchestrator.select_node(cfg)  # `run` selects first; no feasible node fails it
     print("scenario OK")
     return EXIT_OK
 

@@ -17,19 +17,21 @@ earlier than the previous delivery on the path.
 
 `Path.submit` takes one datagram: its bytes, or any item with the size of
 the datagram it stands for, such as a message record.  `Path.submit_burst`
-takes the sizes of back-to-back datagrams submitted at one instant, such as
-the fragments of a frame, and carries each as its size.  `Path.submit_series`
-takes `count` datagrams of one size submitted at `first + i * step`, such as
-a client's periodic input, and also carries each as its size.  A burst or a
-series makes the same decisions, in the same order, and leaves the same
-state as one `submit` per datagram.
+takes back-to-back datagrams submitted at one instant as `(size, count)`
+runs, such as the fragments of a frame, and carries each as its size.
+`Path.submit_series` takes `count` datagrams of one size submitted at
+`first + i * step`, such as a client's periodic input, and also carries each
+as its size.  A burst or a series makes the same decisions, in the same
+order, and leaves the same state as one `submit` per datagram.
+`Path.advance_to` pops and lists what has arrived; `Path.forget_to` pops and
+counts it, for a caller that never reads its deliveries.
 
 In-flight datagrams are kept as runs.  `_serializing` holds runs
 `(first_end, tx, count, size)`: `count` datagrams of `size` bytes whose
 serialization ends at `first_end + i * tx`.  `_pending` holds runs
 `(first_arrival, step, count, item)` in the same way.  When the profile has
 neither loss nor jitter no draw can decide anything: the RNG skips a burst's
-loss draws in one step (its state is a counter), and each run of equal sizes
+loss draws in one step (its state is a counter), and each run of the burst
 is admitted in a fixed number of steps, exactly as one `submit` per datagram:
 
 - One release per admission.  `now` is fixed, and every serialization end an
@@ -51,18 +53,18 @@ at a time (it fits: the queue holds at least one MTU), the arrivals are
 `first + tx + latency + i * step`, and only the last datagram is left
 serializing.
 
-A single datagram, a burst holding an empty one, any other series, and every
-admission on a path with loss or jitter go through the per-datagram loop,
-which draws per datagram and writes runs of one.  `_state()` expands every
-run into one tuple per datagram, so paths compare equal whatever runs they
-hold.
+A single datagram, a burst of one datagram or holding an empty one, any
+other series, and every admission on a path with loss or jitter go through
+the per-datagram loop, which draws per datagram and writes runs of one; a
+burst is expanded into its sizes for it.  `_state()` expands every run into
+one tuple per datagram, so paths compare equal whatever runs they hold.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from itertools import groupby, repeat
+from itertools import repeat
 
 from .model import NetworkProfile, ValidationError, ceil_div
 from .rng import SplitMix64
@@ -150,13 +152,20 @@ class Path:
         """
         return self._admit((len(data) if size is None else size,), (data,), now)[0]
 
-    def submit_burst(self, sizes: list[int], now: int) -> list[int | Drop]:
-        """Submit datagrams of `sizes` bytes back to back at `now`.
+    def submit_burst(self, runs, now: int) -> list[int | Drop]:
+        """Submit back-to-back datagrams at `now`, given as `(size, count)` runs.
 
         Returns one delivery time or drop reason per datagram, exactly as one
-        `submit` per size would; `advance_to` later yields each one's size.
+        `submit` per datagram would; `advance_to` later yields each one's size.
         """
-        return self._admit(sizes, sizes, now)
+        profile = self.profile
+        count = sum(n for _, n in runs)
+        if profile.loss_rate > 0 or profile.jitter > 0 or count < 2 or min(runs)[0] == 0:
+            sizes = [size for size, n in runs for _ in range(n)]
+            return self._admit(sizes, sizes, now)
+        self._accept(max(size for size, n in runs if n), count, now)
+        self.rng.skip(count)
+        return self._admit_runs(runs, now)
 
     def submit_series(self, size: int, first: int, step: int, count: int) -> list[int | Drop]:
         """Submit `count` datagrams of `size` bytes, the i-th at `first + i * step`.
@@ -187,26 +196,23 @@ class Path:
         self._pending.append((arrival, step, count, size))
         return list(range(arrival, self.last_arrival + 1, step))
 
-    def _admit(self, sizes, cargo, now: int) -> list[int | Drop]:
-        """The per-datagram loop: loss draw, drop-tail queue, serializer, clamp.
-
-        A draw-free burst of non-empty datagrams goes to `_admit_runs` instead.
-        """
-        profile = self.profile
-        largest = max(sizes, default=0)
-        if largest > profile.mtu:
-            raise ValidationError(f"packet of {largest} B exceeds mtu {profile.mtu}")
+    def _accept(self, largest: int, count: int, now: int) -> None:
+        """Check a submission of `count` datagrams at `now`, none above `largest` bytes, and count it."""
+        if largest > self.profile.mtu:
+            raise ValidationError(f"packet of {largest} B exceeds mtu {self.profile.mtu}")
         if now < self._last_submit:
             raise ValidationError("submission time regressed")
         self._last_submit = now
-        self.submitted += len(sizes)
+        self.submitted += count
 
+    def _admit(self, sizes, cargo, now: int) -> list[int | Drop]:
+        """The per-datagram loop: loss draw, drop-tail queue, serializer, clamp."""
+        self._accept(max(sizes, default=0), len(sizes), now)
+        profile = self.profile
         rng, loss_rate, jitter = self.rng, profile.loss_rate, profile.jitter
         draws = loss_rate > 0 or jitter > 0
         if not draws:
             rng.skip(len(sizes))
-            if len(sizes) > 1 and min(sizes) > 0:
-                return self._admit_runs(sizes, now)
         jitter_draw = 0
         bandwidth, latency, capacity = profile.bandwidth, profile.one_way_latency, profile.queue_capacity
         serializing, pending = self._serializing, self._pending
@@ -242,8 +248,8 @@ class Path:
         self.busy_until, self.queued_bytes, self.last_arrival = busy, queued, last
         return out
 
-    def _admit_runs(self, sizes, now: int) -> list[int | Drop]:
-        """Admit a draw-free burst one run of equal sizes per step; exact by the module docstring."""
+    def _admit_runs(self, runs, now: int) -> list[int | Drop]:
+        """Admit a draw-free burst one `(size, count)` run per step; exact by the module docstring."""
         profile = self.profile
         bandwidth, latency, capacity = profile.bandwidth, profile.one_way_latency, profile.queue_capacity
         serializing, pending = self._serializing, self._pending
@@ -251,8 +257,7 @@ class Path:
         # every end this admission adds is later than `now`, so one release covers it
         queued = self._release(now, self.queued_bytes)
         out: list[int | Drop] = []
-        for size, run in groupby(sizes):
-            count = len(list(run))
+        for size, count in runs:
             fits = min(count, (capacity - queued) // size)
             if fits:
                 tx = ceil_div(size * 8 * 1_000_000, bandwidth)
@@ -286,24 +291,32 @@ class Path:
         """Pop every (datagram, arrival) with arrival <= t, in arrival order.
 
         A datagram is popped as it was submitted: its bytes or item, or its
-        size when submitted in a burst.
+        size when submitted in a burst or a series.
         """
+        out: list[tuple[object, int]] = []
+        for at, step, count, item in self._pop_to(t):
+            if count == 1:
+                out.append((item, at))
+            else:
+                out += zip(repeat(item, count), range(at, at + count * step, step))
+        return out
+
+    def forget_to(self, t: int) -> None:
+        """Count and drop every datagram with arrival <= t, as `advance_to` does, listing none."""
+        self._pop_to(t)
+
+    def _pop_to(self, t: int) -> list[tuple[int, int, int, object]]:
+        """Remove the pending runs, or the leading part of one, arriving by `t`; returns them."""
         if t < self._last_advance:
             raise ValidationError("advance time regressed")
         self._last_advance = t
-        out: list[tuple[object, int]] = []
-        pending = self._pending
+        pending, popped = self._pending, []
         while pending and pending[0][0] <= t:
-            at, step, count, item = pending[0]
-            if count == 1:
-                pending.popleft()
-                out.append((item, at))
-                continue
-            done = min(count, (t - at) // step + 1)
-            out += zip(repeat(item, done), range(at, at + done * step, step))
+            at, step, count, item = run = pending.popleft()
+            done = count if count == 1 else min(count, (t - at) // step + 1)
             if done < count:
-                pending[0] = (at + done * step, step, count - done, item)
-                break
-            pending.popleft()
-        self.delivered += len(out)
-        return out
+                pending.appendleft((at + done * step, step, count - done, item))
+                run = (at, step, done, item)
+            popped.append(run)
+            self.delivered += done
+        return popped

@@ -8,8 +8,8 @@ frames downstream, broadcasting a small state-sync message periodically.
 
 No message is encoded.  A PING, PONG or state sync is a `(MsgType, client_id,
 timestamp)` record submitted with its wire size, and each delivery is an
-event.  A frame is carried as its fragments' wire sizes, submitted to its path
-as one burst, and resolved by one event: the frame's completion or
+event.  A frame is carried as runs of its fragments' wire sizes, submitted to
+its path as one burst, and resolved by one event: the frame's completion or
 abandonment, computed from the fragments' arrival times.  No frame bytes are
 generated.
 
@@ -101,7 +101,7 @@ from .transport import (
     REASSEMBLY_TIMEOUT_US,
     MsgType,
     RttEstimator,
-    fragment_sizes,
+    fragment_runs,
     frame_outcome,
 )
 from .transport import decode_message, encode_fragment  # noqa: F401  read by perfbench/tracer.py::_pristine
@@ -223,11 +223,12 @@ class _ClientState:
         "last_completed", "awaiting", "last_presented", "next_frame_id",
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
-        "inputs", "input_bounds", "input_cursor", "input_origin", "input_first", "last_frame",
+        "inputs", "input_bounds", "input_cursor", "input_origin", "input_first", "last_frame", "decode_us",
     )
 
-    def __init__(self, spec: ClientSpec, start_level: int, is_master: bool, start: int):
+    def __init__(self, spec: ClientSpec, ladder, start_level: int, is_master: bool, start: int):
         self.spec = spec
+        self.decode_us = [decode_time_us(level, spec.decode_throughput) for level in ladder]
         self.is_master = is_master
         self.estimator = RttEstimator()
         self.controller = ControllerState(level=start_level)
@@ -286,7 +287,7 @@ class _Simulation:
         self.clients: dict[int, _ClientState] = {}
         for spec in topology.clients:
             self.clients[spec.client_id] = _ClientState(
-                spec, settings.start_level, spec.client_id == self.master_id, start_time)
+                spec, ladder, settings.start_level, spec.client_id == self.master_id, start_time)
 
         if topology.mode == EDGE_HOSTED:
             node = topology.host_node
@@ -303,8 +304,8 @@ class _Simulation:
             (frame_bytes(level), render_time_us(level, complexity, node.pixel_throughput),
              encode_time_us(level, node.encode_throughput), round(1_000_000 / level.fps))
             for level in ladder]
-        # fragment sizes by (frame bytes, mtu), filled as frames are first streamed
-        self.fragments: dict[tuple[int, int], list[int]] = {}
+        # fragment size runs by (frame bytes, mtu), filled as frames are first streamed
+        self.fragments: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
         self.paths: list[_PathRecord] = []
         self.up_data: dict[int, Path] = {}
@@ -439,19 +440,20 @@ class _Simulation:
         size = self.level_costs[level_idx][0]
         path = self.down_frames[cid]
         key = (size, path.profile.mtu)
-        sizes = self.fragments.get(key)
-        if sizes is None:
-            sizes = self.fragments[key] = fragment_sizes(*key)
-        path.advance_to(t)  # forget packets that have arrived; nothing reads them
-        before = path.last_arrival
-        arrivals = path.submit_burst(sizes, t)
+        runs = self.fragments.get(key)
+        if runs is None:
+            runs = self.fragments[key] = fragment_runs(*key)
+        path.forget_to(t)  # packets that have arrived; nothing reads them
+        before, lost, cut = path.last_arrival, path.dropped_loss, path.dropped_queue
+        arrivals = path.submit_burst(runs, t)
+        lost, cut = path.dropped_loss - lost, path.dropped_queue - cut
         self._seq += 1
         seq = self._seq
         self.frame_states[(cid, fid)] = _FrameState(input_origin, size * 8)
         st.frames.sent += 1
-        dropped = [d for d in Drop if d in arrivals]
-        if dropped:
-            outcome, end = "fragment_" + min(dropped, key=arrivals.index).value, t
+        if lost or cut:  # the first dropped fragment names the reason
+            drop = min(Drop, key=arrivals.index) if lost and cut else Drop.LOSS if lost else Drop.QUEUE
+            outcome, end = "fragment_" + drop.value, t
             self._drop_frame(cid, fid, outcome)
         else:
             end, completed = frame_outcome(arrivals)
@@ -465,7 +467,7 @@ class _Simulation:
             self.arrival_seq[id(path)] = seq
         if self.log_frames:
             logger.debug("t=%d client %d frame %d: %d fragments, %d dropped, %s at %d", t, cid, fid,
-                         len(arrivals), sum(map(arrivals.count, Drop)), outcome, end)
+                         len(arrivals), lost + cut, outcome, end)
 
     def _on_present_local(self, t: int, cid: int, fid: int, level_idx: int, started: int):
         st = self.clients[cid]
@@ -508,8 +510,7 @@ class _Simulation:
             return  # swept by a window, or older than a completed frame: never completes
         if completed:
             st.last_completed = fid
-            decode_us = decode_time_us(self.ladder[level_idx], st.spec.decode_throughput)
-            self.push(t + decode_us, "present", cid, fid)
+            self.push(t + st.decode_us[level_idx], "present", cid, fid)
         else:
             self._drop_frame(cid, fid, "reassembly_abandoned")
 
@@ -606,13 +607,14 @@ class _Simulation:
         for step in self.settings.bandwidth_steps:
             self.push(self.start + step.time_us, "bwstep", step)
 
-        heap = self.heap
-        while heap and heap[0][0] <= self.end:
+        heap, end = self.heap, self.end
+        handlers = {kind: getattr(self, name) for kind, name in self._HANDLERS.items()}
+        while heap and heap[0][0] <= end:
             t, _, kind, args = heapq.heappop(heap)
-            getattr(self, self._HANDLERS[kind])(t, *args)
+            handlers[kind](t, *args)
         for r in self.paths:
             if r.kind != "probe":
-                r.path.advance_to(self.end)  # count the deliveries no event polled
+                r.path.forget_to(self.end)  # count the deliveries no event polled
         return self._build_trace()
 
     def _build_trace(self) -> RunTrace:

@@ -19,10 +19,10 @@ the fragment's slice of the encoded frame.
 
 The codec and `Reassembler` are the normative format: the UDP loopback mode
 and the tests run real bytes through them.  The in-process simulator carries
-a frame as its fragments' wire sizes (`fragment_sizes`) and reads the frame's
-fate off their arrival times (`frame_outcome`); it carries a small message
-(input, probes, state sync) as a `(MsgType, session id, timestamp)` record of
-the message's encoded size, and encodes no message.
+a frame as runs of its fragments' wire sizes (`fragment_runs`) and reads the
+frame's fate off their arrival times (`frame_outcome`); it carries a small
+message (input, probes, state sync) as a `(MsgType, session id, timestamp)`
+record of the message's encoded size, and encodes no message.
 """
 
 from __future__ import annotations
@@ -146,15 +146,17 @@ def fragment(frame_id: int, payload: bytes, mtu: int) -> list[FrameFragment]:
     ]
 
 
-def fragment_sizes(n_bytes: int, mtu: int) -> list[int]:
-    """Wire size of each FRAME_FRAG message an `n_bytes` frame is sent as.
+def fragment_runs(n_bytes: int, mtu: int) -> tuple[tuple[int, int], ...]:
+    """Wire sizes of the FRAME_FRAG messages an `n_bytes` frame is sent as, as `(size, count)` runs.
 
-    Equal to the lengths of `encode_fragment` over `fragment`, without bytes.
+    Every fragment but the last is a full MTU.  Expanded, the runs equal the
+    lengths of `encode_fragment` over `fragment`, without bytes.
     """
     count = _fragment_count(n_bytes, mtu)
-    sizes = [mtu] * count
-    sizes[-1] = n_bytes - (count - 1) * fragment_capacity(mtu) + HEADER_LEN + FRAG_HEADER_LEN
-    return sizes
+    last = n_bytes - (count - 1) * fragment_capacity(mtu) + HEADER_LEN + FRAG_HEADER_LEN
+    if last == mtu:
+        return ((mtu, count),)
+    return ((mtu, count - 1), (last, 1)) if count > 1 else ((last, 1),)
 
 
 def encode_fragment(session_id: int, sequence: int, timestamp: int, frag: FrameFragment) -> bytes:

@@ -69,6 +69,12 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
     ({"clients": [{"id": 2**32, "paths": _MINI_PATH}]}, "clients[0].id"),
     ({"clients": [{"id": 0, "paths": _MINI_PATH, "decode_throughput": 0}]}, "clients[0].decode_throughput"),
     ({"clients": [{"id": 0, "paths": _MINI_PATH, "decode_throughput": 0.5}]}, "clients[0].decode_throughput"),
+    ({"nodes": [{"node_id": 1, "pixel_throughput": 1, "encode_throughput": 4_000_000_000, "max_sessions": 16}]},
+     "no feasible node"),
+    ({"nodes": [{"node_id": 1, "pixel_throughput": 5_000_000_000, "encode_throughput": 4_000_000_000,
+                 "max_sessions": 1}],
+      "clients": [{"id": 0, "paths": {"1": _MINI_PATH}}, {"id": 1, "paths": {"1": _MINI_PATH}}]},
+     "no feasible node"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,14 +225,25 @@ _draw_free = st.builds(
     mtu=st.just(1_400),
     queue_capacity=st.integers(20_000, 40_000),
 )
-_sizes = st.lists(st.integers(1, 1_400), min_size=1, max_size=40)
-# runs of equal sizes: a frame's fragments (full MTU then a shorter last one),
-# or a few long repeats, so that an advance, a submit or the queue cut can land
-# inside a run
+
+
+def _runs_of(sizes):
+    """The `(size, count)` runs of a list of sizes."""
+    return [(size, len(list(group))) for size, group in groupby(sizes)]
+
+
+def _sizes_of(runs):
+    return [size for size, count in runs for _ in range(count)]
+
+
+# bursts as runs: arbitrary sizes; a frame's fragments (full MTU then a last
+# one, which may be full too, so equal sizes may sit in two runs); or a few
+# long repeats, so that an advance, a submit or the queue cut can land inside
+# a run
+_sizes = st.lists(st.integers(1, 1_400), min_size=1, max_size=40).map(_runs_of)
 _runs = st.one_of(
-    st.builds(lambda k, last: [1_400] * k + [last], st.integers(1, 60), st.integers(1, 1_400)),
-    st.lists(st.tuples(st.integers(1, 1_400), st.integers(1, 80)), min_size=1, max_size=3).map(
-        lambda runs: [size for size, k in runs for _ in range(k)]),
+    st.builds(lambda k, last: [(1_400, k), (last, 1)], st.integers(1, 60), st.integers(1, 1_400)),
+    st.lists(st.tuples(st.integers(1, 1_400), st.integers(1, 80)), min_size=1, max_size=3),
 )
 _ops = st.lists(st.one_of(
     st.tuples(st.just("burst"), st.integers(0, 3_000), _sizes),
@@ -252,7 +264,7 @@ def test_burst_equals_a_per_packet_submit_loop(profile, seed, ops):
         now += dt
         if op == "burst":
             got = burst.submit_burst(arg, now)
-            assert got == [loop.submit(bytes(size), now) for size in arg]
+            assert got == [loop.submit(bytes(size), now) for size in _sizes_of(arg)]
         elif op == "single":
             assert burst.submit(bytes(arg), now) == loop.submit(bytes(arg), now)
         elif op == "bandwidth":
@@ -266,6 +278,36 @@ def test_burst_equals_a_per_packet_submit_loop(profile, seed, ops):
         assert burst.in_flight == loop.in_flight
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(profile=_profiles | _draw_free, seed=st.integers(0, 2**64 - 1), ops=_ops)
+def test_forget_to_leaves_what_advance_to_leaves(profile, seed, ops):
+    advanced, forgot = Path(profile, seed), Path(profile, seed)
+    now = 0
+    for op, dt, arg in ops:
+        now += dt
+        if op == "advance":
+            advanced.advance_to(now)
+            forgot.forget_to(now)
+        for path in (advanced, forgot):
+            if op == "burst":
+                path.submit_burst(arg, now)
+            elif op == "single":
+                path.submit(bytes(arg), now)
+            elif op == "bandwidth":
+                path.set_bandwidth(arg)
+        assert advanced._state() == forgot._state()
+        assert (advanced.delivered, advanced.in_flight) == (forgot.delivered, forgot.in_flight)
+    if now:
+        advanced.advance_to(now)
+        forgot.forget_to(now)
+        with pytest.raises(ValidationError) as listed:
+            advanced.advance_to(now - 1)
+        with pytest.raises(ValidationError) as counted:
+            forgot.forget_to(now - 1)
+        assert str(listed.value) == str(counted.value)
+        assert advanced._state() == forgot._state()
+
 @settings(max_examples=60, deadline=None)
 @given(profile=(_profiles | _draw_free).filter(lambda p: p.bandwidth >= 20_000_000),
        seed=st.integers(0, 2**64 - 1),
@@ -274,10 +316,10 @@ def test_bursts_match_stepper_reference(profile, seed, bursts):
     """The stepper walks every microsecond, so the backlog is kept short."""
     path = Path(profile, seed)
     submissions, got, now = [], [], 0
-    for dt, sizes in bursts:
+    for dt, runs in bursts:
         now += dt
-        submissions += [(now, size) for size in sizes]
-        got += [_outcome(r) for r in path.submit_burst(sizes, now)]
+        submissions += [(now, size) for size in _sizes_of(runs)]
+        got += [_outcome(r) for r in path.submit_burst(runs, now)]
     assert got == reference_simulate(profile, seed, submissions)
 
 
@@ -307,20 +349,27 @@ def test_submitting_an_item_with_its_size_equals_submitting_that_many_bytes(prof
 
 def test_lossless_jitterless_burst_skips_its_draws_in_one_step():
     path = Path(_profile(), seed=9)
-    path.submit_burst([1_500] * 100, 0)
+    path.submit_burst([(1_500, 100)], 0)
     assert path.rng.state == Path(_profile(), seed=9).rng.state + 100 * 0x9E3779B97F4A7C15 & (2**64 - 1)
 
 
 def test_burst_rejects_oversize_and_time_regression_before_any_change():
     path = Path(_profile(), seed=1)
-    path.submit_burst([100], 500)
+    path.submit_burst([(100, 1)], 500)
     before = _timing_state(path)
     with pytest.raises(ValidationError):
-        path.submit_burst([100, 1_501], 600)
+        path.submit_burst([(100, 1), (1_501, 1)], 600)
     with pytest.raises(ValidationError):
-        path.submit_burst([100], 400)
+        path.submit_burst([(100, 1)], 400)
     assert _timing_state(path) == before
 
+
+
+def test_a_run_of_no_datagrams_submits_nothing():
+    for loss_rate in (0.0, 0.5):
+        burst, loop = Path(_profile(loss_rate=loss_rate), seed=3), Path(_profile(loss_rate=loss_rate), seed=3)
+        assert burst.submit_burst([(100, 2), (1_501, 0)], 0) == [loop.submit(bytes(100), 0) for _ in range(2)]
+        assert _timing_state(burst) == _timing_state(loop)
 
 # draw-free with a queue of one or two MTUs, so a busy serializer drops series datagrams
 _tiny_queue = st.builds(
@@ -378,7 +427,7 @@ def test_series_equals_a_per_datagram_submit_loop(profile, seed, ops):
 
 def test_draw_free_series_on_an_idle_path_is_one_pending_run():
     path = Path(_profile(), seed=9)
-    path.submit_burst([1_500] * 4, 0)  # serialized by 4_800 us
+    path.submit_burst([(1_500, 4)], 0)  # serialized by 4_800 us
     arrivals = path.submit_series(56, 5_000, 8_333, 1_000)
     assert arrivals == list(range(5_045 + 2_000, 5_045 + 2_000 + 1_000 * 8_333, 8_333))
     assert len(path._pending) == 2 and path._pending[-1] == (7_045, 8_333, 1_000, 56)

@@ -25,7 +25,7 @@ from epicsim.transport import (
     encode_message,
     fragment,
     fragment_capacity,
-    fragment_sizes,
+    fragment_runs,
     frame_outcome,
 )
 
@@ -236,13 +236,15 @@ def test_rtt_estimator_rejects_nonpositive():
 def test_fragment_sizes_are_the_encoded_fragment_lengths(size, mtu):
     if -(-size // fragment_capacity(mtu)) > MAX_FRAGMENTS:
         return
-    assert fragment_sizes(size, mtu) == [len(encode_fragment(1, 0, 0, f)) for f in fragment(1, bytes(size), mtu)]
+    runs = fragment_runs(size, mtu)
+    assert len(runs) <= 2 and all(count > 0 for _, count in runs)
+    assert [wire for wire, count in runs for _ in range(count)] == [len(encode_fragment(1, 0, 0, f)) for f in fragment(1, bytes(size), mtu)]
 
 
 @pytest.mark.parametrize("size, mtu", [(0, 1_400), (100, 127), (MAX_FRAGMENTS * 96 + 1, 128)])
 def test_fragment_sizes_rejects_what_fragment_rejects(size, mtu):
     with pytest.raises(ValidationError) as sized:
-        fragment_sizes(size, mtu)
+        fragment_runs(size, mtu)
     with pytest.raises(ValidationError) as real:
         fragment(1, bytes(size), mtu)
     assert str(sized.value) == str(real.value)
