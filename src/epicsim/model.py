@@ -59,12 +59,19 @@ class QualityLevel:
             raise ValidationError("resolution must be at least 1x1")
         if self.fps <= 0:
             raise ValidationError("fps must be positive")
+        if self.frame_interval < 1:
+            raise ValidationError(f"fps {self.fps} leaves no whole microsecond between frames")
         if self.bpp <= 0:
             raise ValidationError("bpp must be positive")
 
     @property
     def pixels(self) -> int:
         return self.width * self.height
+
+    @property
+    def frame_interval(self) -> int:
+        """Microseconds from one frame start to the next: 1 s / fps, rounded."""
+        return round(1_000_000 / self.fps)
 
 
 def bitrate(level: QualityLevel) -> int:

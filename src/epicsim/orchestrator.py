@@ -29,6 +29,7 @@ from .model import (
     QualityLevel,
     ValidationError,
     as_bpp,
+    frame_bytes,
     validate_ladder,
 )
 from .netem import Path
@@ -37,13 +38,14 @@ from .session import (
     BandwidthStep,
     CLIENT_HOSTED,
     ClientSpec,
+    DECODE_THROUGHPUT,
     DEVICE_NODE,
     EDGE_HOSTED,
     SessionSettings,
     SessionTopology,
     run_session,
 )
-from .transport import HEADER_LEN, MsgType, WireHeader, decode_message, encode_message
+from .transport import HEADER_LEN, MsgType, WireHeader, decode_message, encode_message, fragment_runs
 
 logger = logging.getLogger("epicsim.orchestrator")
 
@@ -145,56 +147,55 @@ def _array(value, where: str) -> list:
     return value
 
 
-def _profile_from(obj, where: str) -> NetworkProfile:
-    obj = _object(obj, where)
-    fields = dict(
-        one_way_latency=_number(obj, "one_way_latency", where),
-        jitter=_number(obj, "jitter", where, default=0),
-        loss_rate=_number(obj, "loss_rate", where, float, 0.0),
-        bandwidth=_number(obj, "bandwidth", where),
-        mtu=_number(obj, "mtu", where, default=1400),
-        queue_capacity=_number(obj, "queue_capacity", where) if "queue_capacity" in obj else None,
-    )
+# The JSON keys of each domain type, mapped to a converter (int, float or
+# as_bpp), or to (field, converter) where the field has another name; then
+# the keys that must be present.  Every other default is the type's own.
+_KEYS = {
+    NetworkProfile: ({"one_way_latency": int, "jitter": int, "loss_rate": float, "bandwidth": int,
+                      "mtu": int, "queue_capacity": int}, ("one_way_latency", "bandwidth")),
+    NodeSpec: ({"node_id": int, "pixel_throughput": int, "encode_throughput": int, "max_sessions": int},
+               ("node_id", "pixel_throughput", "encode_throughput")),
+    PowerProfile: (dict.fromkeys(("p_idle", "p_render_local", "p_radio", "p_decode", "battery_capacity"),
+                                 float), ()),
+    QualityLevel: ({"level_index": int, "width": int, "height": int, "fps": int, "bpp": as_bpp},
+                   ("level_index", "width", "height", "fps", "bpp")),
+    ControllerConfig: ({"rtt_budget": int, "loss_threshold": float, "throughput_factor": float,
+                        "k_down": int, "k_up": int, "cooldown": int, "window": ("window_us", int)}, ()),
+    Budgets: ({"rtt_p95": int, "loss": float}, ()),
+    SessionSettings: ({"tick": ("tick_us", int), "ping_interval": ("ping_interval_us", int),
+                       "sync_interval": ("sync_interval_us", int),
+                       "state_sync_bytes": ("sync_payload_bytes", int),
+                       "scene_complexity": float, "prerender": int}, ()),
+    BandwidthStep: ({"time": ("time_us", int), "bandwidth": int}, ("time", "bandwidth")),
+}
+
+
+def _named(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with `where` in front of the ValidationError it raises."""
     try:
-        return NetworkProfile(**fields)
+        return build(*args, **kwargs)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _node_from(obj, where: str) -> NodeSpec:
-    obj = _object(obj, where)
-    return NodeSpec(
-        node_id=_number(obj, "node_id", where),
-        pixel_throughput=_number(obj, "pixel_throughput", where),
-        encode_throughput=_number(obj, "encode_throughput", where),
-        max_sessions=_number(obj, "max_sessions", where, default=16),
-    )
+def _read(cls, obj, where: str, **given):
+    """A `cls` from the JSON object `obj` at key path `where`, by `_KEYS[cls]`.
 
-
-def _power_from(obj, where: str) -> PowerProfile:
+    An absent optional key is left out, so the type's default applies;
+    `given` holds the fields read elsewhere.
+    """
     obj = _object(obj, where)
-    return PowerProfile(
-        p_idle=_number(obj, "p_idle", where, float, 3.0),
-        p_render_local=_number(obj, "p_render_local", where, float, 4.5),
-        p_radio=_number(obj, "p_radio", where, float, 1.2),
-        p_decode=_number(obj, "p_decode", where, float, 0.8),
-        battery_capacity=_number(obj, "battery_capacity", where, float, 7.6),
-    )
+    keys, required = _KEYS[cls]
+    for key, kind in keys.items():
+        if key in obj or key in required:
+            field, kind = kind if isinstance(kind, tuple) else (key, kind)
+            given[field] = _number(obj, key, where, kind)
+    return _named(where, cls, **given)
 
 
 def _ladder_from(entries, where: str) -> tuple[QualityLevel, ...]:
-    levels = []
-    for i, e in enumerate(_array(entries, where)):
-        at = f"{where}[{i}]"
-        e = _object(e, at)
-        levels.append(QualityLevel(
-            level_index=_number(e, "level_index", at),
-            width=_number(e, "width", at),
-            height=_number(e, "height", at),
-            fps=_number(e, "fps", at),
-            bpp=_number(e, "bpp", at, as_bpp),
-        ))
-    return validate_ladder(tuple(levels))
+    levels = tuple(_read(QualityLevel, e, f"{where}[{i}]") for i, e in enumerate(_array(entries, where)))
+    return _named(where, validate_ladder, levels)
 
 
 def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
@@ -205,7 +206,7 @@ def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
     raw_paths = _object(_get(entry, "paths", where), f"{where}.paths")
     if "bandwidth" in raw_paths:
         # single-profile shorthand, applied to every candidate node
-        profile = _profile_from(raw_paths, f"{where}.paths")
+        profile = _read(NetworkProfile, raw_paths, f"{where}.paths")
         paths = {nid: profile for nid in node_ids} or {0: profile}
     else:
         paths = {}
@@ -213,15 +214,16 @@ def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
             nid = _to(int, key, f"{where}.paths key")
             if node_ids and nid not in node_ids:
                 raise ValidationError(f"client {cid}: path references unknown node {nid}")
-            paths[nid] = _profile_from(val, f"{where}.paths.{key}")
-    decode_throughput = _number(entry, "decode_throughput", where, default=7_000_000_000)
+            paths[nid] = _read(NetworkProfile, val, f"{where}.paths.{key}")
+    # ScenarioClient holds the rate until the run builds its ClientSpec
+    decode_throughput = _number(entry, "decode_throughput", where, default=DECODE_THROUGHPUT)
     if decode_throughput <= 0:
         raise ValidationError(f"{where}.decode_throughput must be a positive integer, "
                               f"not {entry['decode_throughput']!r:.40}")
     return ScenarioClient(
         client_id=cid,
         paths=paths,
-        power=_power_from(entry.get("power", {}), f"{where}.power"),
+        power=_read(PowerProfile, entry.get("power", {}), f"{where}.power"),
         decode_throughput=decode_throughput,
     )
 
@@ -230,7 +232,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     """Validate a scenario JSON document and bind it to domain types.
 
     Every malformed input raises `ValidationError` naming its key path, such
-    as `clients[1].paths.bandwidth`.
+    as `clients[1].paths.bandwidth`.  The domain types hold every default.
     """
     if not isinstance(doc, dict):
         raise ValidationError("scenario must be a JSON object")
@@ -241,16 +243,18 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         raise ValidationError("duration must be at least 1000000 us (1 s of simulated time)")
     ladder = _ladder_from(doc["ladder"], "ladder") if doc.get("ladder") else DEFAULT_LADDER
 
-    nodes = tuple(_node_from(n, f"nodes[{i}]") for i, n in enumerate(_array(doc.get("nodes", []), "nodes")))
-    if len({n.node_id for n in nodes}) != len(nodes):
-        raise ValidationError("node ids must be unique")
+    nodes = tuple(_read(NodeSpec, n, f"nodes[{i}]")
+                  for i, n in enumerate(_array(doc.get("nodes", []), "nodes")))
     node_ids = {n.node_id for n in nodes}
+    if len(node_ids) != len(nodes):
+        raise ValidationError("node ids must be unique")
 
     clients = [_client_from(entry, f"clients[{i}]", node_ids)
                for i, entry in enumerate(_array(_get(doc, "clients", "scenario"), "clients"))]
     if not clients:
         raise ValidationError("scenario needs at least one client")
-    if len({c.client_id for c in clients}) != len(clients):
+    client_ids = {c.client_id for c in clients}
+    if len(client_ids) != len(clients):
         raise ValidationError("client ids must be unique")
 
     topo = _object(doc.get("topology", {"mode": EDGE_HOSTED}), "topology")
@@ -258,99 +262,78 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if mode not in (EDGE_HOSTED, CLIENT_HOSTED):
         raise ValidationError(f"unknown topology mode {mode!r}")
     master_id = _number(topo, "master", "topology") if "master" in topo else None
-    master_uplink = (_profile_from(topo["master_uplink"], "topology.master_uplink")
+    master_uplink = (_read(NetworkProfile, topo["master_uplink"], "topology.master_uplink")
                      if "master_uplink" in topo else None)
     if mode == EDGE_HOSTED and not nodes:
         raise ValidationError("edge_hosted scenario needs at least one node")
     if mode == CLIENT_HOSTED and (master_id is None or master_uplink is None):
         raise ValidationError("client_hosted scenario needs topology.master and topology.master_uplink")
-    if mode == CLIENT_HOSTED and master_id not in {c.client_id for c in clients}:
+    if mode == CLIENT_HOSTED and master_id not in client_ids:
         raise ValidationError(f"topology.master {master_id} is not a client id")
 
     ctrl_doc = _object(doc.get("controller", {}), "controller")
-    controller = ControllerConfig(
-        rtt_budget=_number(ctrl_doc, "rtt_budget", "controller", default=7_000),
-        loss_threshold=_number(ctrl_doc, "loss_threshold", "controller", float, 0.02),
-        throughput_factor=_number(ctrl_doc, "throughput_factor", "controller", float, 0.9),
-        k_down=_number(ctrl_doc, "k_down", "controller", default=2),
-        k_up=_number(ctrl_doc, "k_up", "controller", default=12),
-        cooldown=_number(ctrl_doc, "cooldown", "controller", default=4),
-        window_us=_number(ctrl_doc, "window", "controller", default=250_000),
-    )
-    start_level = _number(ctrl_doc, "start_level", "controller", default=0)
-    if not 0 <= start_level < len(ladder):
-        raise ValidationError("controller.start_level outside the ladder")
+    fields = {"controller": _read(ControllerConfig, ctrl_doc, "controller")}  # of SessionSettings
+    if "start_level" in ctrl_doc:
+        fields["start_level"] = _number(ctrl_doc, "start_level", "controller")
+        if not 0 <= fields["start_level"] < len(ladder):
+            raise ValidationError("controller.start_level outside the ladder")
+    if "enabled" in ctrl_doc:
+        fields["adaptation"] = bool(ctrl_doc["enabled"])
+    if doc.get("shared_egress"):
+        fields["shared_egress"] = _read(NetworkProfile, doc["shared_egress"], "shared_egress")
 
     steps = []
     for i, e in enumerate(_array(doc.get("events", []), "events")):
-        context = f"events[{i}]"
-        e = _object(e, context)
-        targets = _array(e["clients"], f"{context}.clients") if e.get("clients") else None
-        step = BandwidthStep(
-            time_us=_number(e, "time", context),
-            bandwidth=_number(e, "bandwidth", context),
-            client_ids=tuple(_to(int, x, f"{context}.clients[{j}]") for j, x in enumerate(targets))
-            if targets else None,
-        )
-        if step.time_us < 0:
-            raise ValidationError(f"{context}: time must be non-negative")
-        if step.bandwidth <= 0:
-            raise ValidationError(f"{context}: bandwidth must be positive")
-        unknown = set(step.client_ids or ()) - {c.client_id for c in clients}
+        at = f"events[{i}]"
+        e = _object(e, at)
+        targets = _array(e["clients"], f"{at}.clients") if e.get("clients") else ()
+        ids = tuple(_to(int, x, f"{at}.clients[{j}]") for j, x in enumerate(targets))
+        step = _read(BandwidthStep, e, at, client_ids=ids or None)  # None steps every client
+        unknown = set(step.client_ids or ()) - client_ids
         if unknown:
-            raise ValidationError(f"{context}: unknown client ids {sorted(unknown)}")
+            raise ValidationError(f"{at}: unknown client ids {sorted(unknown)}")
         steps.append(step)
 
-    sync_bytes = _number(doc, "state_sync_bytes", "scenario", default=256)
-    if sync_bytes < 0:
+    if "state_sync_bytes" in doc and (sync_bytes := _number(doc, "state_sync_bytes", "scenario")) < 0:
         raise ValidationError(f"scenario.state_sync_bytes must be non-negative, not {sync_bytes}")
-    complexity = _number(doc, "scene_complexity", "scenario", float, 1.0)
-    if not 0.1 <= complexity < math.inf:
+    if "scene_complexity" in doc and not 0.1 <= (
+            complexity := _number(doc, "scene_complexity", "scenario", float)) < math.inf:
         raise ValidationError(f"scenario.scene_complexity must be finite and at least 0.1, not {complexity}")
-    settings = SessionSettings(
-        tick_us=_number(doc, "tick", "scenario", default=8_333),
-        ping_interval_us=_number(doc, "ping_interval", "scenario", default=100_000),
-        sync_interval_us=_number(doc, "sync_interval", "scenario", default=50_000),
-        sync_payload_bytes=sync_bytes,
-        scene_complexity=complexity,
-        start_level=start_level,
-        adaptation=bool(ctrl_doc.get("enabled", True)),
-        controller=controller,
-        shared_egress=_profile_from(doc["shared_egress"], "shared_egress")
-        if doc.get("shared_egress") else None,
-        bandwidth_steps=tuple(steps),
-        prerender=_number(doc, "prerender", "scenario", default=0),
-    )
+    settings = _read(SessionSettings, doc, "scenario", bandwidth_steps=tuple(steps), **fields)
 
-    # the state sync rides every path that can carry frames
+    # the state sync and every rung's fragments ride every path that can carry frames
     if mode == CLIENT_HOSTED:
         frame_paths = [("topology.master_uplink", master_uplink)]
     elif settings.shared_egress is not None:
         frame_paths = [("shared_egress", settings.shared_egress)]
     else:
         frame_paths = [(f"clients[{i}].paths", p) for i, c in enumerate(clients) for p in c.paths.values()]
+    sync_size = HEADER_LEN + settings.sync_payload_bytes
     for where, profile in frame_paths:
-        if HEADER_LEN + sync_bytes > profile.mtu:
-            raise ValidationError(f"scenario.state_sync_bytes: a {HEADER_LEN + sync_bytes} B state sync "
+        if sync_size > profile.mtu:
+            raise ValidationError(f"scenario.state_sync_bytes: a {sync_size} B state sync "
                                   f"does not fit the {profile.mtu} B mtu of {where}")
-
-    budget_doc = _object(doc.get("budgets", {}), "budgets")
-    budgets = Budgets(
-        rtt_p95=_number(budget_doc, "rtt_p95", "budgets", default=7_000),
-        loss=_number(budget_doc, "loss", "budgets", float, 0.02),
-    )
+        for i, level in enumerate(ladder):
+            rung = "ladder" if ladder is DEFAULT_LADDER else f"ladder[{i}]"
+            _named(f"{rung} at the {profile.mtu} B mtu of {where}",
+                   fragment_runs, frame_bytes(level), profile.mtu)
 
     power_doc = _object(doc.get("power_model", {}), "power_model")
+    device = {key: _number(power_doc, key, "power_model", default=default)
+              for key, default in (("device_pixel_throughput", power.DEVICE_PIXEL_THROUGHPUT),
+                                   ("device_decode_throughput", power.DEVICE_DECODE_THROUGHPUT))}
+    for key, value in device.items():
+        if value <= 0:
+            raise ValidationError(f"power_model.{key} must be positive, not {value}")
     return ScenarioConfig(
         name=name, seed=seed, duration=duration, ladder=ladder, nodes=nodes,
         clients=tuple(clients), mode=mode, master_id=master_id,
-        master_uplink=master_uplink, settings=settings, budgets=budgets,
-        device_node=_node_from(topo["device_node"], "topology.device_node")
+        master_uplink=master_uplink, settings=settings,
+        budgets=_read(Budgets, doc.get("budgets", {}), "budgets"),
+        device_node=_read(NodeSpec, topo["device_node"], "topology.device_node")
         if "device_node" in topo else DEVICE_NODE,
-        power_pixel_throughput=_number(power_doc, "device_pixel_throughput", "power_model",
-                                       default=power.DEVICE_PIXEL_THROUGHPUT),
-        power_decode_throughput=_number(power_doc, "device_decode_throughput", "power_model",
-                                        default=power.DEVICE_DECODE_THROUGHPUT),
+        power_pixel_throughput=device["device_pixel_throughput"],
+        power_decode_throughput=device["device_decode_throughput"],
         raw=copy.deepcopy(doc),
     )
 

@@ -41,7 +41,9 @@ edge node and every client gets an independent emulated path.  In
 client_hosted mode (the classic master-server baseline) the first user's
 device renders the shared scene and every receiver's downstream frames
 serialize on the one master uplink path, which is exactly the mechanism that
-starves receivers when the uplink is thin.
+starves receivers when the uplink is thin.  The master never adapts and shows
+each frame it renders one render time after the frame starts, so its frames
+are counted in closed form, outside the event loop.
 
 Probe traffic (PING/PONG) runs on its own path instances built from the same
 profile as the data paths, modeling a measurement slice with guaranteed
@@ -113,6 +115,7 @@ CLIENT_HOSTED = "client_hosted"
 
 DEVICE_NODE = NodeSpec(node_id=-1, pixel_throughput=200_000_000,
                        encode_throughput=250_000_000, max_sessions=16)
+DECODE_THROUGHPUT = 7_000_000_000  # a client's decode rate in pixels/second, unless set
 
 _F32 = struct.Struct(">f")
 _INPUT_BYTES = HEADER_LEN + INPUT_PAYLOAD_LEN  # wire size of an INPUT message
@@ -122,7 +125,7 @@ _INPUT_BYTES = HEADER_LEN + INPUT_PAYLOAD_LEN  # wire size of an INPUT message
 class ClientSpec:
     client_id: int
     profile: NetworkProfile
-    decode_throughput: int = 7_000_000_000
+    decode_throughput: int = DECODE_THROUGHPUT
 
     def __post_init__(self):
         if not 0 <= self.client_id < 2**32:
@@ -165,6 +168,12 @@ class BandwidthStep:
     time_us: int
     bandwidth: int
     client_ids: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.time_us < 0:
+            raise ValidationError("time must be non-negative")
+        if self.bandwidth <= 0:
+            raise ValidationError("bandwidth must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,17 +228,16 @@ class _FrameState:
 
 class _ClientState:
     __slots__ = (
-        "spec", "is_master", "estimator", "controller",
+        "spec", "estimator", "controller",
         "last_completed", "awaiting", "last_presented", "next_frame_id",
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
         "inputs", "input_bounds", "input_cursor", "input_origin", "input_first", "last_frame", "decode_us",
     )
 
-    def __init__(self, spec: ClientSpec, ladder, start_level: int, is_master: bool, start: int):
+    def __init__(self, spec: ClientSpec, ladder, start_level: int, start: int):
         self.spec = spec
         self.decode_us = [decode_time_us(level, spec.decode_throughput) for level in ladder]
-        self.is_master = is_master
         self.estimator = RttEstimator()
         self.controller = ControllerState(level=start_level)
         self.last_completed = -1
@@ -284,10 +292,9 @@ class _Simulation:
         self.log_frames = logger.isEnabledFor(logging.DEBUG)
 
         self.master_id = topology.master_id if topology.mode == CLIENT_HOSTED else None
-        self.clients: dict[int, _ClientState] = {}
-        for spec in topology.clients:
-            self.clients[spec.client_id] = _ClientState(
-                spec, ladder, settings.start_level, spec.client_id == self.master_id, start_time)
+        # the master renders for itself outside the event loop (_build_trace)
+        self.clients = {spec.client_id: _ClientState(spec, ladder, settings.start_level, start_time)
+                        for spec in topology.clients if spec.client_id != self.master_id}
 
         if topology.mode == EDGE_HOSTED:
             node = topology.host_node
@@ -302,7 +309,7 @@ class _Simulation:
         # per level: frame bytes, render us, encode us, frame interval us
         self.level_costs = [
             (frame_bytes(level), render_time_us(level, complexity, node.pixel_throughput),
-             encode_time_us(level, node.encode_throughput), round(1_000_000 / level.fps))
+             encode_time_us(level, node.encode_throughput), level.frame_interval)
             for level in ladder]
         # fragment size runs by (frame bytes, mtu), filled as frames are first streamed
         self.fragments: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -333,7 +340,7 @@ class _Simulation:
         self.queue_drop_timeline: list[int] = []
         self.drop_reasons: dict[str, int] = {}
         nsec = -(-duration_us // 1_000_000)
-        self.per_second_bits = {c: [0] * nsec for c in self.clients}
+        self.per_second_bits = {spec.client_id: [0] * nsec for spec in topology.clients}
 
     # -- wiring ---------------------------------------------------------
 
@@ -426,11 +433,8 @@ class _Simulation:
         _, rt, et, interval = self.level_costs[level_idx]
         fid = st.next_frame_id
         st.next_frame_id += 1
-        if st.is_master:
-            self.push(t + rt, "present_local", cid, fid, level_idx, t)
-        else:
-            ready = t + (0 if self.settings.prerender else rt) + et
-            self.push(ready, "ready", cid, fid, level_idx, self._read_inputs(st, t))
+        ready = t + (0 if self.settings.prerender else rt) + et
+        self.push(ready, "ready", cid, fid, level_idx, self._read_inputs(st, t))
         nxt = t + interval
         if nxt <= self.end:
             self.push(nxt, "frame", cid)
@@ -468,17 +472,6 @@ class _Simulation:
         if self.log_frames:
             logger.debug("t=%d client %d frame %d: %d fragments, %d dropped, %s at %d", t, cid, fid,
                          len(arrivals), lost + cut, outcome, end)
-
-    def _on_present_local(self, t: int, cid: int, fid: int, level_idx: int, started: int):
-        st = self.clients[cid]
-        state = _FrameState(started, 0)
-        state.status = "delivered"
-        self.frame_states[(cid, fid)] = state
-        st.frames.sent += 1
-        st.frames.delivered += 1
-        st.window_delivered += 1
-        st.last_presented = fid
-        st.m2p.append(t - started)
 
     def _on_sync(self, t: int):
         for cid, path in self.down_frames.items():
@@ -547,8 +540,6 @@ class _Simulation:
     def _on_window(self, t: int):
         cfg = self.settings.controller
         for cid, st in self.clients.items():
-            if st.is_master:
-                continue
             resolved = st.window_delivered + st.window_dropped
             stats = WindowStats(
                 window_index=self.window_index,
@@ -592,15 +583,13 @@ class _Simulation:
     _HANDLERS = {
         "ping": "_on_ping", "frame": "_on_frame",
         "ready": "_on_ready", "arrive": "_on_arrive", "outcome": "_on_outcome", "present": "_on_present",
-        "present_local": "_on_present_local", "sync": "_on_sync",
-        "window": "_on_window", "bwstep": "_on_bwstep",
+        "sync": "_on_sync", "window": "_on_window", "bwstep": "_on_bwstep",
     }
 
     def run(self) -> RunTrace:
-        for cid, st in self.clients.items():
-            if not st.is_master:
-                self._admit_inputs(cid)
-                self.push(self.start, "ping", cid)
+        for cid in self.clients:
+            self._admit_inputs(cid)
+            self.push(self.start, "ping", cid)
             self.push(self.start, "frame", cid)
         self.push(self.start, "sync")
         self.push(self.start + self.settings.controller.window_us, "window")
@@ -621,17 +610,26 @@ class _Simulation:
         trace = RunTrace(duration_us=self.duration, session_start=self.start)
         totals = FrameCounts()
         path_ids = {id(r.path): i for i, r in enumerate(self.paths)}
-        for cid, st in self.clients.items():
-            trace.rtt_samples[cid] = st.rtt
-            trace.motion_to_photon[cid] = st.m2p
-            trace.per_second_bits[cid] = self.per_second_bits[cid]
-            trace.per_client_frames[cid] = st.frames
-            trace.final_levels[cid] = st.controller.level
-            totals.sent += st.frames.sent
-            totals.delivered += st.frames.delivered
-            totals.dropped += st.frames.dropped
-            if not st.is_master:
+        for spec in self.topology.clients:
+            cid = spec.client_id
+            if cid == self.master_id:
+                # never adapts, and presents each frame one render time after it starts
+                level = self.settings.start_level
+                _, rt, _, interval = self.level_costs[level]
+                n = max(0, (self.end - rt - self.start) // interval + 1)
+                rtt, m2p, frames = [], [rt] * n, FrameCounts(n, n)
+            else:
+                st = self.clients[cid]
+                rtt, m2p, frames, level = st.rtt, st.m2p, st.frames, st.controller.level
                 trace.frame_path_ids[cid] = path_ids[id(self.down_frames[cid])]
+            trace.rtt_samples[cid] = rtt
+            trace.motion_to_photon[cid] = m2p
+            trace.per_second_bits[cid] = self.per_second_bits[cid]
+            trace.per_client_frames[cid] = frames
+            trace.final_levels[cid] = level
+            totals.sent += frames.sent
+            totals.delivered += frames.delivered
+            totals.dropped += frames.dropped
         trace.frames = totals
         trace.level_changes = self.level_changes
         trace.queue_drop_timeline = self.queue_drop_timeline

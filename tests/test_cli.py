@@ -10,6 +10,8 @@ from epicsim.cli import EXIT_KPI, EXIT_OK, EXIT_VALIDATION, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _MINI_PATH = {"one_way_latency": 2_000, "bandwidth": 700_000_000}
+_MASTER = json.loads((SCENARIOS / "master-server.json").read_text())
+_RUNG = {"level_index": 0, "width": 640, "height": 360, "fps": 30, "bpp": 0.8}
 
 
 @pytest.fixture()
@@ -75,6 +77,18 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
                  "max_sessions": 1}],
       "clients": [{"id": 0, "paths": {"1": _MINI_PATH}}, {"id": 1, "paths": {"1": _MINI_PATH}}]},
      "no feasible node"),
+    ({"nodes": [{"node_id": 1, "pixel_throughput": 0, "encode_throughput": 4_000_000_000}]}, "nodes[0]"),
+    ({"controller": {"k_down": 0}}, "controller:"),
+    ({"ladder": [dict(_RUNG, fps=0)]}, "ladder[0]"),
+    ({"clients": [{"id": 0, "paths": _MINI_PATH, "power": {"p_idle": -1}}]}, "clients[0].power"),
+    ({"topology": {"mode": "edge_hosted", "device_node": {"node_id": -1, "pixel_throughput": 0,
+                                                          "encode_throughput": 1}}}, "topology.device_node"),
+    # master-server selects no node, which would refuse the rung's render demand first
+    ({"clients": _MASTER["clients"], "topology": _MASTER["topology"], "ladder": [dict(_RUNG, fps=2**32)]},
+     "ladder[0]"),
+    ({"power_model": {"device_pixel_throughput": 0}}, "power_model.device_pixel_throughput"),
+    ({"power_model": {"device_decode_throughput": -1}}, "power_model.device_decode_throughput"),
+    ({"ladder": [dict(_RUNG, bpp=2**32)]}, "ladder[0]"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)

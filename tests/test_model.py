@@ -32,6 +32,14 @@ def test_zero_bpp_rejected_at_construction():
         QualityLevel(0, 640, 360, 30, 0)
 
 
+def test_a_rung_needs_a_whole_microsecond_between_frames():
+    assert QualityLevel(0, 1, 1, 1_999_999, 1).frame_interval == 1
+    assert DEFAULT_LADDER[0].frame_interval == 16_667
+    for fps in (2_000_000, 2**32):  # 1 s / fps rounds to 0 us
+        with pytest.raises(ValidationError, match="microsecond"):
+            QualityLevel(0, 1, 1, fps, 1)
+
+
 def test_float_bpp_normalized_via_decimal_string():
     level = QualityLevel(0, 1920, 1080, 60, 0.8)
     assert level.bpp == Fraction(4, 5)

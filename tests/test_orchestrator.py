@@ -5,8 +5,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epicsim.model import CapacityError, NetworkProfile, ValidationError
+from epicsim.adapt import ControllerConfig
+from epicsim.model import CapacityError, NetworkProfile, NodeSpec, PowerProfile, ValidationError
 from epicsim.orchestrator import (
+    EDGE_HOSTED,
+    Budgets,
     HandshakeTimeout,
     ScenarioConfig,
     deploy_handshake,
@@ -21,6 +24,7 @@ from epicsim.orchestrator import (
     stress_search,
     sweep,
 )
+from epicsim.session import ClientSpec, SessionSettings
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -54,6 +58,21 @@ def test_missing_required_keys_rejected():
         parse_scenario(doc)
     with pytest.raises(ValidationError, match="duration"):
         parse_scenario({"clients": []})
+
+
+def test_absent_optional_keys_take_the_domain_defaults():
+    cfg = parse_scenario({
+        "duration": 1_000_000,
+        "nodes": [{"node_id": 1, "pixel_throughput": 5_000_000_000, "encode_throughput": 4_000_000_000}],
+        "clients": [{"id": 0, "paths": {"1": {"one_way_latency": 2_000, "bandwidth": 700_000_000}}}],
+    })
+    assert cfg.nodes[0] == NodeSpec(1, 5_000_000_000, 4_000_000_000)
+    assert cfg.clients[0].paths[1] == NetworkProfile(one_way_latency=2_000, bandwidth=700_000_000)
+    assert cfg.clients[0].power == PowerProfile()
+    assert cfg.clients[0].decode_throughput == ClientSpec(0, cfg.clients[0].paths[1]).decode_throughput
+    assert cfg.settings == SessionSettings()
+    assert cfg.settings.controller == ControllerConfig()
+    assert cfg.budgets == Budgets()
 
 
 def test_unknown_node_reference_rejected():
@@ -150,6 +169,62 @@ def test_any_json_value_parses_or_raises_validation_error(site, value):
         assert isinstance(parse_scenario(doc), ScenarioConfig)
     except ValidationError:
         pass
+
+
+_MUTANTS = (0, -1, 0.5, 1, 3, 2**32, 10**12)
+
+
+def _numeric_leaves(name):
+    doc = _SHIPPED[name]
+    for path in _key_paths(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        if path != ("duration",) and type(value) in (int, float):
+            yield path
+
+
+_LEAVES = [(name, path) for name in _SHIPPED for path in _numeric_leaves(name)]
+
+
+def _validate_then_run(name, mutations):
+    """Whatever `epicsim validate` accepts of a 1 s mutant of a shipped
+    scenario, `run` accepts too; a handshake that times out is a deployment
+    failure, not a malformed scenario."""
+    doc = copy.deepcopy(_SHIPPED[name])
+    doc["duration"] = 1_000_000
+    for path, value in mutations:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    try:
+        cfg = parse_scenario(doc)
+        if cfg.mode == EDGE_HOSTED:
+            select_node(cfg)  # as `epicsim validate` does
+    except (ValidationError, CapacityError):
+        return
+    try:
+        run_scenario(cfg)
+    except HandshakeTimeout:
+        pass
+    except (ValidationError, CapacityError) as exc:
+        pytest.fail(f"{name} with {mutations} validates but does not run: {exc}")
+
+
+def test_every_single_leaf_mutant_that_validates_runs():
+    for name, path in _LEAVES:
+        for value in _MUTANTS:
+            _validate_then_run(name, [(path, value)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_leaf_mutants_that_validate_run(data):
+    name = data.draw(st.sampled_from(sorted(_SHIPPED)))
+    paths = data.draw(st.lists(st.sampled_from([p for n, p in _LEAVES if n == name]),
+                               min_size=2, max_size=4, unique=True))
+    _validate_then_run(name, [(path, data.draw(st.sampled_from(_MUTANTS))) for path in paths])
 
 
 # -- node selection --------------------------------------------------------------

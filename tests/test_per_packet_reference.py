@@ -139,10 +139,9 @@ class _WireMessages(_Logged):
 
     def run(self):
         """The event loop with one "input" event per client and tick, pushed before its ping."""
-        for cid, st in self.clients.items():
-            if not st.is_master:
-                self.push(self.start, "input", cid)
-                self.push(self.start, "ping", cid)
+        for cid in self.clients:
+            self.push(self.start, "input", cid)
+            self.push(self.start, "ping", cid)
             self.push(self.start, "frame", cid)
         self.push(self.start, "sync")
         self.push(self.start + self.settings.controller.window_us, "window")

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from epicsim.kpi import build_report
+from epicsim.kpi import FrameCounts, build_report
 from epicsim.model import (
     DEFAULT_LADDER,
     CapacityError,
@@ -142,6 +142,23 @@ def test_master_presents_locally_without_network():
     assert sum(trace.per_second_bits[0]) == 0          # no network bits for the master
     assert sum(trace.per_second_bits[1]) > 0
     assert 0 not in trace.frame_path_ids               # master has no downstream path
+
+
+def test_master_frames_end_one_render_time_before_the_run():
+    clients = (ClientSpec(3, NOMINAL), ClientSpec(0, NOMINAL))
+    topo = SessionTopology("client_hosted", clients, master_id=0, master_uplink=NOMINAL)
+    # 1080p60 on the device renders in 10,368 us; the 61st frame starts at 1,000,020 us
+    for duration, frames in ((1_010_387, 60), (1_010_388, 61)):
+        trace = run_session(topo, DEFAULT_LADDER, duration, SessionSettings(), seed=2)
+        assert trace.per_client_frames[0] == FrameCounts(frames, frames)
+        assert trace.motion_to_photon[0] == [10_368] * frames
+        assert list(trace.per_client_frames) == [3, 0]  # topology order
+
+
+@pytest.mark.parametrize("step, match", [((-1, 30_000_000), "non-negative"), ((0, 0), "positive")])
+def test_bandwidth_step_rejects_a_negative_time_and_a_dead_link(step, match):
+    with pytest.raises(ValidationError, match=match):
+        BandwidthStep(*step)
 
 
 def test_bandwidth_step_forces_downgrade_and_settles():
