@@ -26,8 +26,11 @@ class ControllerConfig:
     window_us: int = 250_000
 
     def __post_init__(self):
-        if self.k_down < 1 or self.k_up < 1 or self.cooldown < 0:
-            raise ValidationError("controller window counts must be positive")
+        for name in ("k_down", "k_up"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be positive, not {getattr(self, name)}")
+        if self.cooldown < 0:
+            raise ValidationError(f"cooldown must be non-negative, not {self.cooldown}")
         if self.window_us <= 0:
             raise ValidationError("window_us must be positive")
 

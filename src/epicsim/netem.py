@@ -21,23 +21,27 @@ takes back-to-back datagrams submitted at one instant as `(size, count)`
 runs, such as the fragments of a frame, and carries each as its size.
 `Path.submit_series` takes `count` datagrams of one size submitted at
 `first + i * step`, such as a client's periodic input, and also carries each
-as its size.  A burst or a series makes the same decisions, in the same
-order, and leaves the same state as one `submit` per datagram.
-`Path.advance_to` pops and lists what has arrived; `Path.forget_to` pops and
-counts it, for a caller that never reads its deliveries.
+as its size.  Every datagram is 1 B to the MTU.  A burst or a series makes
+the same decisions, in the same order, and leaves the same state as one
+`submit` per datagram.  `Path.advance_to` pops and lists what has arrived;
+`Path.forget_to` pops and counts it, for a caller that never reads its
+deliveries.
 
 In-flight datagrams are kept as runs.  `_serializing` holds runs
 `(first_end, tx, count, size)`: `count` datagrams of `size` bytes whose
 serialization ends at `first_end + i * tx`.  `_pending` holds runs
-`(first_arrival, step, count, item)` in the same way.  When the profile has
-neither loss nor jitter no draw can decide anything: the RNG skips a burst's
-loss draws in one step (its state is a counter), and each run of the burst
-is admitted in a fixed number of steps, exactly as one `submit` per datagram:
+`(first_arrival, step, count, item)` in the same way.  `_pop_runs` pops
+either one up to a time, splitting a run that has partly passed.
 
-- One release per admission.  `now` is fixed, and every serialization end an
-  admission adds is later than `now` (a datagram of at least one byte takes
-  at least 1 us), so the datagrams serialized by `now` are released once,
-  before the first.  A run that has partly finished is split arithmetically.
+`Path._admit` is the one admission routine; a single datagram is a run of
+one.  It releases the serializer once, before the first datagram: `now` is
+fixed, and every serialization end an admission adds is later than `now` (a
+datagram of at least 1 B takes at least 1 us), so every datagram of the
+admission finds the same ones serialized by `now`.  When the profile has
+neither loss nor jitter no draw can decide anything: the RNG skips the
+admission's loss draws in one step (its state is a counter), and each run
+is admitted in a fixed number of steps, exactly as datagram by datagram:
+
 - Arithmetic ends.  Equal sizes take equal serialization times `tx`, so a
   run's serialization ends and arrivals are arithmetic sequences.
 - No clamp.  Without jitter an arrival is its serialization end plus the
@@ -45,24 +49,24 @@ is admitted in a fixed number of steps, exactly as one `submit` per datagram:
 - One queue cut.  The queue admits `(capacity - queued) // size` datagrams
   of a run and drops the rest; a smaller size that follows may still fit.
 
-A series on such a path is one run as well when each datagram finds the
+With loss or jitter it goes datagram by datagram: loss draw, jitter draw,
+queue check, serializer and clamp, writing runs of one.
+
+A series on a draw-free path is one run as well when each datagram finds the
 serializer idle: `busy_until <= first` and a serialization time `tx` of at
 most `step`.  Each datagram then leaves at its own submission time and has
 finished before the next one is submitted, so the queue holds one datagram
 at a time (it fits: the queue holds at least one MTU), the arrivals are
 `first + tx + latency + i * step`, and only the last datagram is left
-serializing.
-
-A single datagram, a burst of one datagram or holding an empty one, any
-other series, and every admission on a path with loss or jitter go through
-the per-datagram loop, which draws per datagram and writes runs of one; a
-burst is expanded into its sizes for it.  `_state()` expands every run into
-one tuple per datagram, so paths compare equal whatever runs they hold.
+serializing.  Any other series is admitted one datagram at a time.
+`_state()` expands every run into one tuple per datagram, so paths compare
+equal whatever runs they hold.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from enum import Enum
 from itertools import repeat
 
@@ -133,16 +137,7 @@ class Path:
         Datagrams already handed to the serializer keep their old completion
         times; the queue capacity is left as provisioned.
         """
-        if bandwidth <= 0:
-            raise ValidationError("bandwidth must be positive")
-        self.profile = NetworkProfile(
-            one_way_latency=self.profile.one_way_latency,
-            jitter=self.profile.jitter,
-            loss_rate=self.profile.loss_rate,
-            bandwidth=bandwidth,
-            mtu=self.profile.mtu,
-            queue_capacity=self.profile.queue_capacity,
-        )
+        self.profile = replace(self.profile, bandwidth=bandwidth)
 
     def submit(self, data, now: int, size: int | None = None) -> int | Drop:
         """Submit one datagram at `now`; returns its delivery time or the drop reason.
@@ -150,7 +145,7 @@ class Path:
         `data` is the datagram's bytes, or any item standing for a datagram
         of `size` bytes; `advance_to` later yields it as given.
         """
-        return self._admit((len(data) if size is None else size,), (data,), now)[0]
+        return self._admit(((len(data) if size is None else size, 1),), now, data)[0]
 
     def submit_burst(self, runs, now: int) -> list[int | Drop]:
         """Submit back-to-back datagrams at `now`, given as `(size, count)` runs.
@@ -158,14 +153,7 @@ class Path:
         Returns one delivery time or drop reason per datagram, exactly as one
         `submit` per datagram would; `advance_to` later yields each one's size.
         """
-        profile = self.profile
-        count = sum(n for _, n in runs)
-        if profile.loss_rate > 0 or profile.jitter > 0 or count < 2 or min(runs)[0] == 0:
-            sizes = [size for size, n in runs for _ in range(n)]
-            return self._admit(sizes, sizes, now)
-        self._accept(max(size for size, n in runs if n), count, now)
-        self.rng.skip(count)
-        return self._admit_runs(runs, now)
+        return self._admit(runs, now)
 
     def submit_series(self, size: int, first: int, step: int, count: int) -> list[int | Drop]:
         """Submit `count` datagrams of `size` bytes, the i-th at `first + i * step`.
@@ -173,16 +161,15 @@ class Path:
         Returns one delivery time or drop reason per datagram, exactly as one
         `submit` per datagram would; `advance_to` later yields each one's size.
         """
-        profile = self.profile
         if count <= 0:
             return []
-        if size > profile.mtu:
-            raise ValidationError(f"packet of {size} B exceeds mtu {profile.mtu}")
-        if first < self._last_submit or step < 0:
+        self._check(((size, count),), first)
+        if step < 0:
             raise ValidationError("submission time regressed")
+        profile = self.profile
         tx = ceil_div(size * 8 * 1_000_000, profile.bandwidth)
-        if profile.loss_rate > 0 or profile.jitter > 0 or self.busy_until > first or not 0 < tx <= step:
-            return [self._admit((size,), (size,), first + i * step)[0] for i in range(count)]
+        if profile.loss_rate > 0 or profile.jitter > 0 or self.busy_until > first or tx > step:
+            return [self._admit(((size, 1),), first + i * step)[0] for i in range(count)]
         # a closed-form run, exact by the module docstring
         self.rng.skip(count)
         self.submitted += count
@@ -196,96 +183,76 @@ class Path:
         self._pending.append((arrival, step, count, size))
         return list(range(arrival, self.last_arrival + 1, step))
 
-    def _accept(self, largest: int, count: int, now: int) -> None:
-        """Check a submission of `count` datagrams at `now`, none above `largest` bytes, and count it."""
-        if largest > self.profile.mtu:
-            raise ValidationError(f"packet of {largest} B exceeds mtu {self.profile.mtu}")
+    def _check(self, runs, now: int) -> int:
+        """Raise unless each datagram of `runs` is 1 B to the MTU and `now` has not regressed; returns their count."""
+        mtu, total = self.profile.mtu, 0
+        for size, count in runs:
+            if count:
+                if not 0 < size <= mtu:
+                    raise ValidationError(f"packet of {size} B must be from 1 B to mtu {mtu}")
+                total += count
         if now < self._last_submit:
             raise ValidationError("submission time regressed")
-        self._last_submit = now
-        self.submitted += count
+        return total
 
-    def _admit(self, sizes, cargo, now: int) -> list[int | Drop]:
-        """The per-datagram loop: loss draw, drop-tail queue, serializer, clamp."""
-        self._accept(max(sizes, default=0), len(sizes), now)
+    def _admit(self, runs, now: int, item=None) -> list[int | Drop]:
+        """Admit `(size, count)` runs back to back at `now`, each datagram carried as `item` or, if None, its size."""
+        total = self._check(runs, now)
+        self._last_submit = now
+        self.submitted += total
         profile = self.profile
-        rng, loss_rate, jitter = self.rng, profile.loss_rate, profile.jitter
-        draws = loss_rate > 0 or jitter > 0
-        if not draws:
-            rng.skip(len(sizes))
-        jitter_draw = 0
         bandwidth, latency, capacity = profile.bandwidth, profile.one_way_latency, profile.queue_capacity
+        loss_rate, jitter = profile.loss_rate, profile.jitter
         serializing, pending = self._serializing, self._pending
         busy, queued, last = self.busy_until, self.queued_bytes, self.last_arrival
-        out: list[int | Drop] = []
-        for size, item in zip(sizes, cargo):
-            if draws:
-                lost = rng.next_unit() < loss_rate
-                jitter_draw = rng.next_below(jitter + 1) if jitter > 0 else 0
-                if lost:
-                    self.dropped_loss += 1
-                    out.append(Drop.LOSS)
-                    continue
-            while serializing and serializing[0][0] <= now:
-                if serializing[0][2] > 1:  # a run of several may have partly finished
-                    queued = self._release(now, queued)
-                    break
-                queued -= serializing.popleft()[3]
-            if queued + size > capacity:
-                self.dropped_queue += 1
-                out.append(Drop.QUEUE)
-                continue
-            tx = ceil_div(size * 8 * 1_000_000, bandwidth)
-            busy = (now if now > busy else busy) + tx
-            queued += size
-            serializing.append((busy, tx, 1, size))
-            arrival = busy + latency + jitter_draw
-            if arrival < last:
-                arrival = last
-            last = arrival
-            pending.append((arrival, 0, 1, item))
-            out.append(arrival)
-        self.busy_until, self.queued_bytes, self.last_arrival = busy, queued, last
-        return out
-
-    def _admit_runs(self, runs, now: int) -> list[int | Drop]:
-        """Admit a draw-free burst one `(size, count)` run per step; exact by the module docstring."""
-        profile = self.profile
-        bandwidth, latency, capacity = profile.bandwidth, profile.one_way_latency, profile.queue_capacity
-        serializing, pending = self._serializing, self._pending
-        busy, last = self.busy_until, self.last_arrival
-        # every end this admission adds is later than `now`, so one release covers it
-        queued = self._release(now, self.queued_bytes)
-        out: list[int | Drop] = []
-        for size, count in runs:
-            fits = min(count, (capacity - queued) // size)
-            if fits:
-                tx = ceil_div(size * 8 * 1_000_000, bandwidth)
-                first = (now if now > busy else busy) + tx
-                busy = first + (fits - 1) * tx
-                queued += fits * size
-                last = busy + latency  # without jitter arrivals never fall, so no clamp binds
-                serializing.append((first, tx, fits, size))
-                pending.append((first + latency, tx, fits, size))
-                out += range(first + latency, last + 1, tx)
-            if fits < count:
-                self.dropped_queue += count - fits
-                out += repeat(Drop.QUEUE, count - fits)
-        self.busy_until, self.queued_bytes, self.last_arrival = busy, queued, last
-        return out
-
-    def _release(self, now: int, queued: int) -> int:
-        """Free the buffer of every datagram serialized by `now`; returns the bytes left queued."""
-        serializing = self._serializing
-        while serializing and serializing[0][0] <= now:
-            end, tx, count, size = serializing[0]
-            done = count if count == 1 else min(count, (now - end) // tx + 1)
+        for _, _, done, size in _pop_runs(serializing, now):
             queued -= done * size
-            if done < count:
-                serializing[0] = (end + done * tx, tx, count - done, size)
-                break
-            serializing.popleft()
-        return queued
+        out: list[int | Drop] = []
+        if not (loss_rate > 0 or jitter > 0):
+            self.rng.skip(total)
+            for size, count in runs:
+                if not count:
+                    continue
+                fits = min(count, (capacity - queued) // size)
+                if fits:
+                    tx = ceil_div(size * 8 * 1_000_000, bandwidth)
+                    first = (now if now > busy else busy) + tx
+                    busy = first + (fits - 1) * tx
+                    queued += fits * size
+                    last = busy + latency  # without jitter arrivals never fall, so no clamp binds
+                    serializing.append((first, tx, fits, size))
+                    pending.append((first + latency, tx, fits, size if item is None else item))
+                    out += range(first + latency, last + 1, tx)
+                if fits < count:
+                    self.dropped_queue += count - fits
+                    out += repeat(Drop.QUEUE, count - fits)
+        else:
+            rng, jitter_draw = self.rng, 0
+            for size, count in runs:
+                tx = ceil_div(size * 8 * 1_000_000, bandwidth)
+                cargo = size if item is None else item
+                for _ in range(count):
+                    lost = rng.next_unit() < loss_rate
+                    if jitter > 0:
+                        jitter_draw = rng.next_below(jitter + 1)
+                    if lost:
+                        self.dropped_loss += 1
+                        out.append(Drop.LOSS)
+                    elif queued + size > capacity:
+                        self.dropped_queue += 1
+                        out.append(Drop.QUEUE)
+                    else:
+                        busy = (now if now > busy else busy) + tx
+                        queued += size
+                        serializing.append((busy, tx, 1, size))
+                        arrival = busy + latency + jitter_draw
+                        if arrival < last:
+                            arrival = last
+                        last = arrival
+                        pending.append((arrival, 0, 1, cargo))
+                        out.append(arrival)
+        self.busy_until, self.queued_bytes, self.last_arrival = busy, queued, last
+        return out
 
     def advance_to(self, t: int) -> list[tuple[object, int]]:
         """Pop every (datagram, arrival) with arrival <= t, in arrival order.
@@ -310,13 +277,20 @@ class Path:
         if t < self._last_advance:
             raise ValidationError("advance time regressed")
         self._last_advance = t
-        pending, popped = self._pending, []
-        while pending and pending[0][0] <= t:
-            at, step, count, item = run = pending.popleft()
-            done = count if count == 1 else min(count, (t - at) // step + 1)
-            if done < count:
-                pending.appendleft((at + done * step, step, count - done, item))
-                run = (at, step, done, item)
-            popped.append(run)
-            self.delivered += done
+        popped = _pop_runs(self._pending, t)
+        for run in popped:
+            self.delivered += run[2]
         return popped
+
+
+def _pop_runs(runs: deque, t: int) -> list:
+    """Remove the runs `(first, step, count, x)`, or the leading part of one, falling by `t`; returns them."""
+    popped = []
+    while runs and runs[0][0] <= t:
+        first, step, count, x = run = runs.popleft()
+        done = count if count == 1 else min(count, (t - first) // step + 1)
+        if done < count:
+            runs.appendleft((first + done * step, step, count - done, x))
+            run = (first, step, done, x)
+        popped.append(run)
+    return popped

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import kpi, power
 from .adapt import ControllerConfig
@@ -525,22 +525,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 def report_to_json(report: KpiReport) -> str:
     """Canonical report serialization: sorted keys, two-space indent, newline."""
-    doc = {
-        "rtt_p50": report.rtt_p50,
-        "rtt_p95": report.rtt_p95,
-        "rtt_p99": report.rtt_p99,
-        "motion_to_photon_p95": report.motion_to_photon_p95,
-        "aggregate_throughput": report.aggregate_throughput,
-        "loss_rate": round(report.loss_rate, 4),
-        "battery_gain": round(report.battery_gain, 4),
-        "pass_rtt": report.pass_rtt,
-        "pass_bandwidth": report.pass_bandwidth,
-        "pass_battery": report.pass_battery,
-        "frames_sent": report.frames_sent,
-        "frames_delivered": report.frames_delivered,
-        "frames_dropped": report.frames_dropped,
-        "frames_in_flight": report.frames_in_flight,
-    }
+    doc = asdict(report)
+    doc["loss_rate"] = round(report.loss_rate, 4)
+    doc["battery_gain"] = round(report.battery_gain, 4)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -191,8 +191,9 @@ class SessionSettings:
     prerender: int = 0                    # 1 hides render time via render-ahead
 
     def __post_init__(self):
-        if self.tick_us <= 0 or self.ping_interval_us <= 0 or self.sync_interval_us <= 0:
-            raise ValidationError("intervals must be positive")
+        for name in ("tick_us", "ping_interval_us", "sync_interval_us"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive, not {getattr(self, name)}")
         if self.prerender not in (0, 1):
             raise ValidationError("prerender depth is 0 or 1")
         if self.sync_payload_bytes < 0:

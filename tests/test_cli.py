@@ -89,6 +89,10 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
     ({"power_model": {"device_pixel_throughput": 0}}, "power_model.device_pixel_throughput"),
     ({"power_model": {"device_decode_throughput": -1}}, "power_model.device_decode_throughput"),
     ({"ladder": [dict(_RUNG, bpp=2**32)]}, "ladder[0]"),
+    ({"tick": 0}, "scenario: tick_us must be positive"),
+    ({"ping_interval": 0}, "scenario: ping_interval_us must be positive"),
+    ({"sync_interval": -5}, "scenario: sync_interval_us must be positive"),
+    ({"controller": {"cooldown": -1}}, "controller: cooldown must be non-negative"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)

@@ -361,6 +361,17 @@ def test_burst_rejects_oversize_and_time_regression_before_any_change():
         path.submit_burst([(100, 1), (1_501, 1)], 600)
     with pytest.raises(ValidationError):
         path.submit_burst([(100, 1)], 400)
+    with pytest.raises(ValidationError, match="submission time regressed"):
+        path.submit_burst([(100, 0), (0, 0)], 400)
+    # a datagram has at least one byte, whichever way it is submitted
+    with pytest.raises(ValidationError):
+        path.submit(b"", 600)
+    with pytest.raises(ValidationError):
+        path.submit(("msg", 0, 0), 600, 0)
+    with pytest.raises(ValidationError):
+        path.submit_burst([(100, 1), (0, 1)], 600)
+    with pytest.raises(ValidationError):
+        path.submit_series(0, 600, 100, 3)
     assert _timing_state(path) == before
 
 
@@ -368,7 +379,7 @@ def test_burst_rejects_oversize_and_time_regression_before_any_change():
 def test_a_run_of_no_datagrams_submits_nothing():
     for loss_rate in (0.0, 0.5):
         burst, loop = Path(_profile(loss_rate=loss_rate), seed=3), Path(_profile(loss_rate=loss_rate), seed=3)
-        assert burst.submit_burst([(100, 2), (1_501, 0)], 0) == [loop.submit(bytes(100), 0) for _ in range(2)]
+        assert burst.submit_burst([(100, 2), (0, 0), (1_501, 0)], 0) == [loop.submit(bytes(100), 0) for _ in range(2)]
         assert _timing_state(burst) == _timing_state(loop)
 
 # draw-free with a queue of one or two MTUs, so a busy serializer drops series datagrams
