@@ -57,17 +57,12 @@ class ControllerState:
 def detect_bottleneck(stats: WindowStats, ladder: tuple[QualityLevel, ...],
                       cfg: ControllerConfig = ControllerConfig()) -> bool:
     """True when RTT, loss, or delivered throughput degrades past threshold."""
-    demanded = bitrate(ladder[stats.current_level])
-    return (
-        stats.srtt > cfg.rtt_budget
-        or stats.frame_loss_rate > cfg.loss_threshold
-        or stats.delivered_throughput < cfg.throughput_factor * demanded
-    )
+    return bool(bottleneck_causes(stats, ladder, cfg))
 
 
 def bottleneck_causes(stats: WindowStats, ladder: tuple[QualityLevel, ...],
                       cfg: ControllerConfig = ControllerConfig()) -> tuple[str, ...]:
-    """Which predicates fired, for trace annotation."""
+    """Which predicates fired; any one makes the window a bottleneck."""
     causes = []
     if stats.srtt > cfg.rtt_budget:
         causes.append("rtt")

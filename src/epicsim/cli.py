@@ -44,8 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     load = sub.add_parser("loadtest", help="largest user count meeting the budgets")
     _add_scenario(load)
-    load.add_argument("--rtt-budget-ms", type=float, default=7.0)
-    load.add_argument("--loss-budget", type=float, default=0.02)
+    load.add_argument("--rtt-budget-ms", type=float, default=None,
+                      help="rtt_p95 budget (default: the scenario's budgets.rtt_p95)")
+    load.add_argument("--loss-budget", type=float, default=None,
+                      help="frame loss budget (default: the scenario's budgets.loss)")
     load.add_argument("--max-users", type=int, default=16)
 
     stress = sub.add_parser("stresstest", help="smallest user count that congests the network")
@@ -126,10 +128,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_loadtest(args) -> int:
     cfg = orchestrator.load_scenario(args.scenario)
-    best = orchestrator.load_search(cfg, int(args.rtt_budget_ms * 1_000),
-                                    args.loss_budget, args.max_users)
-    print(f"load_search: {best} users meet rtt_p95 <= {args.rtt_budget_ms} ms "
-          f"and loss <= {args.loss_budget}")
+    rtt_us = cfg.budgets.rtt_p95 if args.rtt_budget_ms is None else int(args.rtt_budget_ms * 1_000)
+    loss = cfg.budgets.loss if args.loss_budget is None else args.loss_budget
+    best = orchestrator.load_search(cfg, rtt_us, loss, args.max_users)
+    print(f"load_search: {best} users meet rtt_p95 <= {rtt_us / 1_000:g} ms and loss <= {loss:g}")
     return EXIT_OK
 
 

@@ -15,6 +15,9 @@ from .model import (
 )
 
 
+CONGESTION_LOSS = 0.05  # frame loss above which the stress search counts a run as congested
+
+
 def percentile(samples: list[int], p: float) -> int:
     """Nearest-rank percentile: the ceil(p/100 * n)-th smallest sample."""
     if not samples:
@@ -143,16 +146,16 @@ def queue_drops_growing(trace: RunTrace) -> bool:
     return timeline[-1] > mark
 
 
-def stress_search(run: RunFn, n_max: int, loss_threshold: float = 0.05) -> int | None:
+def stress_search(run: RunFn, n_max: int) -> int | None:
     """Smallest user count that congests the network, or None if n_max stays clean.
 
-    Congestion means frame loss above the threshold or a queue-drop counter
+    Congestion means frame loss above CONGESTION_LOSS or a queue-drop counter
     still growing in the final quarter of the run.
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     for n in range(1, n_max + 1):
         report, trace = run(n)
-        if report.loss_rate > loss_threshold or queue_drops_growing(trace):
+        if report.loss_rate > CONGESTION_LOSS or queue_drops_growing(trace):
             return n
     return None

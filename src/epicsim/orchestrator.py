@@ -124,7 +124,13 @@ def _get(obj: dict, key: str, where: str, default=_REQUIRED):
 
 
 def _to(kind, value, where: str):
-    """`value` converted by `kind` (int, float or as_bpp); `where` is its key path."""
+    """`value` converted by `kind` (int, float or as_bpp); `where` is its key path.
+
+    A JSON boolean is not a number, and an int key takes no fractional part.
+    """
+    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{where} must be {'an integer' if kind is int else 'a number'}, "
+                              f"not {value!r:.40}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -278,7 +284,9 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         if not 0 <= fields["start_level"] < len(ladder):
             raise ValidationError("controller.start_level outside the ladder")
     if "enabled" in ctrl_doc:
-        fields["adaptation"] = bool(ctrl_doc["enabled"])
+        enabled = fields["adaptation"] = ctrl_doc["enabled"]
+        if not isinstance(enabled, bool):
+            raise ValidationError(f"controller.enabled must be true or false, not {enabled!r:.40}")
     if doc.get("shared_egress"):
         fields["shared_egress"] = _read(NetworkProfile, doc["shared_egress"], "shared_egress")
 
@@ -393,9 +401,7 @@ class HandshakeTrace:
     ready_time: int
 
 
-def deploy_handshake(profile: NetworkProfile, seed: int, session_id: int = 0,
-                     timeout_us: int = HANDSHAKE_TIMEOUT_US,
-                     retry_us: int = HANDSHAKE_RETRY_US) -> HandshakeTrace:
+def deploy_handshake(profile: NetworkProfile, seed: int) -> HandshakeTrace:
     """Run the DISCOVER/OFFER/DEPLOY/READY exchange over an emulated path pair.
 
     The client retransmits its outstanding request every retry interval; if
@@ -404,8 +410,8 @@ def deploy_handshake(profile: NetworkProfile, seed: int, session_id: int = 0,
     duplicated requests are harmless.  Session traffic may only start after
     the returned ready_time.
     """
-    up = Path(profile, derive_seed(seed, session_id, 0x41))
-    down = Path(profile, derive_seed(seed, session_id, 0x42))
+    up = Path(profile, derive_seed(seed, 0, 0x41))
+    down = Path(profile, derive_seed(seed, 0, 0x42))
     heap: list[tuple[int, int, str]] = []
     order = 0
     seq = 0
@@ -420,7 +426,7 @@ def deploy_handshake(profile: NetworkProfile, seed: int, session_id: int = 0,
 
     def send(subtype: int, t: int, path: Path, kind: str):
         nonlocal seq
-        header = WireHeader(MsgType.CONTROL, session_id, seq, t)
+        header = WireHeader(MsgType.CONTROL, 0, seq, t)
         seq += 1
         send_times.setdefault(subtype, t)
         result = path.submit(encode_message(header, bytes([subtype])), t)
@@ -432,15 +438,15 @@ def deploy_handshake(profile: NetworkProfile, seed: int, session_id: int = 0,
             steps_seen[subtype] = HandshakeStep(_CTRL_NAMES[subtype], send_times[subtype], at)
 
     send(CTRL_DISCOVER, 0, up, "up")
-    sched(retry_us, "retry")
+    sched(HANDSHAKE_RETRY_US, "retry")
 
     while heap:
         t, _, kind = heapq.heappop(heap)
-        if t > timeout_us:
+        if t > HANDSHAKE_TIMEOUT_US:
             break
         if kind == "retry":
             send(pending, t, up, "up")
-            sched(t + retry_us, "retry")
+            sched(t + HANDSHAKE_RETRY_US, "retry")
         elif kind == "up":
             for data, at in up.advance_to(t):
                 subtype = decode_message(data)[1][0]
@@ -457,7 +463,7 @@ def deploy_handshake(profile: NetworkProfile, seed: int, session_id: int = 0,
                 elif subtype == CTRL_READY:
                     ordered = tuple(sorted(steps_seen.values(), key=lambda s: s.received_at))
                     return HandshakeTrace(ordered, at)
-    raise HandshakeTimeout(f"no READY within {timeout_us} us")
+    raise HandshakeTimeout(f"no READY within {HANDSHAKE_TIMEOUT_US} us")
 
 
 # -- scenario runner -----------------------------------------------------------

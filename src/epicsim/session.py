@@ -50,12 +50,13 @@ profile as the data paths, modeling a measurement slice with guaranteed
 bandwidth: RTT probes observe propagation and their own serialization, not
 head-of-line blocking behind frame bursts.
 
-Frame accounting is done by the harness, which sees both ends: a frame is
-dropped the moment any of its fragments is lost or cut from a queue, when it
-arrives complete but stale (an out-of-order completion under latest-wins
+Frame accounting is done by the harness, which sees both ends.  Each client
+keeps one map of the frames it was sent that are neither delivered nor
+dropped; only `_drop_frame` and `_on_present` remove one.  A frame is dropped
+the moment any of its fragments is lost or cut from a queue, when it arrives
+complete but stale (an out-of-order completion under latest-wins
 presentation), or when reassembly abandons it; otherwise it is delivered at
-presentation time.  Frames still unresolved when the run ends count as
-in-flight.
+presentation time.  Frames left in the map at the end count as in-flight.
 
 The receiver keeps the rules of `transport.Reassembler`: a frame pending more
 than the reassembly timeout after its first fragment is abandoned by its own
@@ -218,19 +219,10 @@ def synthetic_input(t: int, k: int) -> InputEvent:
     )
 
 
-class _FrameState:
-    __slots__ = ("input_origin", "status", "bits")
-
-    def __init__(self, input_origin, bits):
-        self.input_origin = input_origin
-        self.status = "pending"
-        self.bits = bits
-
-
 class _ClientState:
     __slots__ = (
         "spec", "estimator", "controller",
-        "last_completed", "awaiting", "last_presented", "next_frame_id",
+        "last_completed", "pending", "last_presented", "next_frame_id",
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
         "inputs", "input_bounds", "input_cursor", "input_origin", "input_first", "last_frame", "decode_us",
@@ -242,8 +234,9 @@ class _ClientState:
         self.estimator = RttEstimator()
         self.controller = ControllerState(level=start_level)
         self.last_completed = -1
-        # first fragment arrival of each whole frame whose outcome event is pending
-        self.awaiting: dict[int, int] = {}
+        # each frame sent and not yet delivered or dropped:
+        # fid -> (first fragment arrival, level index, motion-to-photon origin)
+        self.pending: dict[int, tuple[int, int, int | None]] = {}
         self.last_presented = -1
         self.next_frame_id = 0
         self.frames = FrameCounts()
@@ -286,7 +279,6 @@ class _Simulation:
         self.seed = seed
         self.start = start_time
         self.end = start_time + duration_us
-        self.duration = duration_us
 
         self.heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
@@ -335,13 +327,9 @@ class _Simulation:
                 if at <= self.end and (step.client_ids is None or cid in step.client_ids):
                     bounds.append(at + 1 if at == self.start else at)  # the input at start goes first
             self.clients[cid].input_bounds = [self.end + 1, *sorted(bounds, reverse=True)]
-        self.frame_states: dict[tuple[int, int], _FrameState] = {}
-        self.level_changes: list[LevelChange] = []
-        self.window_index = 0
-        self.queue_drop_timeline: list[int] = []
-        self.drop_reasons: dict[str, int] = {}
         nsec = -(-duration_us // 1_000_000)
-        self.per_second_bits = {spec.client_id: [0] * nsec for spec in topology.clients}
+        self.trace = RunTrace(duration_us=duration_us, session_start=start_time,
+                              per_second_bits={spec.client_id: [0] * nsec for spec in topology.clients})
 
     # -- wiring ---------------------------------------------------------
 
@@ -454,7 +442,7 @@ class _Simulation:
         lost, cut = path.dropped_loss - lost, path.dropped_queue - cut
         self._seq += 1
         seq = self._seq
-        self.frame_states[(cid, fid)] = _FrameState(input_origin, size * 8)
+        st.pending[fid] = (arrivals[0], level_idx, input_origin)
         st.frames.sent += 1
         if lost or cut:  # the first dropped fragment names the reason
             drop = min(Drop, key=arrivals.index) if lost and cut else Drop.LOSS if lost else Drop.QUEUE
@@ -466,7 +454,6 @@ class _Simulation:
             # a whole frame arriving at the instant of an earlier packet is
             # seen with that packet; the tie-break keeps path order
             order = self.arrival_seq[id(path)] if end == before else seq
-            st.awaiting[fid] = arrivals[0]
             heapq.heappush(self.heap, (end, order, "outcome", (seq, cid, fid, level_idx, completed)))
         if path.last_arrival != before:
             self.arrival_seq[id(path)] = seq
@@ -499,8 +486,7 @@ class _Simulation:
 
     def _on_outcome(self, t: int, _seq: int, cid: int, fid: int, level_idx: int, completed: bool):
         st = self.clients[cid]
-        del st.awaiting[fid]
-        if self.frame_states[(cid, fid)].status != "pending" or fid <= st.last_completed:
+        if fid not in st.pending or fid <= st.last_completed:
             return  # swept by a window, or older than a completed frame: never completes
         if completed:
             st.last_completed = fid
@@ -510,40 +496,38 @@ class _Simulation:
 
     def _on_present(self, t: int, cid: int, fid: int):
         st = self.clients[cid]
-        state = self.frame_states[(cid, fid)]
-        if state.status != "pending":
-            return
         if fid <= st.last_presented:
             self._drop_frame(cid, fid, "stale")
             return
-        state.status = "delivered"
+        _, level_idx, input_origin = st.pending.pop(fid)
+        bits = self.level_costs[level_idx][0] * 8
         st.last_presented = fid
         st.frames.delivered += 1
         st.window_delivered += 1
-        st.window_bits += state.bits
-        sec = min((t - self.start) // 1_000_000, len(self.per_second_bits[cid]) - 1)
-        self.per_second_bits[cid][sec] += state.bits
-        if state.input_origin is not None:
-            st.m2p.append(t - state.input_origin)
+        st.window_bits += bits
+        buckets = self.trace.per_second_bits[cid]
+        buckets[min((t - self.start) // 1_000_000, len(buckets) - 1)] += bits
+        if input_origin is not None:
+            st.m2p.append(t - input_origin)
 
     def _drop_frame(self, cid: int, fid: int, reason: str):
-        state = self.frame_states.get((cid, fid))
-        if state is None or state.status != "pending":
-            return
-        state.status = "dropped"
         st = self.clients[cid]
+        if st.pending.pop(fid, None) is None:
+            return  # resolved already: a receiver may report a frame once per lost fragment
         st.frames.dropped += 1
         st.window_dropped += 1
-        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
+        reasons = self.trace.drop_reasons
+        reasons[reason] = reasons.get(reason, 0) + 1
 
     # -- adaptation window ------------------------------------------------
 
     def _on_window(self, t: int):
-        cfg = self.settings.controller
+        cfg, trace = self.settings.controller, self.trace
+        window_index = len(trace.queue_drop_timeline)
         for cid, st in self.clients.items():
             resolved = st.window_delivered + st.window_dropped
             stats = WindowStats(
-                window_index=self.window_index,
+                window_index=window_index,
                 srtt=st.estimator.srtt or 0,
                 frame_loss_rate=st.window_dropped / resolved if resolved else 0.0,
                 delivered_throughput=st.window_bits * 1_000_000 // cfg.window_us,
@@ -555,17 +539,17 @@ class _Simulation:
                 new = controller_step(st.controller, bottleneck, len(self.ladder), cfg)
                 if new is not None:
                     causes = bottleneck_causes(stats, self.ladder, cfg) if new > old else ("recovered",)
-                    self.level_changes.append(LevelChange(cid, self.window_index, t, old, new, causes))
+                    trace.level_changes.append(LevelChange(cid, window_index, t, old, new, causes))
                     logger.info("t=%d client %d level %d -> %d (%s)", t, cid, old, new, ",".join(causes))
             st.window_delivered = 0
             st.window_dropped = 0
             st.window_bits = 0
-            for fid, first in st.awaiting.items():
-                if t - first > REASSEMBLY_TIMEOUT_US and fid > st.last_completed:
-                    self._drop_frame(cid, fid, "reassembly_abandoned")
-        drops = sum(r.path.dropped_queue for r in self.paths if r.kind == "frames")
-        self.queue_drop_timeline.append(drops)
-        self.window_index += 1
+            # a frame at or below last_completed awaits its present event or never resolves
+            swept = [fid for fid, (first, _, _) in st.pending.items()
+                     if fid > st.last_completed and t - first > REASSEMBLY_TIMEOUT_US]
+            for fid in swept:
+                self._drop_frame(cid, fid, "reassembly_abandoned")
+        trace.queue_drop_timeline.append(sum(r.path.dropped_queue for r in self.paths if r.kind == "frames"))
         nxt = t + cfg.window_us
         if nxt <= self.end:
             self.push(nxt, "window", )
@@ -608,8 +592,8 @@ class _Simulation:
         return self._build_trace()
 
     def _build_trace(self) -> RunTrace:
-        trace = RunTrace(duration_us=self.duration, session_start=self.start)
-        totals = FrameCounts()
+        """The run's trace, completed with what is known only at the end."""
+        trace, totals = self.trace, FrameCounts()
         path_ids = {id(r.path): i for i, r in enumerate(self.paths)}
         for spec in self.topology.clients:
             cid = spec.client_id
@@ -625,21 +609,17 @@ class _Simulation:
                 trace.frame_path_ids[cid] = path_ids[id(self.down_frames[cid])]
             trace.rtt_samples[cid] = rtt
             trace.motion_to_photon[cid] = m2p
-            trace.per_second_bits[cid] = self.per_second_bits[cid]
             trace.per_client_frames[cid] = frames
             trace.final_levels[cid] = level
             totals.sent += frames.sent
             totals.delivered += frames.delivered
             totals.dropped += frames.dropped
         trace.frames = totals
-        trace.level_changes = self.level_changes
-        trace.queue_drop_timeline = self.queue_drop_timeline
-        trace.drop_reasons = dict(self.drop_reasons)
         for r in self.paths:
             p = r.path
             trace.path_counters[r.name] = (p.submitted, p.delivered, p.dropped_loss, p.dropped_queue)
-        pending = sum(1 for s in self.frame_states.values() if s.status == "pending")
-        assert trace.frames.in_flight == pending, "frame conservation violated"
+        pending = sum(len(st.pending) for st in self.clients.values())
+        assert totals.in_flight == pending, "frame conservation violated"
         return trace
 
 

@@ -201,11 +201,10 @@ class Reassembler:
     id are dropped as stale.
     """
 
-    __slots__ = ("timeout_us", "last_completed", "_pending", "_oldest",
+    __slots__ = ("last_completed", "_pending", "_oldest",
                  "completed_count", "abandoned_count", "duplicate_count", "stale_count")
 
-    def __init__(self, timeout_us: int = REASSEMBLY_TIMEOUT_US):
-        self.timeout_us = timeout_us
+    def __init__(self):
         self.last_completed = -1
         self._pending: dict[int, _Partial] = {}
         # at most the earliest first_seen pending; left stale when a frame leaves
@@ -216,10 +215,10 @@ class Reassembler:
         self.stale_count = 0
 
     def _expire(self, now: int) -> list[int]:
-        if now - self._oldest <= self.timeout_us:
+        if now - self._oldest <= REASSEMBLY_TIMEOUT_US:
             return []  # nothing pending can have expired
         pending = self._pending
-        expired = [fid for fid, p in pending.items() if now - p.first_seen > self.timeout_us]
+        expired = [fid for fid, p in pending.items() if now - p.first_seen > REASSEMBLY_TIMEOUT_US]
         for fid in expired:
             del pending[fid]
         self.abandoned_count += len(expired)

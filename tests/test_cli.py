@@ -93,6 +93,11 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
     ({"ping_interval": 0}, "scenario: ping_interval_us must be positive"),
     ({"sync_interval": -5}, "scenario: sync_interval_us must be positive"),
     ({"controller": {"cooldown": -1}}, "controller: cooldown must be non-negative"),
+    ({"controller": {"enabled": "false"}}, "controller.enabled must be true or false"),
+    ({"tick": 8333.9}, "scenario.tick must be an integer"),
+    ({"clients": [{"id": 0.5, "paths": _MINI_PATH}]}, "clients[0].id must be an integer"),
+    ({"clients": [{"id": 0, "paths": dict(_MINI_PATH, bandwidth=True)}]},
+     "clients[0].paths.bandwidth must be an integer"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)
@@ -120,6 +125,18 @@ def test_loadtest_and_stresstest(tmp_path, capsys):
     assert "load_search: 2 users" in capsys.readouterr().out
     assert main(["stresstest", "--scenario", str(path), "--max-users", "4"]) == EXIT_OK
     assert "congestion first appears at 3" in capsys.readouterr().out
+
+
+def test_loadtest_defaults_to_the_scenario_budgets(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "shared-egress.json").read_text())
+    doc["shared_egress"]["bandwidth"] = 250_000_000
+    doc["budgets"] = {"rtt_p95": 100}
+    path = tmp_path / "egress.json"
+    path.write_text(json.dumps(doc))
+    assert main(["loadtest", "--scenario", str(path), "--max-users", "4"]) == EXIT_OK
+    assert "load_search: 0 users meet rtt_p95 <= 0.1 ms and loss <= 0.02" in capsys.readouterr().out
+    assert main(["loadtest", "--scenario", str(path), "--max-users", "4", "--rtt-budget-ms", "7"]) == EXIT_OK
+    assert "load_search: 2 users meet rtt_p95 <= 7 ms and loss <= 0.02" in capsys.readouterr().out
 
 
 def test_console_entry_point_exists(mini_scenario):

@@ -20,6 +20,7 @@ series that a frame reads when it starts.
 """
 
 import heapq
+import math
 from pathlib import Path
 
 import pytest
@@ -55,7 +56,7 @@ class _Logged(session._Simulation):
         self.path_names = {id(r.path): r.name for r in self.paths}
 
     def _drop_frame(self, cid, fid, reason):
-        if self.frame_states[(cid, fid)].status == "pending":
+        if fid in self.clients[cid].pending:
             self.log.append(("drop", cid, fid, reason))
         super()._drop_frame(cid, fid, reason)
 
@@ -83,7 +84,7 @@ class _PerPacket(_Logged):
         self.levels[(cid, fid)] = level_idx
         size = frame_bytes(self.ladder[level_idx])
         path = self.down_frames[cid]
-        self.frame_states[(cid, fid)] = session._FrameState(input_origin, size * 8)
+        self.clients[cid].pending[fid] = (math.inf, level_idx, input_origin)  # the Reassembler sweeps
         self.clients[cid].frames.sent += 1
         for frag in fragment(fid, bytes(size), path.profile.mtu):
             result = path.submit(encode_fragment(cid, 0, t, frag), t)
@@ -114,7 +115,7 @@ class _PerPacket(_Logged):
             if event.completed is not None:
                 fid = event.completed[0]
                 st = self.clients[cid]
-                if self.frame_states[(cid, fid)].status == "pending":
+                if fid in st.pending:
                     level = self.ladder[self.levels[(cid, fid)]]
                     self.push(at + decode_time_us(level, st.spec.decode_throughput), "present", cid, fid)
 
