@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import QualityLevel, ValidationError, bitrate
+from .model import MIN_INTERVAL_US, QualityLevel, ValidationError, bitrate
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,6 +33,8 @@ class ControllerConfig:
             raise ValidationError(f"cooldown must be non-negative, not {self.cooldown}")
         if self.window_us <= 0:
             raise ValidationError("window_us must be positive")
+        if self.window_us < MIN_INTERVAL_US:
+            raise ValidationError(f"window_us must be at least {MIN_INTERVAL_US} us, not {self.window_us}")
 
 
 @dataclass(frozen=True, slots=True)

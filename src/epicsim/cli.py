@@ -1,6 +1,7 @@
 """Command-line experiment runner.
 
-Exit codes: 0 on success, 2 on a validation error, 3 when --enforce-kpi is
+Exit codes: 0 on success, 1 when a deployment handshake times out or a live
+probe loses every packet, 2 on a validation error, 3 when --enforce-kpi is
 set and a KPI verdict failed.  Set EPICSIM_LOG=off|events|packets to control
 trace verbosity on stderr.
 """
@@ -12,10 +13,11 @@ import json
 import sys
 
 from . import orchestrator
-from .livenet import EchoServer, LiveEndpoint, live_probe
+from .livenet import EchoServer, LiveEndpoint, ProbeLost, live_probe
 from .model import CapacityError, ValidationError
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_KPI = 3
 
@@ -39,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="re-run a scenario over a range of one parameter")
     _add_scenario(swp)
     swp.add_argument("--param", required=True, help="dotted config path, e.g. ladder.bpp")
-    swp.add_argument("--values", required=True, help="comma-separated values")
+    swp.add_argument("--values", required=True,
+                     help="comma-separated JSON values, e.g. 0.4,0.8 or true,false")
     swp.add_argument("--out", default=None, help="JSON results file (default: stdout table)")
 
     load = sub.add_parser("loadtest", help="largest user count meeting the budgets")
@@ -93,16 +96,13 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_value(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def _cmd_sweep(args) -> int:
     cfg = orchestrator.load_scenario(args.scenario)
-    values = [_parse_value(v) for v in args.values.split(",") if v]
+    try:
+        values = [json.loads(v) for v in args.values.split(",") if v]
+    except json.JSONDecodeError:
+        raise ValidationError(f"--values must be comma-separated JSON values, "
+                              f"not {args.values!r:.40}") from None
     results = orchestrator.sweep(cfg, args.param, values)
     rows = [
         {
@@ -156,7 +156,6 @@ def _cmd_validate(args) -> int:
 def _cmd_live_echo(args) -> int:
     server = EchoServer(LiveEndpoint(host=args.host, port=args.port),
                         reflect_fragments=args.reflect_fragments)
-    server.bind()
     print(f"echo server on {args.host}:{server.port} (Ctrl-C to stop)", file=sys.stderr)
     try:
         server.serve()
@@ -168,7 +167,10 @@ def _cmd_live_echo(args) -> int:
 
 
 def _cmd_live_probe(args) -> int:
-    host, _, port = args.addr.rpartition(":")
+    host, colon, port = args.addr.rpartition(":")
+    if not (colon and port.isdecimal() and 1 <= int(port) <= 65_535):
+        raise ValidationError(f"--addr must be host:port with a port from 1 to 65535, "
+                              f"not {args.addr!r:.40}")
     result = live_probe((host or "127.0.0.1", int(port)), args.count, args.interval_us)
     print(f"sent={result.sent} received={result.received} loss={result.loss_rate:.4f}")
     print(f"rtt p50={result.rtt_percentile(50)}us p95={result.rtt_percentile(95)}us "
@@ -197,7 +199,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except orchestrator.HandshakeTimeout as exc:
         print(f"deployment failed: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_FAILED
+    except ProbeLost as exc:
+        print(f"live probe failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -3,13 +3,13 @@
 An echo server answers PING with PONG (same session, sequence and timestamp)
 and optionally reflects a short acknowledgement for frame fragments; a prober
 paces PINGs and measures RTT against its own monotonic clock, which is valid
-on loopback where sender and receiver share the clock.  The prober runs a
-sender and a receiver as two cooperating threads feeding one sample queue.
+on loopback where sender and receiver share the clock.  Each role is one
+loop: the prober reads PONGs until its next send is due, and after its last
+send until every PONG is back or the drain timeout passes.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 import time
@@ -20,6 +20,7 @@ from .model import ValidationError
 from .transport import MsgType, WireHeader, WireError, decode_message, encode_message
 
 ACK_SUBTYPE = 0x05
+SOCKET_BUFFER = 1 << 20           # receive and send buffer of every socket, in bytes
 _RECV_BUFSIZE = 65_535
 
 
@@ -27,12 +28,21 @@ def now_us() -> int:
     return time.perf_counter_ns() // 1_000
 
 
+def _udp_socket() -> socket.socket:
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    for option in (socket.SO_RCVBUF, socket.SO_SNDBUF):
+        sock.setsockopt(socket.SOL_SOCKET, option, SOCKET_BUFFER)
+    return sock
+
+
+class ProbeLost(RuntimeError):
+    """No PONG came back: the echo server is not reachable."""
+
+
 @dataclass(frozen=True, slots=True)
 class LiveEndpoint:
     host: str = "127.0.0.1"
     port: int = 0                 # 0 lets the OS pick an ephemeral port
-    recv_buffer: int = 1 << 20
-    send_buffer: int = 1 << 20
 
     def __post_init__(self):
         if self.port != 0 and not 1024 <= self.port <= 65_535:
@@ -40,50 +50,33 @@ class LiveEndpoint:
 
 
 class EchoServer:
-    """Single-threaded receive/reply loop; start() runs it in a daemon thread."""
+    """Receive/reply loop, bound on construction; start() runs it in a daemon thread."""
 
     def __init__(self, endpoint: LiveEndpoint = LiveEndpoint(), reflect_fragments: bool = False):
-        self.endpoint = endpoint
         self.reflect_fragments = reflect_fragments
-        self.pings = 0
-        self.fragments = 0
-        self.malformed = 0
-        self._sock: socket.socket | None = None
+        self.pings = self.fragments = self.malformed = 0
+        self._sock = _udp_socket()
+        self._sock.bind((endpoint.host, endpoint.port))
+        self._sock.settimeout(0.1)
+        self.port: int = self._sock.getsockname()[1]
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
 
-    @property
-    def port(self) -> int:
-        if self._sock is None:
-            raise RuntimeError("server is not bound")
-        return self._sock.getsockname()[1]
-
-    def bind(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, self.endpoint.recv_buffer)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, self.endpoint.send_buffer)
-        sock.bind((self.endpoint.host, self.endpoint.port))
-        sock.settimeout(0.1)
-        self._sock = sock
-
     def start(self) -> None:
-        if self._sock is None:
-            self.bind()
         self._thread = threading.Thread(target=self.serve, daemon=True)
         self._thread.start()
 
     def serve(self) -> None:
-        sock = self._sock
         while not self._stop.is_set():
             try:
-                data, addr = sock.recvfrom(_RECV_BUFSIZE)
+                data, addr = self._sock.recvfrom(_RECV_BUFSIZE)
             except socket.timeout:
                 continue
             except OSError:
                 break
             reply = self._handle(data)
             if reply is not None:
-                sock.sendto(reply, addr)
+                self._sock.sendto(reply, addr)
 
     def _handle(self, data: bytes) -> bytes | None:
         try:
@@ -100,15 +93,13 @@ class EchoServer:
             if self.reflect_fragments:
                 ack = WireHeader(MsgType.CONTROL, header.session_id, header.sequence, header.timestamp)
                 return encode_message(ack, bytes([ACK_SUBTYPE]) + bytes(7))
-            return None
         return None
 
     def stop(self) -> None:
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
-        if self._sock is not None:
-            self._sock.close()
+        self._sock.close()
 
     def __enter__(self) -> "EchoServer":
         self.start()
@@ -135,66 +126,35 @@ class ProbeResult:
 
 def live_probe(addr: tuple[str, int], count: int, interval_us: int = 1_000,
                session_id: int = 1, drain_timeout_s: float = 1.0) -> ProbeResult:
-    """Send `count` paced PINGs to an echo server and measure loopback RTT.
+    """Send `count` PINGs, one every `interval_us`, to an echo server and measure loopback RTT.
 
     RTT is receive time minus the echoed timestamp on the shared monotonic
-    clock, clamped to at least 1 us.  Raises if every probe is lost.
+    clock, clamped to at least 1 us.  Raises `ProbeLost` if every probe is lost.
     """
     if count <= 0:
         raise ValidationError("probe count must be positive")
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.settimeout(0.1)
-    samples: queue.Queue[tuple[int, int] | None] = queue.Queue()
-    outstanding = threading.Event()
-
-    def receiver():
-        got = 0
-        deadline = None
-        while got < count:
-            if not outstanding.is_set() and deadline is None:
-                deadline = time.monotonic() + drain_timeout_s
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            try:
-                data, _ = sock.recvfrom(_RECV_BUFSIZE)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            at = now_us()
-            try:
-                header, _ = decode_message(data)
-            except WireError:
-                continue
-            if header.msg_type == MsgType.PONG and header.session_id == session_id:
-                samples.put((header.sequence, max(1, at - header.timestamp)))
-                got += 1
-        samples.put(None)
-
-    outstanding.set()
-    rx = threading.Thread(target=receiver, daemon=True)
-    rx.start()
-
-    sent_first = b""
-    for seq in range(count):
-        header = WireHeader(MsgType.PING, session_id, seq, now_us())
-        wire = encode_message(header)
-        if seq == 0:
-            sent_first = wire
-        sock.sendto(wire, addr)
-        if interval_us > 0 and seq + 1 < count:
-            time.sleep(interval_us / 1_000_000)
-    outstanding.clear()
-
     rtts: list[int] = []
-    while True:
-        item = samples.get()
-        if item is None:
-            break
-        rtts.append(item[1])
-    rx.join(timeout=2.0)
-    sock.close()
-
+    first_ping = b""
+    with _udp_socket() as sock:
+        due = now_us()
+        for seq in range(count):
+            wire = encode_message(WireHeader(MsgType.PING, session_id, seq, now_us()))
+            first_ping = first_ping or wire
+            sock.sendto(wire, addr)
+            due = due + interval_us if seq + 1 < count else now_us() + round(drain_timeout_s * 1e6)
+            while len(rtts) < count:
+                sock.settimeout(max(0, due - now_us()) / 1e6)  # 0 still returns queued PONGs
+                try:
+                    data = sock.recv(_RECV_BUFSIZE)
+                except (socket.timeout, BlockingIOError):
+                    break
+                at = now_us()
+                try:
+                    header, _ = decode_message(data)
+                except WireError:
+                    continue
+                if header.msg_type == MsgType.PONG and header.session_id == session_id:
+                    rtts.append(max(1, at - header.timestamp))
     if not rtts:
-        raise RuntimeError("probe lost every packet; is the echo server reachable?")
-    return ProbeResult(sent=count, received=len(rtts), samples=rtts, first_ping=sent_first)
+        raise ProbeLost("probe lost every packet; is the echo server reachable?")
+    return ProbeResult(sent=count, received=len(rtts), samples=rtts, first_ping=first_ping)

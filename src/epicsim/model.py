@@ -14,6 +14,9 @@ from fractions import Fraction
 RTT_TARGET_US = 7_000
 BANDWIDTH_TARGET_BPS = 700_000_000
 BATTERY_GAIN_TARGET_PCT = 30.0
+# the shortest input tick, ping, sync or controller window: each costs the
+# event loop at least one event, so a shorter one makes a run crawl
+MIN_INTERVAL_US = 100
 
 
 class ValidationError(ValueError):

@@ -126,9 +126,10 @@ def _get(obj: dict, key: str, where: str, default=_REQUIRED):
 def _to(kind, value, where: str):
     """`value` converted by `kind` (int, float or as_bpp); `where` is its key path.
 
-    A JSON boolean is not a number, and an int key takes no fractional part.
+    A number is a JSON number: a string or a boolean is not one, and an int
+    key takes no fractional part.
     """
-    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+    if isinstance(value, (bool, str)) or kind is int and isinstance(value, float) and not value.is_integer():
         raise ValidationError(f"{where} must be {'an integer' if kind is int else 'a number'}, "
                               f"not {value!r:.40}")
     try:
@@ -217,7 +218,9 @@ def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
     else:
         paths = {}
         for key, val in raw_paths.items():
-            nid = _to(int, key, f"{where}.paths key")
+            if not key.removeprefix("-").isdecimal():  # a JSON object key is a string
+                raise ValidationError(f"{where}.paths key must be a node id, not {key!r:.40}")
+            nid = int(key)
             if node_ids and nid not in node_ids:
                 raise ValidationError(f"client {cid}: path references unknown node {nid}")
             paths[nid] = _read(NetworkProfile, val, f"{where}.paths.{key}")
@@ -276,6 +279,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         raise ValidationError("client_hosted scenario needs topology.master and topology.master_uplink")
     if mode == CLIENT_HOSTED and master_id not in client_ids:
         raise ValidationError(f"topology.master {master_id} is not a client id")
+    if mode == CLIENT_HOSTED and len(clients) == 1:
+        raise ValidationError("clients: a client_hosted scenario needs a receiver besides topology.master")
 
     ctrl_doc = _object(doc.get("controller", {}), "controller")
     fields = {"controller": _read(ControllerConfig, ctrl_doc, "controller")}  # of SessionSettings
@@ -590,8 +595,12 @@ def scale_clients(cfg: ScenarioConfig, n: int) -> ScenarioConfig:
 
 
 def _search_runner(cfg: ScenarioConfig):
+    """Run N users; on a client-hosted scenario N counts receivers, since the
+    master hosts the session as an edge node does."""
+    hosts = 1 if cfg.mode == CLIENT_HOSTED else 0
+
     def run(n: int) -> tuple[KpiReport, RunTrace]:
-        result = run_scenario(scale_clients(cfg, n))
+        result = run_scenario(scale_clients(cfg, n + hosts))
         return result.report, result.trace
     return run
 

@@ -88,6 +88,7 @@ from .kpi import FrameCounts, LevelChange, RunTrace
 from .model import (
     CapacityError,
     InputEvent,
+    MIN_INTERVAL_US,
     NetworkProfile,
     NodeSpec,
     QualityLevel,
@@ -157,6 +158,8 @@ class SessionTopology:
         if self.mode == CLIENT_HOSTED:
             if self.master_id is None or self.master_id not in ids:
                 raise ValidationError("client_hosted topology requires the master among the clients")
+            if len(ids) == 1:
+                raise ValidationError("client_hosted topology requires a receiver besides the master")
             if self.master_uplink is None:
                 raise ValidationError("client_hosted topology requires a master uplink profile")
 
@@ -193,8 +196,11 @@ class SessionSettings:
 
     def __post_init__(self):
         for name in ("tick_us", "ping_interval_us", "sync_interval_us"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive, not {getattr(self, name)}")
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValidationError(f"{name} must be positive, not {value}")
+            if value < MIN_INTERVAL_US:
+                raise ValidationError(f"{name} must be at least {MIN_INTERVAL_US} us, not {value}")
         if self.prerender not in (0, 1):
             raise ValidationError("prerender depth is 0 or 1")
         if self.sync_payload_bytes < 0:

@@ -1,12 +1,13 @@
 import json
 import shutil
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from epicsim.cli import EXIT_KPI, EXIT_OK, EXIT_VALIDATION, main
+from epicsim.cli import EXIT_FAILED, EXIT_KPI, EXIT_OK, EXIT_VALIDATION, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _MINI_PATH = {"one_way_latency": 2_000, "bandwidth": 700_000_000}
@@ -98,6 +99,21 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
     ({"clients": [{"id": 0.5, "paths": _MINI_PATH}]}, "clients[0].id must be an integer"),
     ({"clients": [{"id": 0, "paths": dict(_MINI_PATH, bandwidth=True)}]},
      "clients[0].paths.bandwidth must be an integer"),
+    # a number is a JSON number, so a string is none; a paths key spells a node id
+    ({"seed": "7"}, "scenario.seed must be an integer"),
+    ({"duration": " 2_000_000 "}, "scenario.duration must be an integer"),
+    ({"ladder": [dict(_RUNG, bpp="4/5")]}, "ladder[0].bpp must be a number"),
+    ({"events": [{"time": 0, "bandwidth": 100_000_000, "clients": ["0"]}]},
+     "events[0].clients[0] must be an integer"),
+    ({"clients": [{"id": 0, "paths": {" 1": _MINI_PATH}}]}, "clients[0].paths key must be a node id"),
+    # every interval is at least 100 us
+    ({"tick": 99}, "scenario: tick_us must be at least 100 us"),
+    ({"ping_interval": 1}, "scenario: ping_interval_us must be at least 100 us"),
+    ({"sync_interval": 1}, "scenario: sync_interval_us must be at least 100 us"),
+    ({"controller": {"window": 1}}, "controller: window_us must be at least 100 us"),
+    # a client-hosted scenario needs a receiver besides its master
+    ({"clients": _MASTER["clients"][:1], "topology": _MASTER["topology"]},
+     "clients: a client_hosted scenario needs a receiver"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)
@@ -114,6 +130,16 @@ def test_sweep_prints_table(mini_scenario, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "rtt_p95" in out and "700000000" in out and "100000000" in out
+
+
+def test_sweep_values_are_json(mini_scenario, capsys):
+    assert main(["sweep", "--scenario", str(mini_scenario),
+                 "--param", "controller.enabled", "--values", "true,false"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["True", "False"]
+    assert main(["sweep", "--scenario", str(mini_scenario),
+                 "--param", "controller.enabled", "--values", "yes"]) == EXIT_VALIDATION
+    assert "--values must be comma-separated JSON values" in capsys.readouterr().err
 
 
 def test_loadtest_and_stresstest(tmp_path, capsys):
@@ -155,3 +181,29 @@ def test_env_var_verbosity_validation(monkeypatch, mini_scenario, capsys):
     monkeypatch.setenv("EPICSIM_LOG", "events")
     assert main(["validate", "--scenario", str(mini_scenario)]) == EXIT_OK
     monkeypatch.delenv("EPICSIM_LOG")
+
+
+def test_client_hosted_searches_count_receivers(capsys):
+    # one receiver already loses half its frames on the 50 Mb/s master uplink
+    scenario = str(SCENARIOS / "master-server.json")
+    assert main(["loadtest", "--scenario", scenario, "--max-users", "2"]) == EXIT_OK
+    assert "load_search: 0 users meet" in capsys.readouterr().out
+    assert main(["stresstest", "--scenario", scenario, "--max-users", "2"]) == EXIT_OK
+    assert "congestion first appears at 1 users" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("addr", ["localhost", "127.0.0.1:99999", "127.0.0.1:0", "127.0.0.1:x", "127.0.0.1:"])
+def test_live_probe_rejects_a_malformed_addr(capsys, addr):
+    assert main(["live-probe", "--addr", addr, "--count", "1"]) == EXIT_VALIDATION
+    assert "--addr must be host:port" in capsys.readouterr().err
+
+
+def test_live_probe_reports_an_unreachable_server_in_one_line(capsys):
+    # nothing listens on this socket's port once it is closed
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    code = main(["live-probe", "--addr", f"127.0.0.1:{port}", "--count", "2", "--interval-us", "100"])
+    assert code == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("live probe failed: ") and err.count("\n") == 1

@@ -144,7 +144,18 @@ def _key_paths(value, prefix=()):
         yield from _key_paths(child, prefix + (key,))
 
 
-_SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
+_DEFAULTS = SessionSettings()
+
+
+def _with_intervals(doc):
+    """`doc` with every interval key present, at its default unless set, so that mutants reach it."""
+    intervals = {"tick": _DEFAULTS.tick_us, "ping_interval": _DEFAULTS.ping_interval_us,
+                 "sync_interval": _DEFAULTS.sync_interval_us}
+    controller = {"window": _DEFAULTS.controller.window_us, **doc.get("controller", {})}
+    return {**intervals, **doc, "controller": controller}
+
+
+_SHIPPED = {p.name: _with_intervals(json.loads(p.read_text())) for p in sorted(SCENARIOS.glob("*.json"))}
 _OPTIONAL = ("seed", "name", "ladder", "nodes", "topology", "controller", "events", "tick",
              "ping_interval", "sync_interval", "state_sync_bytes", "scene_complexity",
              "shared_egress", "prerender", "budgets", "power_model")

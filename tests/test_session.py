@@ -80,6 +80,8 @@ def test_topology_validation():
     with pytest.raises(ValidationError):
         SessionTopology("client_hosted", (ClientSpec(0, CLEAN),), master_id=5,
                         master_uplink=NOMINAL)  # master not among clients
+    with pytest.raises(ValidationError, match="receiver besides the master"):
+        SessionTopology("client_hosted", (ClientSpec(0, CLEAN),), master_id=0, master_uplink=NOMINAL)
     with pytest.raises(ValidationError):
         SessionTopology("mesh", (ClientSpec(0, CLEAN),))
 
