@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
-Exit codes: 0 on success, 1 when a deployment handshake times out or a live
-probe loses every packet, 2 on a validation error, 3 when --enforce-kpi is
-set and a KPI verdict failed.  Set EPICSIM_LOG=off|events|packets to control
-trace verbosity on stderr.
+Exit codes: 0 on success; 1 when a deployment handshake times out, no PONG
+returns within a run, a live probe loses every packet or the live echo server
+cannot bind; 2 on a validation error; 3 when --enforce-kpi is set and a KPI
+verdict failed.  Set EPICSIM_LOG=off|events|packets to control trace
+verbosity on stderr.
 """
 
 from __future__ import annotations
@@ -154,8 +155,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_live_echo(args) -> int:
-    server = EchoServer(LiveEndpoint(host=args.host, port=args.port),
-                        reflect_fragments=args.reflect_fragments)
+    try:
+        server = EchoServer(LiveEndpoint(host=args.host, port=args.port),
+                            reflect_fragments=args.reflect_fragments)
+    except OSError as exc:  # the port is taken, or the host is not this machine's
+        print(f"live echo failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     print(f"echo server on {args.host}:{server.port} (Ctrl-C to stop)", file=sys.stderr)
     try:
         server.serve()
@@ -187,6 +192,8 @@ _COMMANDS = {
     "live-echo": _cmd_live_echo,
     "live-probe": _cmd_live_probe,
 }
+# what each exit-1 failure reports as having failed
+_FAILURES = {orchestrator.HandshakeTimeout: "deployment", orchestrator.NoPong: "run", ProbeLost: "live probe"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -197,11 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, CapacityError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except orchestrator.HandshakeTimeout as exc:
-        print(f"deployment failed: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except ProbeLost as exc:
-        print(f"live probe failed: {exc}", file=sys.stderr)
+    except tuple(_FAILURES) as exc:
+        print(f"{_FAILURES[type(exc)]} failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
 
 

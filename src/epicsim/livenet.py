@@ -56,7 +56,11 @@ class EchoServer:
         self.reflect_fragments = reflect_fragments
         self.pings = self.fragments = self.malformed = 0
         self._sock = _udp_socket()
-        self._sock.bind((endpoint.host, endpoint.port))
+        try:
+            self._sock.bind((endpoint.host, endpoint.port))
+        except OSError:
+            self._sock.close()
+            raise
         self._sock.settimeout(0.1)
         self.port: int = self._sock.getsockname()[1]
         self._thread: threading.Thread | None = None

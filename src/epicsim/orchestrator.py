@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import itertools
 import json
 import logging
 import math
@@ -45,7 +46,7 @@ from .session import (
     SessionTopology,
     run_session,
 )
-from .transport import HEADER_LEN, MsgType, WireHeader, decode_message, encode_message, fragment_runs
+from .transport import HEADER_LEN, MsgType, fragment_runs
 
 logger = logging.getLogger("epicsim.orchestrator")
 
@@ -63,6 +64,10 @@ _CTRL_NAMES = {CTRL_DISCOVER: "DISCOVER", CTRL_OFFER: "OFFER",
 
 class HandshakeTimeout(RuntimeError):
     """No READY arrived within the deployment handshake deadline."""
+
+
+class NoPong(RuntimeError):
+    """No PONG returned within the run, so it has no RTT to report."""
 
 
 def configure_logging_from_env() -> None:
@@ -369,28 +374,20 @@ def render_demand(cfg: ScenarioConfig) -> int:
 def select_node(cfg: ScenarioConfig) -> NodeSpec:
     """Pick the feasible node with the lowest mean latency to the clients.
 
-    Feasible means enough session slots for every client and enough render
-    throughput for the total demand at the starting level; ties break toward
-    the lowest node id.
+    Feasible means enough session slots for every client, enough render
+    throughput for the total demand at the starting level, and a path from
+    every client; ties break toward the lowest node id.
     """
     if not cfg.nodes:
         raise CapacityError("no nodes to select from")
-    demand = render_demand(cfg)
-    best: tuple[float, int] | None = None
-    chosen: NodeSpec | None = None
-    for node in cfg.nodes:
-        if node.max_sessions < len(cfg.clients) or node.pixel_throughput < demand:
-            continue
-        if any(node.node_id not in c.paths for c in cfg.clients):
-            continue
-        mean_latency = sum(c.paths[node.node_id].one_way_latency for c in cfg.clients) / len(cfg.clients)
-        key = (mean_latency, node.node_id)
-        if best is None or key < best:
-            best = key
-            chosen = node
-    if chosen is None:
+    demand, clients = render_demand(cfg), cfg.clients
+    feasible = [node for node in cfg.nodes
+                if node.max_sessions >= len(clients) and node.pixel_throughput >= demand
+                and all(node.node_id in c.paths for c in clients)]
+    if not feasible:
         raise CapacityError("no feasible node: capacity or render demand unsatisfied")
-    return chosen
+    return min(feasible, key=lambda node: (
+        sum(c.paths[node.node_id].one_way_latency for c in clients) / len(clients), node.node_id))
 
 
 @dataclass(frozen=True, slots=True)
@@ -414,60 +411,45 @@ def deploy_handshake(profile: NetworkProfile, seed: int) -> HandshakeTrace:
     is a stateless responder (DISCOVER begets OFFER, DEPLOY begets READY), so
     duplicated requests are harmless.  Session traffic may only start after
     the returned ready_time.
+
+    No message is encoded.  Each is a `(MsgType.CONTROL, 0, t)` record, and
+    each delivery is one event that carries its subtype: a receiver polling
+    the path then would see the same (see `transport`), except that a retry
+    may run between two messages delivered at one microsecond.  That changes
+    nothing: a second OFFER is ignored either way, and a READY still returns.
     """
     up = Path(profile, derive_seed(seed, 0, 0x41))
     down = Path(profile, derive_seed(seed, 0, 0x42))
-    heap: list[tuple[int, int, str]] = []
-    order = 0
-    seq = 0
-    send_times: dict[int, int] = {}
-    steps_seen: dict[int, HandshakeStep] = {}
+    heap: list[tuple[int, int, int | None]] = []  # (time, push order, subtype or None for a retry)
+    order = itertools.count()
+    first_sent: dict[int, int] = {}
+    steps: dict[int, HandshakeStep] = {}  # by subtype, in the order of first delivery
     pending = CTRL_DISCOVER
 
-    def sched(t: int, kind: str):
-        nonlocal order
-        order += 1
-        heapq.heappush(heap, (t, order, kind))
+    def send(subtype: int, t: int, path: Path):
+        first_sent.setdefault(subtype, t)
+        arrival = path.submit((MsgType.CONTROL, 0, t), t, HEADER_LEN + 1)  # a header and the subtype
+        if isinstance(arrival, int):
+            heapq.heappush(heap, (arrival, next(order), subtype))
 
-    def send(subtype: int, t: int, path: Path, kind: str):
-        nonlocal seq
-        header = WireHeader(MsgType.CONTROL, 0, seq, t)
-        seq += 1
-        send_times.setdefault(subtype, t)
-        result = path.submit(encode_message(header, bytes([subtype])), t)
-        if isinstance(result, int):
-            sched(result, kind)
-
-    def record(subtype: int, at: int):
-        if subtype not in steps_seen:
-            steps_seen[subtype] = HandshakeStep(_CTRL_NAMES[subtype], send_times[subtype], at)
-
-    send(CTRL_DISCOVER, 0, up, "up")
-    sched(HANDSHAKE_RETRY_US, "retry")
-
+    send(CTRL_DISCOVER, 0, up)
+    heapq.heappush(heap, (HANDSHAKE_RETRY_US, next(order), None))
     while heap:
-        t, _, kind = heapq.heappop(heap)
+        t, _, subtype = heapq.heappop(heap)
         if t > HANDSHAKE_TIMEOUT_US:
             break
-        if kind == "retry":
-            send(pending, t, up, "up")
-            sched(t + HANDSHAKE_RETRY_US, "retry")
-        elif kind == "up":
-            for data, at in up.advance_to(t):
-                subtype = decode_message(data)[1][0]
-                record(subtype, at)
-                reply = CTRL_OFFER if subtype == CTRL_DISCOVER else CTRL_READY
-                send(reply, at, down, "down")
-        else:
-            for data, at in down.advance_to(t):
-                subtype = decode_message(data)[1][0]
-                record(subtype, at)
-                if subtype == CTRL_OFFER and pending == CTRL_DISCOVER:
-                    pending = CTRL_DEPLOY
-                    send(CTRL_DEPLOY, at, up, "up")
-                elif subtype == CTRL_READY:
-                    ordered = tuple(sorted(steps_seen.values(), key=lambda s: s.received_at))
-                    return HandshakeTrace(ordered, at)
+        if subtype is None:
+            send(pending, t, up)
+            heapq.heappush(heap, (t + HANDSHAKE_RETRY_US, next(order), None))
+            continue
+        steps.setdefault(subtype, HandshakeStep(_CTRL_NAMES[subtype], first_sent[subtype], t))
+        if subtype in (CTRL_DISCOVER, CTRL_DEPLOY):  # at the node
+            send(CTRL_OFFER if subtype == CTRL_DISCOVER else CTRL_READY, t, down)
+        elif subtype == CTRL_READY:
+            return HandshakeTrace(tuple(steps.values()), t)
+        elif pending == CTRL_DISCOVER:  # the first OFFER
+            pending = CTRL_DEPLOY
+            send(CTRL_DEPLOY, t, up)
     raise HandshakeTimeout(f"no READY within {HANDSHAKE_TIMEOUT_US} us")
 
 
@@ -530,6 +512,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     topology = scenario_topology(cfg, node)
     trace = run_session(topology, cfg.ladder, cfg.duration, cfg.settings,
                         seed=cfg.seed, start_time=start)
+    if not any(trace.rtt_samples.values()):
+        raise NoPong(f"no PONG returned within the {cfg.duration} us run")
     report = build_report(trace, scenario_battery_gain(cfg))
     return ScenarioResult(report, trace, handshake, node)
 

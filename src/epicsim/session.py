@@ -73,7 +73,6 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import struct
 from dataclasses import dataclass
 
 from .adapt import (
@@ -87,7 +86,6 @@ from .adapt import (
 from .kpi import FrameCounts, LevelChange, RunTrace
 from .model import (
     CapacityError,
-    InputEvent,
     MIN_INTERVAL_US,
     NetworkProfile,
     NodeSpec,
@@ -119,7 +117,6 @@ DEVICE_NODE = NodeSpec(node_id=-1, pixel_throughput=200_000_000,
                        encode_throughput=250_000_000, max_sessions=16)
 DECODE_THROUGHPUT = 7_000_000_000  # a client's decode rate in pixels/second, unless set
 
-_F32 = struct.Struct(">f")
 _INPUT_BYTES = HEADER_LEN + INPUT_PAYLOAD_LEN  # wire size of an INPUT message
 
 
@@ -207,22 +204,6 @@ class SessionSettings:
             raise ValidationError("sync_payload_bytes must be non-negative")
         if not 0.1 <= self.scene_complexity < math.inf:
             raise ValidationError("scene_complexity must be finite and at least 0.1")
-
-
-def _f32(x: float) -> float:
-    return _F32.unpack(_F32.pack(x))[0]
-
-
-def synthetic_input(t: int, k: int) -> InputEvent:
-    """Deterministic pose: a slow walk around a 4-second circle (a run sends records, not poses)."""
-    theta = (t % 4_000_000) / 4_000_000 * 2.0 * math.pi
-    half = theta / 2.0
-    return InputEvent(
-        timestamp=t,
-        position=(_f32(math.cos(theta)), _f32(1.6), _f32(math.sin(theta))),
-        orientation=(0.0, _f32(math.sin(half)), 0.0, _f32(math.cos(half))),
-        buttons=1 if (k % 30) < 15 else 0,
-    )
 
 
 class _ClientState:

@@ -21,8 +21,11 @@ The codec and `Reassembler` are the normative format: the UDP loopback mode
 and the tests run real bytes through them.  The in-process simulator carries
 a frame as runs of its fragments' wire sizes (`fragment_runs`) and reads the
 frame's fate off their arrival times (`frame_outcome`); it carries a small
-message (input, probes, state sync) as a `(MsgType, session id, timestamp)`
-record of the message's encoded size, and encodes no message.
+message (input, probes, state sync, the deployment handshake's CONTROL) as a
+`(MsgType, session id, timestamp)` record of the message's encoded size, and
+encodes no message.  Each handshake delivery is one event that handles only
+its own message, which equals polling the path then: a path delivers in
+submission order, and a reply arrives after the message that triggered it.
 """
 
 from __future__ import annotations

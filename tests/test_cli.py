@@ -207,3 +207,39 @@ def test_live_probe_reports_an_unreachable_server_in_one_line(capsys):
     assert code == EXIT_FAILED
     err = capsys.readouterr().err
     assert err.startswith("live probe failed: ") and err.count("\n") == 1
+
+
+def test_live_echo_reports_a_taken_port_in_one_line(capsys):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+        assert main(["live-echo", "--port", str(port)]) == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("live echo failed: ") and err.count("\n") == 1
+
+
+def test_a_run_without_a_pong_fails_in_one_line(tmp_path, capsys):
+    # no probe survives 1.2 s of round trip within a 1 s run; no handshake fails first
+    doc = json.loads(json.dumps(_MASTER))
+    doc["duration"] = 1_000_000
+    for client in doc["clients"]:
+        client["paths"]["one_way_latency"] = 600_000
+    path = tmp_path / "no-pong.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    for argv in (["run"], ["loadtest", "--max-users", "2"]):
+        assert main([*argv, "--scenario", str(path)]) == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: no PONG returned") and err.count("\n") == 1
+
+
+def test_a_handshake_timeout_fails_in_one_line(mini_scenario, capsys):
+    doc = json.loads(mini_scenario.read_text())
+    doc["clients"][0]["paths"]["1"]["loss_rate"] = 1.0
+    mini_scenario.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(mini_scenario)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(mini_scenario)]) == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err == "deployment failed: no READY within 2000000 us\n"

@@ -1,14 +1,20 @@
 import copy
+import heapq
 import json
+import random
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_handshake
+from epicsim import netem
 from epicsim.adapt import ControllerConfig
-from epicsim.model import CapacityError, NetworkProfile, NodeSpec, PowerProfile, ValidationError
+from epicsim.model import CapacityError, NetworkProfile, NodeSpec, PowerProfile, ValidationError, ceil_div
 from epicsim.orchestrator import (
     EDGE_HOSTED,
+    HANDSHAKE_RETRY_US,
     Budgets,
     HandshakeTimeout,
     ScenarioConfig,
@@ -308,6 +314,66 @@ def test_handshake_survives_moderate_loss_via_retries():
     trace = deploy_handshake(profile, seed=11)
     assert trace.steps[-1].name == "READY"
     assert trace.ready_time <= 2_000_000
+
+
+def _handshake_cases(n: int):
+    """Seeded (profile, seed) cases: loss 0-1, jitter 0-300 ms, 2 kb/s to 1 Tb/s;
+    half the latencies put deliveries on retry ticks, such as 124,999 us at 1 Tb/s."""
+    rng = random.Random(12)
+    for _ in range(n):
+        bandwidth = int(10 ** rng.uniform(3.31, 12))
+        tx = ceil_div(25 * 8 * 1_000_000, bandwidth)  # a CONTROL message is 25 B
+        if rng.random() < 0.5:
+            latency = max(0, HANDSHAKE_RETRY_US * rng.randint(1, 4) // rng.randint(1, 4) - tx * rng.randint(0, 2))
+        else:
+            latency = rng.randint(0, 600_000)
+        profile = NetworkProfile(one_way_latency=latency, jitter=rng.choice((0, rng.randint(0, 300_000))),
+                                 loss_rate=rng.choice((0.0, rng.random(), 1.0)), bandwidth=bandwidth)
+        yield profile, rng.getrandbits(32)
+
+
+def _handshake_outcome(handshake, profile, seed):
+    try:
+        trace = handshake(profile, seed)
+    except HandshakeTimeout:
+        return "timeout"
+    return trace.steps, trace.ready_time
+
+
+def test_handshake_matches_the_byte_level_reference(monkeypatch):
+    """Records with one event per delivery give the steps and ready time of
+    the byte-level handshake that polls each path, or both time out."""
+    log = []
+
+    class PolledPath(netem.Path):
+        __slots__ = ()
+
+        def advance_to(self, t):
+            delivered = super().advance_to(t)
+            log.append(("poll", t, len(delivered)))
+            return delivered
+
+    def popped(heap):
+        event = heapq.heappop(heap)
+        log.append(("pop", event[0], event[2]))
+        return event
+
+    # the reference's own event log: each event it pops, each poll and what it delivered
+    monkeypatch.setattr(reference_handshake, "Path", PolledPath)
+    monkeypatch.setattr(reference_handshake, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=popped))
+    timeouts = retry_ties = two_delivery_polls = 0
+    for profile, seed in _handshake_cases(2_000):
+        log.clear()
+        expected = _handshake_outcome(reference_handshake.reference_handshake, profile, seed)
+        assert _handshake_outcome(deploy_handshake, profile, seed) == expected, (profile, seed)
+        timeouts += expected == "timeout"
+        retries = {t for kind, t, what in log if kind == "pop" and what == "retry"}
+        retry_ties += any(kind == "pop" and what != "retry" and t in retries for kind, t, what in log)
+        # every poll happens at the arrival of an event's message, so all it delivers arrived then
+        two_delivery_polls += any(kind == "poll" and count > 1 for kind, _, count in log)
+    # the sample holds both outcomes and both orders that one event per message could change
+    assert 0 < timeouts < 2_000
+    assert retry_ties >= 20 and two_delivery_polls >= 20
 
 
 # -- scenario runs ---------------------------------------------------------------

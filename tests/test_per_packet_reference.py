@@ -10,7 +10,7 @@ same events in the same order, including jittery paths where a whole frame
 arrives at the clamped arrival of an earlier packet.
 
 `_WireMessages` runs the small messages the same way: input, PING/PONG and
-state sync are encoded on the wire format, with `synthetic_input` poses and
+state sync are encoded on the wire format, with one fixed pose and
 per-sender sequence numbers, and decoded on arrival.  Each input is also an
 "input" event whose message has its own "arrive" event, which sets the
 host's latest input for the next frame to read.  The production session
@@ -27,7 +27,7 @@ import pytest
 
 from capture_goldens import apply_overrides
 from epicsim import netem, orchestrator, session
-from epicsim.model import NetworkProfile, NodeSpec, QualityLevel, frame_bytes
+from epicsim.model import InputEvent, NetworkProfile, NodeSpec, QualityLevel, frame_bytes
 from epicsim.netem import Drop
 from epicsim.render import decode_time_us
 from epicsim.transport import (
@@ -43,6 +43,8 @@ from epicsim.transport import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# the payload of every encoded input: the oracle reads only an input's header timestamp
+_POSE = InputEvent(0, (0.0, 1.6, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
 class _Logged(session._Simulation):
@@ -128,14 +130,14 @@ class _PerPacket(_Logged):
 
 class _WireMessages(_Logged):
     """Small messages as wire bytes, encoded on submit and decoded on arrival;
-    inputs as events, seen by a frame when their arrive event ran before it."""
+    inputs as events, seen by a frame when their arrive event ran before it.
+    Every input carries the fixed `_POSE`: no run reads a pose."""
 
     _HANDLERS = {**session._Simulation._HANDLERS, "input": "_on_input"}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.sequences = {}
-        self.inputs_sent = dict.fromkeys(self.clients, 0)
         self.host_input_origin = dict.fromkeys(self.clients)
 
     def run(self):
@@ -170,9 +172,7 @@ class _WireMessages(_Logged):
         return encode_message(WireHeader(msg_type, cid, sequence, t), payload)
 
     def _on_input(self, t, cid):
-        pose = session.synthetic_input(t, self.inputs_sent[cid])
-        self.inputs_sent[cid] += 1
-        self._submit(self.up_data[cid], self._encode("c", MsgType.INPUT, cid, t, encode_input_payload(pose)), t)
+        self._submit(self.up_data[cid], self._encode("c", MsgType.INPUT, cid, t, encode_input_payload(_POSE)), t)
         if t + self.settings.tick_us <= self.end:
             self.push(t + self.settings.tick_us, "input", cid)
 
@@ -321,7 +321,7 @@ def test_each_record_has_the_wire_size_of_its_message(monkeypatch):
     monkeypatch.setattr(netem.Path, "submit_series", recording_series)
     doc = orchestrator.load_scenario(str(SCENARIOS / "shared-egress.json")).raw
     orchestrator.run_scenario(orchestrator.parse_scenario(dict(doc, state_sync_bytes=300)))
-    payloads = {MsgType.INPUT: encode_input_payload(session.synthetic_input(0, 0)),
+    payloads = {MsgType.INPUT: encode_input_payload(_POSE), MsgType.CONTROL: bytes(1),
                 MsgType.PING: b"", MsgType.PONG: b"", MsgType.STATE_SYNC: bytes(300)}
     assert sizes == {kind: {len(encode_message(WireHeader(kind, 0, 0, 0), payload))}
                      for kind, payload in payloads.items()}

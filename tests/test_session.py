@@ -18,7 +18,6 @@ from epicsim.session import (
     SessionTopology,
     compare_topologies,
     run_session,
-    synthetic_input,
 )
 
 EDGE_NODE = NodeSpec(node_id=1, pixel_throughput=5_000_000_000, encode_throughput=4_000_000_000)
@@ -198,13 +197,6 @@ def test_prerender_hides_render_time_in_motion_to_photon():
     m2p_base = sorted(base.all_m2p())[len(base.all_m2p()) // 2]
     m2p_ahead = sorted(ahead.all_m2p())[len(ahead.all_m2p()) // 2]
     assert m2p_ahead == m2p_base - 415  # the modeled render time at L0 on this node
-
-
-def test_synthetic_input_is_deterministic_and_valid():
-    a = synthetic_input(123_456, 9)
-    b = synthetic_input(123_456, 9)
-    assert a == b
-    assert abs(sum(c * c for c in a.orientation) - 1.0) <= 1e-3
 
 
 def test_input_drives_motion_to_photon():
