@@ -14,8 +14,8 @@ from fractions import Fraction
 RTT_TARGET_US = 7_000
 BANDWIDTH_TARGET_BPS = 700_000_000
 BATTERY_GAIN_TARGET_PCT = 30.0
-# the shortest input tick, ping, sync or controller window: each costs the
-# event loop at least one event, so a shorter one makes a run crawl
+# the shortest input tick, ping, sync or controller window: each step of one costs
+# a run an event or a datagram of a netem series, so a shorter one makes a run crawl
 MIN_INTERVAL_US = 100
 
 

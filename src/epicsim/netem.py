@@ -25,7 +25,9 @@ as its size.  Every datagram is 1 B to the MTU.  A burst or a series makes
 the same decisions, in the same order, and leaves the same state as one
 `submit` per datagram.  `Path.advance_to` pops and lists what has arrived;
 `Path.forget_to` pops and counts it, for a caller that never reads its
-deliveries.
+deliveries.  No code in `src` calls `advance_to`: a run reads each delivery
+time off its submission, and only the tests, their reference oracles and the
+benchmark's tracer and micro cases poll a path.
 
 In-flight datagrams are kept as runs.  `_serializing` holds runs
 `(first_end, tx, count, size)`: `count` datagrams of `size` bytes whose

@@ -6,12 +6,12 @@ and probe RTT with PING/PONG pairs; the host renders each client's stream at
 the current quality level's frame rate, encodes, fragments, and streams the
 frames downstream, broadcasting a small state-sync message periodically.
 
-No message is encoded.  A PING, PONG or state sync is a `(MsgType, client_id,
-timestamp)` record submitted with its wire size, and each delivery is an
-event.  A frame is carried as runs of its fragments' wire sizes, submitted to
-its path as one burst, and resolved by one event: the frame's completion or
-abandonment, computed from the fragments' arrival times.  No frame bytes are
-generated.
+No message is encoded, and none is an event.  A state sync is a datagram of
+its wire size, sent to each frame path as one burst with one datagram per
+client on it; nothing reads its arrival.  A frame is carried as runs of its
+fragments' wire sizes, submitted to its path as one burst, and resolved by
+one event: the frame's completion or abandonment, computed from the
+fragments' arrival times.  No frame bytes are generated.
 
 Inputs are neither records nor events.  The host reads an input for one thing:
 when a frame starts, the send time of the latest input it holds becomes the
@@ -36,6 +36,26 @@ event at T, the input event at T was pushed at `T - tick` and the frame event
 at `prev`: the bool is true if `T - tick < prev`, false if `T - tick > prev`,
 and keeps its value at `prev` if they are equal.
 
+Probes are not events either.  A client sends its PINGs at `start + k *
+ping_interval` on its `up_probe` path, and each is echoed at its arrival as
+a PONG on its `down_probe` path.  These paths, built from the client's
+profile, carry nothing else and never take a bandwidth step: a measurement
+slice on which probes meet propagation and their own serialization, not the
+frame bursts.  So each controller window at W, one every w us, submits the
+PINGs sent by W as a series (the end of the run, those sent by the end);
+their PONGs follow as a series when the arrivals step by the interval, one
+by one otherwise.  The window applies the samples of the PONGs arriving
+before W and keeps the rest.  The PONGs arriving at W are applied as in an
+event loop in which each PING and each delivery is an event: if the first
+one's arrive event, pushed by its PING's arrive event at P, was pushed
+before this window, pushed by the one at `W - w`.  With S the send time of
+the first PING arriving at P, that is when `P < W - w`, or
+`P == W - w != start + w` and (`S < P - w`, or `S == P - w` and
+`ping_interval > w`): the run pushes the window at `start + w` first, a
+PING arrives after `start`, the arrive event at P is pushed at S, the PING
+event at S at `S - ping_interval` and the window at S at `S - w`, and at
+equal intervals the window leads from `start + w` on.
+
 Two topologies are supported.  In edge_hosted mode the render host is an
 edge node and every client gets an independent emulated path.  In
 client_hosted mode (the classic master-server baseline) the first user's
@@ -44,11 +64,6 @@ serialize on the one master uplink path, which is exactly the mechanism that
 starves receivers when the uplink is thin.  The master never adapts and shows
 each frame it renders one render time after the frame starts, so its frames
 are counted in closed form, outside the event loop.
-
-Probe traffic (PING/PONG) runs on its own path instances built from the same
-profile as the data paths, modeling a measurement slice with guaranteed
-bandwidth: RTT probes observe propagation and their own serialization, not
-head-of-line blocking behind frame bursts.
 
 Frame accounting is done by the harness, which sees both ends.  Each client
 keeps one map of the frames it was sent that are neither delivered nor
@@ -213,6 +228,7 @@ class _ClientState:
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
         "inputs", "input_bounds", "input_cursor", "input_origin", "input_first", "last_frame", "decode_us",
+        "pings", "pongs", "ping_group",
     )
 
     def __init__(self, spec: ClientSpec, ladder, start_level: int, start: int):
@@ -240,6 +256,10 @@ class _ClientState:
         self.input_origin: int | None = None  # send time of the latest input seen
         self.input_first = True               # the input event at last_frame ran first
         self.last_frame = start               # time of the latest frame event
+        # the probe stream (module docstring), with S and P as the tie rule names them
+        self.pings = 0                        # PINGs submitted
+        self.pongs: list[tuple[int, int, int, int]] = []  # each PONG not yet read: arrival, sent, P, S
+        self.ping_group = (-1, -1)            # the latest P, and its S
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,6 +323,8 @@ class _Simulation:
         # push order of the submission that first reached each frame path's last_arrival
         self.arrival_seq = {id(r.path): 0 for r in self.paths if r.kind == "frames"}
         self.sync_bytes = HEADER_LEN + settings.sync_payload_bytes
+        self.syncs = [(r.path, ((self.sync_bytes, len(self.clients) if r.owner is None else 1),))
+                      for r in self.paths if r.kind == "frames"]  # one datagram per client on the path
         for path in self.down_frames.values():
             if self.sync_bytes > path.profile.mtu:
                 raise ValidationError("sync payload does not fit the downstream MTU")
@@ -354,12 +376,6 @@ class _Simulation:
         self._seq += 1
         heapq.heappush(self.heap, (t, self._seq, kind, args))
 
-    def _submit(self, path: Path, record, t: int, size: int | None = None) -> None:
-        """Submit a small message of `size` wire bytes; its delivery is an "arrive" event."""
-        result = path.submit(record, t, size)
-        if isinstance(result, int):
-            self.push(result, "arrive", path)
-
     # -- client-side streams ----------------------------------------------
 
     def _admit_inputs(self, cid: int):
@@ -395,11 +411,43 @@ class _Simulation:
         st.last_frame = t
         return st.input_origin
 
-    def _on_ping(self, t: int, cid: int):
-        self._submit(self.up_probe[cid], (MsgType.PING, cid, t), t, HEADER_LEN)
-        nxt = t + self.settings.ping_interval_us
-        if nxt <= self.end:
-            self.push(nxt, "ping", cid)
+    def _admit_probes(self, cid: int, t: int):
+        """Submit the client's PINGs sent by `t`, and the PONG of each that arrives by the end."""
+        st, interval, end = self.clients[cid], self.settings.ping_interval_us, self.end
+        up, down = self.up_probe[cid], self.down_probe[cid]
+        k, st.pings = st.pings, (t - self.start) // interval + 1
+        first = self.start + k * interval
+        pinged, (group_at, group_sent) = [], st.ping_group
+        for i, at in enumerate(up.submit_series(HEADER_LEN, first, interval, st.pings - k)):
+            if at.__class__ is int and at <= end:
+                if at != group_at:
+                    group_at, group_sent = at, first + i * interval
+                pinged.append((first + i * interval, at, group_sent))
+        st.ping_group = (group_at, group_sent)
+        n, arrival = len(pinged), pinged[0][1] if pinged else 0
+        if n and [at for _, at, _ in pinged] == list(range(arrival, arrival + n * interval, interval)):
+            pongs = down.submit_series(HEADER_LEN, arrival, interval, n)
+        else:
+            pongs = [down.submit((MsgType.PONG, cid, sent), at, HEADER_LEN) for sent, at, _ in pinged]
+        st.pongs += [(pong, *ping) for pong, ping in zip(pongs, pinged) if pong.__class__ is int and pong <= end]
+        up.forget_to(t)  # nothing reads a delivery
+        down.forget_to(t)
+
+    def _read_pongs(self, st: _ClientState, t: int):
+        """Apply the RTT samples of the PONGs that the window at `t` sees, by the module docstring's tie rule."""
+        pongs, k, n, seen = st.pongs, 0, len(st.pongs), t - 1  # the latest arrival seen
+        w, interval = self.settings.controller.window_us, self.settings.ping_interval_us
+        while k < n:
+            at, sent, pinged, group_sent = pongs[k]
+            if at > seen:  # the first PONG arriving at t decides for all of them
+                if at != t or not (pinged < t - w or pinged == t - w != self.start + w and (
+                        group_sent < pinged - w or group_sent == pinged - w and interval > w)):
+                    break
+                seen = t
+            st.estimator.update(at - sent)
+            st.rtt.append(at - sent)
+            k += 1
+        del pongs[:k]
 
     # -- host-side frame pipeline ------------------------------------------
 
@@ -449,9 +497,9 @@ class _Simulation:
                          len(arrivals), lost + cut, outcome, end)
 
     def _on_sync(self, t: int):
-        for cid, path in self.down_frames.items():
+        for path, runs in self.syncs:
             before = path.last_arrival
-            path.submit((MsgType.STATE_SYNC, cid, t), t, self.sync_bytes)  # nothing reads its arrival
+            path.submit_burst(runs, t)  # nothing reads its arrival
             if path.last_arrival != before:
                 self._seq += 1
                 self.arrival_seq[id(path)] = self._seq
@@ -460,16 +508,6 @@ class _Simulation:
             self.push(nxt, "sync")
 
     # -- arrivals ------------------------------------------------------------
-
-    def _on_arrive(self, t: int, path: Path):
-        for (msg_type, cid, stamp), at in path.advance_to(t):
-            if msg_type is MsgType.PING:  # the PONG echoes the PING's timestamp
-                self._submit(self.down_probe[cid], (MsgType.PONG, cid, stamp), at, HEADER_LEN)
-            elif msg_type is MsgType.PONG:
-                st = self.clients[cid]
-                sample = at - stamp
-                st.estimator.update(sample)
-                st.rtt.append(sample)
 
     def _on_outcome(self, t: int, _seq: int, cid: int, fid: int, level_idx: int, completed: bool):
         st = self.clients[cid]
@@ -512,6 +550,8 @@ class _Simulation:
         cfg, trace = self.settings.controller, self.trace
         window_index = len(trace.queue_drop_timeline)
         for cid, st in self.clients.items():
+            self._admit_probes(cid, t)
+            self._read_pongs(st, t)
             resolved = st.window_delivered + st.window_dropped
             stats = WindowStats(
                 window_index=window_index,
@@ -553,15 +593,13 @@ class _Simulation:
     # -- main loop ----------------------------------------------------------
 
     _HANDLERS = {
-        "ping": "_on_ping", "frame": "_on_frame",
-        "ready": "_on_ready", "arrive": "_on_arrive", "outcome": "_on_outcome", "present": "_on_present",
+        "frame": "_on_frame", "ready": "_on_ready", "outcome": "_on_outcome", "present": "_on_present",
         "sync": "_on_sync", "window": "_on_window", "bwstep": "_on_bwstep",
     }
 
     def run(self) -> RunTrace:
         for cid in self.clients:
             self._admit_inputs(cid)
-            self.push(self.start, "ping", cid)
             self.push(self.start, "frame", cid)
         self.push(self.start, "sync")
         self.push(self.start + self.settings.controller.window_us, "window")
@@ -573,9 +611,11 @@ class _Simulation:
         while heap and heap[0][0] <= end:
             t, _, kind, args = heapq.heappop(heap)
             handlers[kind](t, *args)
+        for cid, st in self.clients.items():
+            self._admit_probes(cid, end)
+            self._read_pongs(st, end + 1)  # every PONG kept arrives by the end
         for r in self.paths:
-            if r.kind != "probe":
-                r.path.forget_to(self.end)  # count the deliveries no event polled
+            r.path.forget_to(end)  # count the deliveries no event polled
         return self._build_trace()
 
     def _build_trace(self) -> RunTrace:

@@ -17,6 +17,7 @@ from epicsim.orchestrator import (
     HANDSHAKE_RETRY_US,
     Budgets,
     HandshakeTimeout,
+    NoPong,
     ScenarioConfig,
     deploy_handshake,
     load_scenario,
@@ -206,8 +207,8 @@ _LEAVES = [(name, path) for name in _SHIPPED for path in _numeric_leaves(name)]
 
 def _validate_then_run(name, mutations):
     """Whatever `epicsim validate` accepts of a 1 s mutant of a shipped
-    scenario, `run` accepts too; a handshake that times out is a deployment
-    failure, not a malformed scenario."""
+    scenario, `run` accepts too; a handshake that times out and a run in
+    which no PONG returns are run failures, not a malformed scenario."""
     doc = copy.deepcopy(_SHIPPED[name])
     doc["duration"] = 1_000_000
     for path, value in mutations:
@@ -223,7 +224,7 @@ def _validate_then_run(name, mutations):
         return
     try:
         run_scenario(cfg)
-    except HandshakeTimeout:
+    except (HandshakeTimeout, NoPong):
         pass
     except (ValidationError, CapacityError) as exc:
         pytest.fail(f"{name} with {mutations} validates but does not run: {exc}")
@@ -233,6 +234,10 @@ def test_every_single_leaf_mutant_that_validates_runs():
     for name, path in _LEAVES:
         for value in _MUTANTS:
             _validate_then_run(name, [(path, value)])
+
+
+def test_a_mutant_that_loses_every_probe_is_a_run_failure():
+    _validate_then_run("master-server.json", [(("clients", i, "paths", "loss_rate"), 1) for i in (1, 2, 3)])
 
 
 @settings(max_examples=200, deadline=None)

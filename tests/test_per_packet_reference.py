@@ -11,12 +11,13 @@ arrives at the clamped arrival of an earlier packet.
 
 `_WireMessages` runs the small messages the same way: input, PING/PONG and
 state sync are encoded on the wire format, with one fixed pose and
-per-sender sequence numbers, and decoded on arrival.  Each input is also an
-"input" event whose message has its own "arrive" event, which sets the
-host's latest input for the next frame to read.  The production session
-carries PING/PONG and state sync as `(MsgType, client_id, timestamp)`
-records of their wire size, and admits each client's inputs as one netem
-series that a frame reads when it starts.
+per-sender sequence numbers, and decoded on arrival.  Each input and each
+PING is also an event whose message has its own "arrive" event: an input's
+sets the host's latest input for the next frame to read, a PING's submits
+the PONG, and a PONG's applies the RTT sample.  The production session sends
+each state sync as one burst per frame path, admits each client's inputs as
+one netem series that a frame reads when it starts, and its PINGs and PONGs
+as series, window by window, whose samples each window reads with a cursor.
 """
 
 import heapq
@@ -33,6 +34,7 @@ from epicsim.render import decode_time_us
 from epicsim.transport import (
     MsgType,
     Reassembler,
+    RttEstimator,
     WireHeader,
     decode_fragment,
     decode_message,
@@ -54,7 +56,8 @@ class _Logged(session._Simulation):
         super().__init__(*args, **kwargs)
         self.log = []
         self.frame_path_ids = {id(path) for path in self.down_frames.values()}
-        self.polled_path_ids = self.frame_path_ids | {id(path) for path in self.up_data.values()}
+        self.polled_path_ids = self.frame_path_ids | {
+            id(path) for paths in (self.up_data, self.up_probe, self.down_probe) for path in paths.values()}
         self.path_names = {id(r.path): r.name for r in self.paths}
 
     def _drop_frame(self, cid, fid, reason):
@@ -68,14 +71,16 @@ class _Logged(session._Simulation):
         super().push(t, kind, *args)
 
     def handled(self, t, kind, args):
-        if kind in ("outcome", "input") or (
+        if kind in ("outcome", "input", "ping") or (
                 kind == "arrive" and id(args[0]) in self.polled_path_ids):
-            return  # deliveries of frames and inputs: production has one event per frame and none per input
+            return  # production has one event per frame and none per input or probe
         self.log.append((t, kind, *(self.path_names.get(id(a), a) for a in args)))
 
 
 class _PerPacket(_Logged):
     """Per-fragment submissions and arrive events, reassembly by Reassembler."""
+
+    _HANDLERS = {**session._Simulation._HANDLERS, "arrive": "_on_arrive"}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -98,14 +103,13 @@ class _PerPacket(_Logged):
     def _on_sync(self, t):
         payload = bytes(self.settings.sync_payload_bytes)
         for cid, path in self.down_frames.items():
-            header = WireHeader(MsgType.STATE_SYNC, cid, 0, t)
-            self._submit(path, encode_message(header, payload), t)
+            result = path.submit(encode_message(WireHeader(MsgType.STATE_SYNC, cid, 0, t), payload), t)
+            if isinstance(result, int):
+                self.push(result, "arrive", path)
         if t + self.settings.sync_interval_us <= self.end:
             self.push(t + self.settings.sync_interval_us, "sync")
 
     def _on_arrive(self, t, path):
-        if id(path) not in self.frame_path_ids:
-            return super()._on_arrive(t, path)
         for data, at in path.advance_to(t):
             header, payload = decode_message(data)
             if header.msg_type != MsgType.FRAME_FRAG:
@@ -130,10 +134,12 @@ class _PerPacket(_Logged):
 
 class _WireMessages(_Logged):
     """Small messages as wire bytes, encoded on submit and decoded on arrival;
-    inputs as events, seen by a frame when their arrive event ran before it.
-    Every input carries the fixed `_POSE`: no run reads a pose."""
+    inputs and PINGs as events, and each delivery an "arrive" event, so that
+    a frame sees an input, and a window an RTT sample, when its arrive event
+    ran first.  Every input carries the fixed `_POSE`: no run reads a pose."""
 
-    _HANDLERS = {**session._Simulation._HANDLERS, "input": "_on_input"}
+    _HANDLERS = {**session._Simulation._HANDLERS,
+                 "input": "_on_input", "ping": "_on_ping", "arrive": "_on_arrive"}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -141,7 +147,7 @@ class _WireMessages(_Logged):
         self.host_input_origin = dict.fromkeys(self.clients)
 
     def run(self):
-        """The event loop with one "input" event per client and tick, pushed before its ping."""
+        """The event loop with one "input" and one "ping" event per client and interval."""
         for cid in self.clients:
             self.push(self.start, "input", cid)
             self.push(self.start, "ping", cid)
@@ -163,6 +169,18 @@ class _WireMessages(_Logged):
 
     def _read_inputs(self, st, t):
         return self.host_input_origin[st.spec.client_id]
+
+    def _admit_probes(self, cid, t):
+        pass  # each "ping" event submits its own
+
+    def _read_pongs(self, st, t):
+        pass  # each PONG's arrive event applies its sample
+
+    def _submit(self, path, data, t):
+        """Submit one message; its delivery is an "arrive" event."""
+        result = path.submit(data, t)
+        if isinstance(result, int):
+            self.push(result, "arrive", path)
 
     def _encode(self, side, msg_type, cid, t, payload=b""):
         """One message, numbered per sender side, session and type."""
@@ -304,20 +322,40 @@ def test_message_records_match_the_wire_byte_path(case, seed, monkeypatch):
 
 
 def test_each_record_has_the_wire_size_of_its_message(monkeypatch):
-    """Records go through `Path.submit`; the input stream, the only series, through `submit_series`."""
-    sizes = {}
-    submit, submit_series = netem.Path.submit, netem.Path.submit_series
+    """Handshake records go through `Path.submit`; each state sync is one `submit_burst` per frame
+    path; inputs, PINGs and PONGs are series on the input, up-probe and down-probe paths."""
+    sizes, series_kinds, syncing = {}, {}, []
+    submit, submit_burst, submit_series = netem.Path.submit, netem.Path.submit_burst, netem.Path.submit_series
+
+    class Recording(session._Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            for kind, paths in ((MsgType.INPUT, self.up_data), (MsgType.PING, self.up_probe),
+                                (MsgType.PONG, self.down_probe)):
+                series_kinds.update(dict.fromkeys(map(id, paths.values()), kind))
+
+        def _on_sync(self, t):
+            syncing.append(t)
+            super()._on_sync(t)
+            syncing.pop()
 
     def recording(path, data, now, size=None):
         if size is not None:
             sizes.setdefault(data[0], set()).add(size)
         return submit(path, data, now, size)
 
+    def recording_burst(path, runs, now):
+        if syncing:
+            sizes.setdefault(MsgType.STATE_SYNC, set()).update(size for size, _ in runs)
+        return submit_burst(path, runs, now)
+
     def recording_series(path, size, first, step, count):
-        sizes.setdefault(MsgType.INPUT, set()).add(size)
+        sizes.setdefault(series_kinds[id(path)], set()).add(size)
         return submit_series(path, size, first, step, count)
 
+    monkeypatch.setattr(session, "_Simulation", Recording)
     monkeypatch.setattr(netem.Path, "submit", recording)
+    monkeypatch.setattr(netem.Path, "submit_burst", recording_burst)
     monkeypatch.setattr(netem.Path, "submit_series", recording_series)
     doc = orchestrator.load_scenario(str(SCENARIOS / "shared-egress.json")).raw
     orchestrator.run_scenario(orchestrator.parse_scenario(dict(doc, state_sync_bytes=300)))
@@ -427,3 +465,104 @@ def test_inputs_arriving_as_a_frame_starts_match_input_events(monkeypatch):
         ref_trace, ref_log = _run_logged(lambda: session.run_session(*args), _WireMessages, monkeypatch)
         assert trace == ref_trace, case
         assert log == ref_log, case
+
+
+# 24 B probes take 1 us to serialize at 192 Mb/s, so a PONG arrives 2 * (latency + 1) after its PING is sent
+_PONG_BANDWIDTH = 192_000_000
+_PONG_LINKS = {"plain": {}, "jittery": {"jitter": 2}, "lossy": {"loss_rate": 0.1}}
+_PONG_CASES = [(window, interval, rtt, link, start)
+               for window in (1_000, 2_000, 5_000, 10_000)
+               for interval in (1_000, 2_000, 3_000, 5_000)
+               for rtt in sorted({m * window + d * interval for m in (1, 2, 3) for d in (-1, 0, 1)})
+               if rtt > 0
+               for link in _PONG_LINKS
+               for start in (0, 700)]
+
+
+def _pong_case(window, interval, rtt, link, start):
+    """One client whose PONGs come back `rtt` after their PINGs, on window microseconds.
+
+    With the round trip a whole number of windows, plus or minus one ping
+    interval, the PONGs of many PINGs arrive at a window event's exact
+    microsecond, and their PINGs arrive before, at and after the window
+    event one window earlier.
+    """
+    profile = NetworkProfile(one_way_latency=rtt // 2 - 1, bandwidth=_PONG_BANDWIDTH, **_PONG_LINKS[link])
+    topology = session.SessionTopology("edge_hosted", (session.ClientSpec(0, profile),),
+                                       host_node=NodeSpec(1, 5_000_000_000, 4_000_000_000))
+    settings = session.SessionSettings(ping_interval_us=interval,
+                                       controller=session.ControllerConfig(window_us=window))
+    return topology, (QualityLevel(0, 96, 64, 24, 0.8),), 1_000_000, settings, 5, start
+
+
+def _run_reading_srtt(args, cls, monkeypatch):
+    """`run_session(*args)` with `cls`; returns its trace, its handled-event log, and each RTT
+    sample applied and each srtt a window read, in the order they happened."""
+    reads, detect, update = [], session.detect_bottleneck, RttEstimator.update
+
+    def detecting(stats, *rest):
+        reads.append(("srtt", stats.srtt))
+        return detect(stats, *rest)
+
+    def updating(estimator, sample):
+        reads.append(("sample", sample))
+        return update(estimator, sample)
+
+    with monkeypatch.context() as m:
+        m.setattr(session, "detect_bottleneck", detecting)
+        m.setattr(RttEstimator, "update", updating)
+        trace, log = _run_logged(lambda: session.run_session(*args), cls, monkeypatch)
+    return trace, log, reads
+
+
+def test_pongs_arriving_as_a_window_reads_match_pong_events(monkeypatch):
+    """The PONG tie rule of the session docstring against PINGs and deliveries as events: each
+    window applies the same samples before it reads the srtt."""
+    for case in _PONG_CASES:
+        args = _pong_case(*case)
+        got = _run_reading_srtt(args, _Logged, monkeypatch)
+        assert got == _run_reading_srtt(args, _WireMessages, monkeypatch), case
+
+
+class _ScriptedJitter:
+    """A probe path's draws: no loss, and the jitter of the i-th datagram from `draws` (0 if absent)."""
+
+    def __init__(self, draws):
+        self.draws, self.count = draws, 0
+
+    def next_unit(self):
+        return 1.0
+
+    def next_below(self, bound):
+        self.count += 1
+        return self.draws.get(self.count - 1, 0)
+
+
+def test_a_pong_group_is_ordered_by_the_first_ping_of_its_arrival(monkeypatch):
+    """The tie rule reads S off the first PING to arrive at P, not off the PONG's own PING.
+
+    PINGs go every 100 us and windows every 500 us.  The PING sent at 900 us
+    is delayed to 1,500 us, and the five after it are clamped to that
+    arrival.  The PONG of the one sent at 900 us arrives at 1,501 us, and the
+    next PONG is delayed to 2,000 us, the next window's microsecond; the
+    rest are clamped to it.  The first PONG arriving at 2,000 us belongs to
+    the PING sent at 1,000 us = P - w, but the arrive event that submitted it
+    was pushed at 900 us, before the window at 1,500 us, so the window at
+    2,000 us sees the group.
+    """
+    profile = NetworkProfile(one_way_latency=0, jitter=600, bandwidth=_PONG_BANDWIDTH)
+    topology = session.SessionTopology("edge_hosted", (session.ClientSpec(0, profile),),
+                                       host_node=NodeSpec(1, 5_000_000_000, 4_000_000_000))
+    settings = session.SessionSettings(ping_interval_us=100, controller=session.ControllerConfig(window_us=500))
+    args = topology, (QualityLevel(0, 96, 64, 24, 0.8),), 1_000_000, settings, 5, 0
+    runs = []
+    for cls in (_Logged, _WireMessages):
+        class Scripted(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.up_probe[0].rng = _ScriptedJitter({9: 599})
+                self.down_probe[0].rng = _ScriptedJitter({10: 498})
+        runs.append(_run_reading_srtt(args, Scripted, monkeypatch))
+    assert runs[0] == runs[1]
+    reads = runs[0][2]
+    assert reads.index(("sample", 2_000 - 1_000)) < [i for i, read in enumerate(reads) if read[0] == "srtt"][3]

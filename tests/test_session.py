@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from epicsim import session
 from epicsim.kpi import FrameCounts, build_report
 from epicsim.model import (
     DEFAULT_LADDER,
@@ -230,3 +231,29 @@ def test_scene_complexity_floor_is_a_settings_check():
 def test_settings_reject_a_negative_sync_and_a_non_finite_complexity(field):
     with pytest.raises(ValidationError, match=next(iter(field))):
         SessionSettings(**field)
+
+
+@pytest.mark.parametrize("profile", [NOMINAL, NetworkProfile(one_way_latency=2_000, jitter=3_000, loss_rate=0.05,
+                                                             bandwidth=700_000_000, mtu=1400)])
+def test_probe_state_after_each_window_is_the_probes_in_flight(profile):
+    """Each window submits the PINGs sent by then, and keeps only the PONGs it has not yet applied."""
+    interval, window = 100, 250_000
+    one_way = profile.one_way_latency + profile.jitter + 1  # the longest, with 1 us for a 24 B probe
+    checked = []
+
+    class Checked(session._Simulation):
+        def _on_window(self, t):
+            super()._on_window(t)
+            for cid, st in self.clients.items():
+                assert st.pings == (t - self.start) // interval + 1
+                assert all(sent <= t <= at for at, sent, *_ in st.pongs)
+                assert len(st.pongs) <= 2 * one_way // interval + 1
+                assert self.up_probe[cid].in_flight <= one_way // interval + 1
+                assert self.down_probe[cid].in_flight <= 2 * one_way // interval + 1
+            checked.append(t)
+
+    sim = Checked(_edge((ClientSpec(0, profile),)), DEFAULT_LADDER, 2_000_000,
+                  SessionSettings(ping_interval_us=interval), 3, 0)
+    trace = sim.run()
+    assert len(checked) == 2_000_000 // window
+    assert len(trace.rtt_samples[0]) > 0.8 * 2_000_000 // interval
