@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import orchestrator
 from .livenet import EchoServer, LiveEndpoint, ProbeLost, live_probe
@@ -129,10 +130,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_loadtest(args) -> int:
     cfg = orchestrator.load_scenario(args.scenario)
-    rtt_us = cfg.budgets.rtt_p95 if args.rtt_budget_ms is None else int(args.rtt_budget_ms * 1_000)
-    loss = cfg.budgets.loss if args.loss_budget is None else args.loss_budget
-    best = orchestrator.load_search(cfg, rtt_us, loss, args.max_users)
-    print(f"load_search: {best} users meet rtt_p95 <= {rtt_us / 1_000:g} ms and loss <= {loss:g}")
+    budgets = cfg.budgets
+    for flag, key, value in (("--rtt-budget-ms", "rtt_p95", args.rtt_budget_ms),
+                             ("--loss-budget", "loss", args.loss_budget)):
+        if value is not None:
+            try:
+                budgets = replace(budgets, **{key: int(value * 1_000) if key == "rtt_p95" else value})
+            except (ValidationError, ValueError, OverflowError) as exc:  # int() of nan or inf
+                raise ValidationError(f"{flag} {value:g}: {exc}") from None
+    best = orchestrator.load_search(cfg, budgets.rtt_p95, budgets.loss, args.max_users)
+    print(f"load_search: {best} users meet rtt_p95 <= {budgets.rtt_p95 / 1_000:g} ms and loss <= {budgets.loss:g}")
     return EXIT_OK
 
 

@@ -121,20 +121,19 @@ def build_report(trace: RunTrace, battery_gain: float) -> KpiReport:
 RunFn = Callable[[int], tuple[KpiReport, RunTrace]]
 
 
-def load_search(run: RunFn, rtt_budget_us: int, loss_budget: float, n_max: int) -> int:
-    """Largest user count meeting the latency and loss budgets.
-
-    Scans upward from one user; congestion under adaptive control need not be
-    monotone in N, so the first failing N ends the scan and defines the
-    result as N - 1 (0 if a single user already fails).
-    """
+def _first_failing(run: RunFn, n_max: int, fails: Callable[[KpiReport, RunTrace], bool]) -> int | None:
+    """The first N of 1..n_max whose run `fails`, or None; the scan stops there,
+    since congestion under adaptive control need not be monotone in N."""
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    for n in range(1, n_max + 1):
-        report, _ = run(n)
-        if not (report.rtt_p95 <= rtt_budget_us and report.loss_rate <= loss_budget):
-            return n - 1
-    return n_max
+    return next((n for n in range(1, n_max + 1) if fails(*run(n))), None)
+
+
+def load_search(run: RunFn, rtt_budget_us: int, loss_budget: float, n_max: int) -> int:
+    """Largest user count meeting the latency and loss budgets: one less than
+    the first failing N (0 if a single user already fails), or n_max."""
+    first = _first_failing(run, n_max, lambda r, _: not (r.rtt_p95 <= rtt_budget_us and r.loss_rate <= loss_budget))
+    return n_max if first is None else first - 1
 
 
 def queue_drops_growing(trace: RunTrace) -> bool:
@@ -152,10 +151,4 @@ def stress_search(run: RunFn, n_max: int) -> int | None:
     Congestion means frame loss above CONGESTION_LOSS or a queue-drop counter
     still growing in the final quarter of the run.
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be at least 1")
-    for n in range(1, n_max + 1):
-        report, trace = run(n)
-        if report.loss_rate > CONGESTION_LOSS or queue_drops_growing(trace):
-            return n
-    return None
+    return _first_failing(run, n_max, lambda r, trace: r.loss_rate > CONGESTION_LOSS or queue_drops_growing(trace))

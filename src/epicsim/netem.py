@@ -186,13 +186,15 @@ class Path:
         return list(range(arrival, self.last_arrival + 1, step))
 
     def _check(self, runs, now: int) -> int:
-        """Raise unless each datagram of `runs` is 1 B to the MTU and `now` has not regressed; returns their count."""
+        """Raise on a negative count, a datagram outside 1 B to the MTU or a regressed `now`; returns their count."""
         mtu, total = self.profile.mtu, 0
         for size, count in runs:
-            if count:
+            if count > 0:
                 if not 0 < size <= mtu:
                     raise ValidationError(f"packet of {size} B must be from 1 B to mtu {mtu}")
                 total += count
+            elif count:
+                raise ValidationError(f"a run of {count} datagrams: the count must be non-negative")
         if now < self._last_submit:
             raise ValidationError("submission time regressed")
         return total

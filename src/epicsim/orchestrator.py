@@ -96,6 +96,12 @@ class Budgets:
     rtt_p95: int = 7_000
     loss: float = 0.02
 
+    def __post_init__(self):
+        if self.rtt_p95 < 1:
+            raise ValidationError(f"rtt_p95 must be at least 1 us, not {self.rtt_p95}")
+        if not 0 <= self.loss <= 1:  # NaN fails it too
+            raise ValidationError(f"loss must be within [0, 1], not {self.loss}")
+
 
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
@@ -255,7 +261,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     duration = _number(doc, "duration", "scenario")
     if duration < 1_000_000:
         raise ValidationError("duration must be at least 1000000 us (1 s of simulated time)")
-    ladder = _ladder_from(doc["ladder"], "ladder") if doc.get("ladder") else DEFAULT_LADDER
+    ladder = _ladder_from(doc["ladder"], "ladder") if doc.get("ladder") is not None else DEFAULT_LADDER
 
     nodes = tuple(_read(NodeSpec, n, f"nodes[{i}]")
                   for i, n in enumerate(_array(doc.get("nodes", []), "nodes")))
@@ -297,16 +303,19 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         enabled = fields["adaptation"] = ctrl_doc["enabled"]
         if not isinstance(enabled, bool):
             raise ValidationError(f"controller.enabled must be true or false, not {enabled!r:.40}")
-    if doc.get("shared_egress"):
+    if doc.get("shared_egress") is not None:
         fields["shared_egress"] = _read(NetworkProfile, doc["shared_egress"], "shared_egress")
 
     steps = []
     for i, e in enumerate(_array(doc.get("events", []), "events")):
         at = f"events[{i}]"
         e = _object(e, at)
-        targets = _array(e["clients"], f"{at}.clients") if e.get("clients") else ()
-        ids = tuple(_to(int, x, f"{at}.clients[{j}]") for j, x in enumerate(targets))
-        step = _read(BandwidthStep, e, at, client_ids=ids or None)  # None steps every client
+        ids = e.get("clients")  # absent or null steps every client
+        if ids is not None:
+            ids = tuple(_to(int, x, f"{at}.clients[{j}]") for j, x in enumerate(_array(ids, f"{at}.clients")))
+            if not ids:
+                raise ValidationError(f"{at}.clients must list at least one client id")
+        step = _read(BandwidthStep, e, at, client_ids=ids)
         unknown = set(step.client_ids or ()) - client_ids
         if unknown:
             raise ValidationError(f"{at}: unknown client ids {sorted(unknown)}")
@@ -566,16 +575,10 @@ def sweep(cfg: ScenarioConfig, param: str, values: list) -> list[tuple[object, K
 
 
 def scale_clients(cfg: ScenarioConfig, n: int) -> ScenarioConfig:
-    """N-user variant: replicate the first client, derive the seed from (seed, N)."""
-    doc = copy.deepcopy(cfg.raw)
-    template = copy.deepcopy(doc["clients"][0])
-    doc["clients"] = []
-    for i in range(n):
-        entry = copy.deepcopy(template)
-        entry["id"] = i
-        doc["clients"].append(entry)
-    doc["seed"] = cfg.seed ^ n
-    return parse_scenario(doc)
+    """N-user variant: replicate the first client, derive the seed from (seed, N).
+    The document shares its parts with `cfg.raw`; `parse_scenario` copies what it keeps."""
+    template = cfg.raw["clients"][0]
+    return parse_scenario(dict(cfg.raw, seed=cfg.seed ^ n, clients=[dict(template, id=i) for i in range(n)]))
 
 
 def _search_runner(cfg: ScenarioConfig):
@@ -589,18 +592,11 @@ def _search_runner(cfg: ScenarioConfig):
     return run
 
 
-def load_search(cfg: ScenarioConfig, rtt_budget_us: int | None = None,
-                loss_budget: float | None = None, n_max: int = 16) -> int:
+def load_search(cfg: ScenarioConfig, rtt_budget_us: int, loss_budget: float, n_max: int) -> int:
     """Largest user count keeping rtt_p95 and frame loss within budget."""
-    budgets = cfg.budgets
-    return kpi.load_search(
-        _search_runner(cfg),
-        rtt_budget_us if rtt_budget_us is not None else budgets.rtt_p95,
-        loss_budget if loss_budget is not None else budgets.loss,
-        n_max,
-    )
+    return kpi.load_search(_search_runner(cfg), rtt_budget_us, loss_budget, n_max)
 
 
-def stress_search(cfg: ScenarioConfig, n_max: int = 16) -> int | None:
+def stress_search(cfg: ScenarioConfig, n_max: int) -> int | None:
     """Smallest user count that congests the network, or None if none up to n_max."""
     return kpi.stress_search(_search_runner(cfg), n_max)

@@ -17,8 +17,9 @@ Frame payloads ride FRAME_FRAG messages whose payload starts with an 8-byte
 sub-header (frame id u32, fragment index u16, fragment count u16) followed by
 the fragment's slice of the encoded frame.
 
-The codec and `Reassembler` are the normative format: the UDP loopback mode
-and the tests run real bytes through them.  The in-process simulator carries
+The codec and `Reassembler` are the normative format.  The UDP loopback mode
+sends bytes through the message codec only, and `Reassembler` runs only in
+the tests, demo 03 and perfbench.  The in-process simulator carries
 a frame as runs of its fragments' wire sizes (`fragment_runs`) and reads the
 frame's fate off their arrival times (`frame_outcome`); it carries a small
 message (input, probes, state sync, the deployment handshake's CONTROL) as a

@@ -114,6 +114,16 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
     # a client-hosted scenario needs a receiver besides its master
     ({"clients": _MASTER["clients"][:1], "topology": _MASTER["topology"]},
      "clients: a client_hosted scenario needs a receiver"),
+    # Budgets checks its own invariants
+    ({"budgets": {"loss": -1}}, "budgets: loss must be within [0, 1]"),
+    ({"budgets": {"rtt_p95": -5}}, "budgets: rtt_p95 must be at least 1 us"),
+    ({"budgets": {"loss": float("nan")}}, "budgets: loss must be within [0, 1]"),
+    ({"budgets": {"loss": 7}}, "budgets: loss must be within [0, 1]"),
+    # a present optional key is read even when it is falsy; only absent or null means the default
+    ({"ladder": []}, "ladder: ladder must have at least one level"),
+    ({"shared_egress": {}}, "shared_egress: missing required key"),
+    ({"events": [{"time": 0, "bandwidth": 100_000_000, "clients": []}]},
+     "events[0].clients must list at least one client id"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)
@@ -163,6 +173,18 @@ def test_loadtest_defaults_to_the_scenario_budgets(tmp_path, capsys):
     assert "load_search: 0 users meet rtt_p95 <= 0.1 ms and loss <= 0.02" in capsys.readouterr().out
     assert main(["loadtest", "--scenario", str(path), "--max-users", "4", "--rtt-budget-ms", "7"]) == EXIT_OK
     assert "load_search: 2 users meet rtt_p95 <= 7 ms and loss <= 0.02" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rtt-budget-ms", "nan"), ("--rtt-budget-ms", "inf"), ("--rtt-budget-ms", "-1"), ("--rtt-budget-ms", "0.0005"),
+    ("--loss-budget", "-1"), ("--loss-budget", "nan"), ("--loss-budget", "1.5"),
+])
+def test_loadtest_rejects_a_bad_budget_flag_in_one_line(capsys, flag, value):
+    scenario = str(SCENARIOS / "shared-egress.json")
+    assert main(["loadtest", "--scenario", scenario, "--max-users", "1", flag, value]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ") and captured.err.count("\n") == 1
 
 
 def test_console_entry_point_exists(mini_scenario):

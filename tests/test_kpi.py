@@ -151,6 +151,34 @@ def test_queue_growth_detector():
     assert queue_drops_growing(t)
 
 
+def test_each_search_runs_up_to_its_own_first_failure():
+    # over the latency budget from 4 users, congested from 7
+    calls = []
+
+    def run(n):
+        calls.append(n)
+        dropped = 30 * n if n >= 7 else 0
+        trace = _trace(rtt={0: [8_000 if n >= 4 else 4_000] * 100},
+                       frames=FrameCounts(sent=100 * n, delivered=100 * n - dropped, dropped=dropped))
+        return build_report(trace, 50.0), trace
+
+    assert load_search(run, 7_000, 0.02, n_max=16) == 3
+    assert calls == [1, 2, 3, 4]
+    calls.clear()
+    assert stress_search(run, n_max=16) == 7
+    assert calls == list(range(1, 8))
+    for search, clean in ((lambda: load_search(run, 7_000, 0.02, n_max=3), 3),
+                          (lambda: stress_search(run, n_max=3), None)):
+        calls.clear()
+        assert search() == clean
+        assert calls == [1, 2, 3]  # nothing fails, so every N up to n_max runs
+    for search in (lambda: load_search(run, 7_000, 0.02, n_max=0), lambda: stress_search(run, n_max=0)):
+        calls.clear()
+        with pytest.raises(ValidationError, match="n_max must be at least 1"):
+            search()
+        assert calls == []
+
+
 def test_searches_reproducible():
     run, _ = _mk_run(pass_up_to=6)
     first = (load_search(run, 7_000, 0.02, 16), stress_search(run, 16))

@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import heapq
 import json
 import random
+import re
 import types
 from pathlib import Path
 
@@ -123,6 +125,24 @@ def test_bandwidth_step_events_validated():
         parse_scenario(_nominal_doc(events=[step, dict(step, clients=[0, 99])]))
     with pytest.raises(ValidationError, match=r"events\[0\].*non-negative"):
         parse_scenario(_nominal_doc(events=[dict(step, time=-1)]))
+
+
+def _with_optional(key, *value):
+    """The nominal document with optional `key` set to `value`, or left out if no value is given."""
+    entry = dict(zip((key,), value))
+    if key == "clients":  # of a bandwidth step
+        return _nominal_doc(events=[{"time": 0, "bandwidth": 30_000_000, **entry}])
+    return _nominal_doc(**entry)
+
+
+@pytest.mark.parametrize("falsy", [[], 0, "", False, {}])
+@pytest.mark.parametrize("key, where", [("ladder", "ladder"), ("shared_egress", "shared_egress"),
+                                        ("clients", "events[0].clients")])
+def test_a_present_falsy_optional_key_is_read_and_null_is_absent(key, where, falsy):
+    with pytest.raises(ValidationError, match=re.escape(where)):
+        parse_scenario(_with_optional(key, falsy))
+    null, absent = parse_scenario(_with_optional(key, None)), parse_scenario(_with_optional(key))
+    assert dataclasses.replace(null, raw=None) == dataclasses.replace(absent, raw=None)
 
 
 def test_targeted_bandwidth_step_spares_other_clients_and_shared_egress():
@@ -439,6 +459,28 @@ def test_scale_clients_replicates_template():
     assert [c.client_id for c in scaled.clients] == [0, 1, 2]
     assert scaled.seed == cfg.seed ^ 3
     assert all(c.paths[1].bandwidth == 700_000_000 for c in scaled.clients)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_scale_clients_copies_nothing_it_shares(name):
+    cfg = load_scenario(str(SCENARIOS / name))
+    before = copy.deepcopy(cfg.raw)
+    for n in range(1, 17):
+        doc = copy.deepcopy(cfg.raw)
+        doc["clients"] = [dict(copy.deepcopy(doc["clients"][0]), id=i) for i in range(n)]
+        doc["seed"] = cfg.seed ^ n
+        try:
+            expected = parse_scenario(doc)
+        except ValidationError as exc:  # a client-hosted scenario needs a receiver
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                scale_clients(cfg, n)
+            continue
+        scaled = scale_clients(cfg, n)
+        assert scaled == expected
+        assert cfg.raw == before
+        scaled.raw["clients"][0]["paths"]["mutated"] = True
+        scaled.raw["seed"] = -1
+        assert cfg.raw == before
 
 
 # -- sweeps -----------------------------------------------------------------------
