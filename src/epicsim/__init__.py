@@ -11,7 +11,6 @@ from .kpi import LevelChange, RunTrace, build_report, percentile
 from .model import (
     DEFAULT_LADDER,
     FrameMeta,
-    InputEvent,
     KpiReport,
     NetworkProfile,
     NodeSpec,
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BandwidthStep", "ClientSpec", "ControllerConfig", "ControllerState",
     "DEFAULT_LADDER", "Drop", "EnergyConfig", "EnergyMode", "FrameFragment",
-    "FrameMeta", "InputEvent", "KpiReport", "LevelChange", "NetworkProfile",
+    "FrameMeta", "KpiReport", "LevelChange", "NetworkProfile",
     "NodeSpec", "Path", "PowerProfile", "QualityLevel", "Reassembler",
     "Renderer", "RenderRequest", "RttEstimator", "RunTrace", "SessionSettings",
     "SessionTopology", "ValidationError", "WindowStats", "WireHeader",

@@ -41,7 +41,6 @@ class ControllerConfig:
 class WindowStats:
     """One measurement window for one client stream; srtt of 0 means no samples yet."""
 
-    window_index: int
     srtt: int
     frame_loss_rate: float
     delivered_throughput: int

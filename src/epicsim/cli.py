@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     echo = sub.add_parser("live-echo", help="run a UDP echo server until interrupted")
     echo.add_argument("--port", type=int, required=True)
     echo.add_argument("--host", default="127.0.0.1")
-    echo.add_argument("--reflect-fragments", action="store_true")
 
     probe = sub.add_parser("live-probe", help="measure loopback RTT against a live echo server")
     probe.add_argument("--addr", required=True, help="host:port of the echo server")
@@ -163,8 +162,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_live_echo(args) -> int:
     try:
-        server = EchoServer(LiveEndpoint(host=args.host, port=args.port),
-                            reflect_fragments=args.reflect_fragments)
+        server = EchoServer(LiveEndpoint(host=args.host, port=args.port))
     except OSError as exc:  # the port is taken, or the host is not this machine's
         print(f"live echo failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
@@ -207,6 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         orchestrator.configure_logging_from_env()
         args = build_parser().parse_args(argv)
+        if getattr(args, "max_users", 1) < 1:  # loadtest and stresstest
+            raise ValidationError(f"--max-users {args.max_users}: must be at least 1")
         return _COMMANDS[args.command](args)
     except (ValidationError, CapacityError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

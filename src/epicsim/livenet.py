@@ -1,11 +1,11 @@
 """Real-socket loopback mode: the simulation wire format over UDP.
 
 An echo server answers PING with PONG (same session, sequence and timestamp)
-and optionally reflects a short acknowledgement for frame fragments; a prober
-paces PINGs and measures RTT against its own monotonic clock, which is valid
-on loopback where sender and receiver share the clock.  Each role is one
-loop: the prober reads PONGs until its next send is due, and after its last
-send until every PONG is back or the drain timeout passes.
+and ignores every other message; a prober paces PINGs and measures RTT
+against its own monotonic clock, which is valid on loopback where sender and
+receiver share the clock.  Each role is one loop: the prober reads PONGs
+until its next send is due, and after its last send until every PONG is back
+or the drain timeout passes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .kpi import percentile
 from .model import ValidationError
 from .transport import MsgType, WireHeader, WireError, decode_message, encode_message
 
-ACK_SUBTYPE = 0x05
 SOCKET_BUFFER = 1 << 20           # receive and send buffer of every socket, in bytes
 _RECV_BUFSIZE = 65_535
 
@@ -52,9 +51,8 @@ class LiveEndpoint:
 class EchoServer:
     """Receive/reply loop, bound on construction; start() runs it in a daemon thread."""
 
-    def __init__(self, endpoint: LiveEndpoint = LiveEndpoint(), reflect_fragments: bool = False):
-        self.reflect_fragments = reflect_fragments
-        self.pings = self.fragments = self.malformed = 0
+    def __init__(self, endpoint: LiveEndpoint = LiveEndpoint()):
+        self.pings = self.malformed = 0
         self._sock = _udp_socket()
         try:
             self._sock.bind((endpoint.host, endpoint.port))
@@ -84,7 +82,7 @@ class EchoServer:
 
     def _handle(self, data: bytes) -> bytes | None:
         try:
-            header, payload = decode_message(data)
+            header, _ = decode_message(data)
         except WireError:
             self.malformed += 1
             return None
@@ -92,11 +90,6 @@ class EchoServer:
             self.pings += 1
             pong = WireHeader(MsgType.PONG, header.session_id, header.sequence, header.timestamp)
             return encode_message(pong)
-        if header.msg_type == MsgType.FRAME_FRAG:
-            self.fragments += 1
-            if self.reflect_fragments:
-                ack = WireHeader(MsgType.CONTROL, header.session_id, header.sequence, header.timestamp)
-                return encode_message(ack, bytes([ACK_SUBTYPE]) + bytes(7))
         return None
 
     def stop(self) -> None:

@@ -159,25 +159,6 @@ class NodeSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class InputEvent:
-    """One upstream pose/trigger sample from a client."""
-
-    timestamp: int
-    position: tuple[float, float, float]
-    orientation: tuple[float, float, float, float]
-    buttons: int = 0
-
-    def __post_init__(self):
-        if len(self.position) != 3 or len(self.orientation) != 4:
-            raise ValidationError("position is 3 floats, orientation 4 floats")
-        norm = math.sqrt(sum(c * c for c in self.orientation))
-        if abs(norm - 1.0) > 1e-3:
-            raise ValidationError(f"orientation must be a unit quaternion (norm {norm:.6f})")
-        if not 0 <= self.buttons < 2**32:
-            raise ValidationError("buttons must fit in 32 bits")
-
-
-@dataclass(frozen=True, slots=True)
 class FrameMeta:
     """Descriptor of a rendered, encoded frame."""
 

@@ -163,7 +163,7 @@ class Path:
         Returns one delivery time or drop reason per datagram, exactly as one
         `submit` per datagram would; `advance_to` later yields each one's size.
         """
-        if count <= 0:
+        if count == 0:
             return []
         self._check(((size, count),), first)
         if step < 0:

@@ -554,7 +554,6 @@ class _Simulation:
             self._read_pongs(st, t)
             resolved = st.window_delivered + st.window_dropped
             stats = WindowStats(
-                window_index=window_index,
                 srtt=st.estimator.srtt or 0,
                 frame_loss_rate=st.window_dropped / resolved if resolved else 0.0,
                 delivered_throughput=st.window_bits * 1_000_000 // cfg.window_us,

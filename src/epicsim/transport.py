@@ -15,7 +15,8 @@ loopback mode, so header layout is normative and big-endian throughout:
 
 Frame payloads ride FRAME_FRAG messages whose payload starts with an 8-byte
 sub-header (frame id u32, fragment index u16, fragment count u16) followed by
-the fragment's slice of the encoded frame.
+the fragment's slice of the encoded frame.  An INPUT payload is described by
+its size only, `INPUT_PAYLOAD_LEN`; no code builds its bytes.
 
 The codec and `Reassembler` are the normative format.  The UDP loopback mode
 sends bytes through the message codec only, and `Reassembler` runs only in
@@ -37,19 +38,18 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .model import InputEvent, ValidationError
+from .model import ValidationError
 
 MAGIC = b"EPIC"
 VERSION = 1
 HEADER_LEN = 24
 FRAG_HEADER_LEN = 8
-INPUT_PAYLOAD_LEN = 32
+INPUT_PAYLOAD_LEN = 32            # a pose: 3 position floats, 4 quaternion floats, a button mask
 MAX_FRAGMENTS = 65_535
 REASSEMBLY_TIMEOUT_US = 250_000
 
 _HEADER = struct.Struct(">4sBBBBIIQ")
 _FRAG = struct.Struct(">IHH")
-_INPUT = struct.Struct(">fffffffI")
 
 
 class MsgType(IntEnum):
@@ -97,18 +97,6 @@ def decode_message(data: bytes) -> tuple[WireHeader, bytes]:
         raise WireError(f"unknown message type 0x{msg_type:02x}")
     header = WireHeader(MsgType(msg_type), session_id, sequence, timestamp, flags)
     return header, data[HEADER_LEN:]
-
-
-def encode_input_payload(event: InputEvent) -> bytes:
-    """32-byte pose payload: 3 position floats, 4 quaternion floats, button mask."""
-    return _INPUT.pack(*event.position, *event.orientation, event.buttons)
-
-
-def decode_input_payload(payload: bytes, timestamp: int) -> InputEvent:
-    if len(payload) != INPUT_PAYLOAD_LEN:
-        raise WireError(f"input payload must be {INPUT_PAYLOAD_LEN} B, got {len(payload)}")
-    vals = _INPUT.unpack(payload)
-    return InputEvent(timestamp, vals[0:3], vals[3:7], vals[7])
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,10 +14,10 @@ CFG = ControllerConfig()
 LADDER = DEFAULT_LADDER
 
 
-def _stats(level=0, srtt=4_000, loss=0.0, throughput=None, window=0):
+def _stats(level=0, srtt=4_000, loss=0.0, throughput=None):
     if throughput is None:
         throughput = bitrate(LADDER[level])
-    return WindowStats(window, srtt, loss, throughput, level)
+    return WindowStats(srtt, loss, throughput, level)
 
 
 def test_rtt_over_budget_is_bottleneck():

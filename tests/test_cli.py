@@ -187,6 +187,16 @@ def test_loadtest_rejects_a_bad_budget_flag_in_one_line(capsys, flag, value):
     assert captured.err.startswith(f"error: {flag} ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["loadtest", "stresstest"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_searches_reject_a_bad_max_users_in_one_line(capsys, command, value):
+    scenario = str(SCENARIOS / "shared-egress.json")
+    assert main([command, "--scenario", scenario, "--max-users", value]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --max-users ") and captured.err.count("\n") == 1
+
+
 def test_console_entry_point_exists(mini_scenario):
     exe = shutil.which("epicsim")
     if exe is None:

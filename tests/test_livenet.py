@@ -41,20 +41,11 @@ def test_malformed_datagram_counted_and_dropped(server):
     assert server.malformed == 1
 
 
-def test_fragments_counted_without_reflection(server):
+def test_no_reply_to_a_frame_fragment_or_a_control_message(server):
     frag = fragment(1, b"payload", mtu=1400)[0]
     assert _send_raw(server.port, encode_fragment(1, 0, 0, frag)) is None
-    assert server.fragments == 1
-
-
-def test_fragment_reflection_sends_control_ack():
-    with EchoServer(reflect_fragments=True) as srv:
-        frag = fragment(1, b"payload", mtu=1400)[0]
-        reply = _send_raw(srv.port, encode_fragment(1, 0, 55, frag))
-        header, payload = decode_message(reply)
-        assert header.msg_type == MsgType.CONTROL
-        assert payload[0] == 0x05
-        assert len(reply) == 32
+    assert _send_raw(server.port, encode_message(WireHeader(MsgType.CONTROL, 1, 0, 0), bytes(1))) is None
+    assert (server.pings, server.malformed) == (0, 0)
 
 
 def test_probe_measures_positive_rtts(server):

@@ -7,7 +7,6 @@ from epicsim.model import (
     KpiReport,
     NetworkProfile,
     NodeSpec,
-    InputEvent,
     QualityLevel,
     ValidationError,
     bitrate,
@@ -89,12 +88,6 @@ def test_node_spec_invariants():
         NodeSpec(node_id=1, pixel_throughput=0, encode_throughput=1)
     with pytest.raises(ValidationError):
         NodeSpec(node_id=1, pixel_throughput=1, encode_throughput=1, max_sessions=0)
-
-
-def test_input_event_quaternion_guard():
-    InputEvent(0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-    with pytest.raises(ValidationError):
-        InputEvent(0, (0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.9))
 
 
 def _report(**overrides):

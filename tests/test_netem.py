@@ -374,6 +374,8 @@ def test_burst_rejects_oversize_and_time_regression_before_any_change():
         path.submit_series(0, 600, 100, 3)
     with pytest.raises(ValidationError, match="count must be non-negative"):
         path.submit_burst(((100, -2),), 600)
+    with pytest.raises(ValidationError, match="count must be non-negative"):
+        path.submit_series(100, 600, 100, -3)
     assert _timing_state(path) == before
 
 

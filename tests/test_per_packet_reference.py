@@ -28,10 +28,11 @@ import pytest
 
 from capture_goldens import apply_overrides
 from epicsim import netem, orchestrator, session
-from epicsim.model import InputEvent, NetworkProfile, NodeSpec, QualityLevel, frame_bytes
+from epicsim.model import NetworkProfile, NodeSpec, QualityLevel, frame_bytes
 from epicsim.netem import Drop
 from epicsim.render import decode_time_us
 from epicsim.transport import (
+    INPUT_PAYLOAD_LEN,
     MsgType,
     Reassembler,
     RttEstimator,
@@ -39,14 +40,13 @@ from epicsim.transport import (
     decode_fragment,
     decode_message,
     encode_fragment,
-    encode_input_payload,
     encode_message,
     fragment,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # the payload of every encoded input: the oracle reads only an input's header timestamp
-_POSE = InputEvent(0, (0.0, 1.6, 0.0), (0.0, 0.0, 0.0, 1.0))
+_INPUT_PAYLOAD = bytes(INPUT_PAYLOAD_LEN)
 
 
 class _Logged(session._Simulation):
@@ -190,7 +190,7 @@ class _WireMessages(_Logged):
         return encode_message(WireHeader(msg_type, cid, sequence, t), payload)
 
     def _on_input(self, t, cid):
-        self._submit(self.up_data[cid], self._encode("c", MsgType.INPUT, cid, t, encode_input_payload(_POSE)), t)
+        self._submit(self.up_data[cid], self._encode("c", MsgType.INPUT, cid, t, _INPUT_PAYLOAD), t)
         if t + self.settings.tick_us <= self.end:
             self.push(t + self.settings.tick_us, "input", cid)
 
@@ -359,7 +359,7 @@ def test_each_record_has_the_wire_size_of_its_message(monkeypatch):
     monkeypatch.setattr(netem.Path, "submit_series", recording_series)
     doc = orchestrator.load_scenario(str(SCENARIOS / "shared-egress.json")).raw
     orchestrator.run_scenario(orchestrator.parse_scenario(dict(doc, state_sync_bytes=300)))
-    payloads = {MsgType.INPUT: encode_input_payload(_POSE), MsgType.CONTROL: bytes(1),
+    payloads = {MsgType.INPUT: _INPUT_PAYLOAD, MsgType.CONTROL: bytes(1),
                 MsgType.PING: b"", MsgType.PONG: b"", MsgType.STATE_SYNC: bytes(300)}
     assert sizes == {kind: {len(encode_message(WireHeader(kind, 0, 0, 0), payload))}
                      for kind, payload in payloads.items()}

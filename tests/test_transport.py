@@ -1,4 +1,3 @@
-import struct
 import zlib
 
 import pytest
@@ -20,8 +19,6 @@ from epicsim.transport import (
     decode_fragment,
     decode_message,
     encode_fragment,
-    encode_input_payload,
-    decode_input_payload,
     encode_message,
     fragment,
     fragment_capacity,
@@ -36,17 +33,6 @@ def test_golden_ping_header_bytes():
     wire = encode_message(WireHeader(MsgType.PING, session_id=1, sequence=7, timestamp=1000))
     assert wire == GOLDEN_PING
     assert len(wire) == HEADER_LEN
-
-
-def test_roundtrip_input_message():
-    raw = struct.pack(">fffffffI", 1.5, -2.0, 0.25, 0.0, 0.0, 0.0, 1.0, 9)
-    pose = decode_input_payload(raw, 500_000)
-    assert encode_input_payload(pose) == raw
-    header = WireHeader(MsgType.INPUT, 3, 12, 500_000)
-    wire = encode_message(header, raw)
-    back_header, payload = decode_message(wire)
-    assert back_header == header
-    assert decode_input_payload(payload, back_header.timestamp) == pose
 
 
 def test_bad_magic_rejected():
