@@ -39,11 +39,11 @@ from .session import (
     BandwidthStep,
     CLIENT_HOSTED,
     ClientSpec,
-    DECODE_THROUGHPUT,
     DEVICE_NODE,
     EDGE_HOSTED,
     SessionSettings,
     SessionTopology,
+    check_run,
     run_session,
 )
 from .transport import HEADER_LEN, MsgType, fragment_runs
@@ -185,15 +185,18 @@ _KEYS = {
                        "state_sync_bytes": ("sync_payload_bytes", int),
                        "scene_complexity": float, "prerender": int}, ()),
     BandwidthStep: ({"time": ("time_us", int), "bandwidth": int}, ("time", "bandwidth")),
+    ClientSpec: ({"id": ("client_id", int), "decode_throughput": int}, ("id",)),
 }
 
 
-def _named(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), with `where` in front of the ValidationError it raises."""
+def _named(where: str, build, *args, keys: dict[str, str] | None = None, **kwargs):
+    """build(*args, **kwargs), with `where` in front of the ValidationError it
+    raises; a message that starts with a field of `keys` ends with its key path."""
     try:
         return build(*args, **kwargs)
     except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+        key = (keys or {}).get(str(exc).split(" ", 1)[0])
+        raise ValidationError(f"{where}: {exc}" + (f" ({key})" if key else "")) from exc
 
 
 def _read(cls, obj, where: str, **given):
@@ -204,11 +207,13 @@ def _read(cls, obj, where: str, **given):
     """
     obj = _object(obj, where)
     keys, required = _KEYS[cls]
+    paths = {}  # the key path of each field
     for key, kind in keys.items():
+        field, kind = kind if isinstance(kind, tuple) else (key, kind)
+        paths[field] = f"{where}.{key}"
         if key in obj or key in required:
-            field, kind = kind if isinstance(kind, tuple) else (key, kind)
             given[field] = _number(obj, key, where, kind)
-    return _named(where, cls, **given)
+    return _named(where, cls, keys=paths, **given)
 
 
 def _ladder_from(entries, where: str) -> tuple[QualityLevel, ...]:
@@ -218,9 +223,6 @@ def _ladder_from(entries, where: str) -> tuple[QualityLevel, ...]:
 
 def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
     entry = _object(entry, where)
-    cid = _number(entry, "id", where)
-    if not 0 <= cid < 2**32:
-        raise ValidationError(f"{where}.id must fit in 32 bits, not {cid}")
     raw_paths = _object(_get(entry, "paths", where), f"{where}.paths")
     if "bandwidth" in raw_paths:
         # single-profile shorthand, applied to every candidate node
@@ -233,19 +235,14 @@ def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
                 raise ValidationError(f"{where}.paths key must be a node id, not {key!r:.40}")
             nid = int(key)
             if node_ids and nid not in node_ids:
-                raise ValidationError(f"client {cid}: path references unknown node {nid}")
+                raise ValidationError(f"{where}.paths: unknown node {nid}")
             paths[nid] = _read(NetworkProfile, val, f"{where}.paths.{key}")
-    # ScenarioClient holds the rate until the run builds its ClientSpec
-    decode_throughput = _number(entry, "decode_throughput", where, default=DECODE_THROUGHPUT)
-    if decode_throughput <= 0:
-        raise ValidationError(f"{where}.decode_throughput must be a positive integer, "
-                              f"not {entry['decode_throughput']!r:.40}")
-    return ScenarioClient(
-        client_id=cid,
-        paths=paths,
-        power=_read(PowerProfile, entry.get("power", {}), f"{where}.power"),
-        decode_throughput=decode_throughput,
-    )
+    if not paths:
+        raise ValidationError(f"{where}.paths must hold at least one path")
+    # the run builds its ClientSpec again, on the path to the node it selects
+    spec = _read(ClientSpec, entry, where, profile=next(iter(paths.values())))
+    power_profile = _read(PowerProfile, entry.get("power", {}), f"{where}.power")
+    return ScenarioClient(spec.client_id, paths, power_profile, spec.decode_throughput)
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
@@ -259,8 +256,6 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     name = str(doc.get("name", "scenario"))
     seed = _number(doc, "seed", "scenario", default=0)
     duration = _number(doc, "duration", "scenario")
-    if duration < 1_000_000:
-        raise ValidationError("duration must be at least 1000000 us (1 s of simulated time)")
     ladder = _ladder_from(doc["ladder"], "ladder") if doc.get("ladder") is not None else DEFAULT_LADDER
 
     nodes = tuple(_read(NodeSpec, n, f"nodes[{i}]")
@@ -271,34 +266,18 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
 
     clients = [_client_from(entry, f"clients[{i}]", node_ids)
                for i, entry in enumerate(_array(_get(doc, "clients", "scenario"), "clients"))]
-    if not clients:
-        raise ValidationError("scenario needs at least one client")
     client_ids = {c.client_id for c in clients}
-    if len(client_ids) != len(clients):
-        raise ValidationError("client ids must be unique")
 
     topo = _object(doc.get("topology", {"mode": EDGE_HOSTED}), "topology")
     mode = topo.get("mode", EDGE_HOSTED)
-    if mode not in (EDGE_HOSTED, CLIENT_HOSTED):
-        raise ValidationError(f"unknown topology mode {mode!r}")
     master_id = _number(topo, "master", "topology") if "master" in topo else None
     master_uplink = (_read(NetworkProfile, topo["master_uplink"], "topology.master_uplink")
                      if "master_uplink" in topo else None)
-    if mode == EDGE_HOSTED and not nodes:
-        raise ValidationError("edge_hosted scenario needs at least one node")
-    if mode == CLIENT_HOSTED and (master_id is None or master_uplink is None):
-        raise ValidationError("client_hosted scenario needs topology.master and topology.master_uplink")
-    if mode == CLIENT_HOSTED and master_id not in client_ids:
-        raise ValidationError(f"topology.master {master_id} is not a client id")
-    if mode == CLIENT_HOSTED and len(clients) == 1:
-        raise ValidationError("clients: a client_hosted scenario needs a receiver besides topology.master")
 
     ctrl_doc = _object(doc.get("controller", {}), "controller")
     fields = {"controller": _read(ControllerConfig, ctrl_doc, "controller")}  # of SessionSettings
     if "start_level" in ctrl_doc:
         fields["start_level"] = _number(ctrl_doc, "start_level", "controller")
-        if not 0 <= fields["start_level"] < len(ladder):
-            raise ValidationError("controller.start_level outside the ladder")
     if "enabled" in ctrl_doc:
         enabled = fields["adaptation"] = ctrl_doc["enabled"]
         if not isinstance(enabled, bool):
@@ -321,12 +300,31 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             raise ValidationError(f"{at}: unknown client ids {sorted(unknown)}")
         steps.append(step)
 
-    if "state_sync_bytes" in doc and (sync_bytes := _number(doc, "state_sync_bytes", "scenario")) < 0:
-        raise ValidationError(f"scenario.state_sync_bytes must be non-negative, not {sync_bytes}")
-    if "scene_complexity" in doc and not 0.1 <= (
-            complexity := _number(doc, "scene_complexity", "scenario", float)) < math.inf:
-        raise ValidationError(f"scenario.scene_complexity must be finite and at least 0.1, not {complexity}")
     settings = _read(SessionSettings, doc, "scenario", bandwidth_steps=tuple(steps), **fields)
+    power_doc = _object(doc.get("power_model", {}), "power_model")
+    device = {key: _number(power_doc, key, "power_model", default=default)
+              for key, default in (("device_pixel_throughput", power.DEVICE_PIXEL_THROUGHPUT),
+                                   ("device_decode_throughput", power.DEVICE_DECODE_THROUGHPUT))}
+    for key, value in device.items():
+        if value <= 0:
+            raise ValidationError(f"power_model.{key} must be positive, not {value}")
+    cfg = ScenarioConfig(
+        name=name, seed=seed, duration=duration, ladder=ladder, nodes=nodes,
+        clients=tuple(clients), mode=mode, master_id=master_id,
+        master_uplink=master_uplink, settings=settings,
+        budgets=_read(Budgets, doc.get("budgets", {}), "budgets"),
+        device_node=_read(NodeSpec, topo["device_node"], "topology.device_node")
+        if "device_node" in topo else DEVICE_NODE,
+        power_pixel_throughput=device["device_pixel_throughput"],
+        power_decode_throughput=device["device_decode_throughput"],
+        raw=copy.deepcopy(doc),
+    )
+    # the session's own checks, each message naming the key of its field
+    _named("scenario", scenario_topology, cfg, next(iter(nodes), None),
+           keys={"mode": "topology.mode", "clients": "clients", "host_node": "nodes",
+                 "master_uplink": "topology.master_uplink"})
+    _named("scenario", check_run, ladder, duration, settings,
+           keys={"duration_us": "scenario.duration", "start_level": "controller.start_level"})
 
     # the state sync and every rung's fragments ride every path that can carry frames
     if mode == CLIENT_HOSTED:
@@ -344,25 +342,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             rung = "ladder" if ladder is DEFAULT_LADDER else f"ladder[{i}]"
             _named(f"{rung} at the {profile.mtu} B mtu of {where}",
                    fragment_runs, frame_bytes(level), profile.mtu)
-
-    power_doc = _object(doc.get("power_model", {}), "power_model")
-    device = {key: _number(power_doc, key, "power_model", default=default)
-              for key, default in (("device_pixel_throughput", power.DEVICE_PIXEL_THROUGHPUT),
-                                   ("device_decode_throughput", power.DEVICE_DECODE_THROUGHPUT))}
-    for key, value in device.items():
-        if value <= 0:
-            raise ValidationError(f"power_model.{key} must be positive, not {value}")
-    return ScenarioConfig(
-        name=name, seed=seed, duration=duration, ladder=ladder, nodes=nodes,
-        clients=tuple(clients), mode=mode, master_id=master_id,
-        master_uplink=master_uplink, settings=settings,
-        budgets=_read(Budgets, doc.get("budgets", {}), "budgets"),
-        device_node=_read(NodeSpec, topo["device_node"], "topology.device_node")
-        if "device_node" in topo else DEVICE_NODE,
-        power_pixel_throughput=device["device_pixel_throughput"],
-        power_decode_throughput=device["device_decode_throughput"],
-        raw=copy.deepcopy(doc),
-    )
+    return cfg
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -466,15 +446,13 @@ def deploy_handshake(profile: NetworkProfile, seed: int) -> HandshakeTrace:
 
 
 def scenario_topology(cfg: ScenarioConfig, node: NodeSpec | None) -> SessionTopology:
-    if cfg.mode == EDGE_HOSTED:
-        clients = tuple(
-            ClientSpec(c.client_id, c.paths[node.node_id], c.decode_throughput)
-            for c in cfg.clients)
-        return SessionTopology(EDGE_HOSTED, clients, host_node=node)
-    clients = tuple(
-        ClientSpec(c.client_id, next(iter(c.paths.values())), c.decode_throughput)
-        for c in cfg.clients)
-    return SessionTopology(CLIENT_HOSTED, clients, master_id=cfg.master_id,
+    """The session's topology: edge-hosted on `node`, client-hosted with `node`
+    None.  Each client rides its path to `node`, or else its first path, so
+    that `parse_scenario` can check the topology on any node."""
+    at = node.node_id if node else None
+    clients = tuple(ClientSpec(c.client_id, c.paths.get(at) or next(iter(c.paths.values())), c.decode_throughput)
+                    for c in cfg.clients)
+    return SessionTopology(cfg.mode, clients, host_node=node, master_id=cfg.master_id,
                            master_uplink=cfg.master_uplink, device_node=cfg.device_node)
 
 

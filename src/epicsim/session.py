@@ -143,9 +143,9 @@ class ClientSpec:
 
     def __post_init__(self):
         if not 0 <= self.client_id < 2**32:
-            raise ValidationError("client_id must fit in 32 bits")
+            raise ValidationError(f"client_id must fit in 32 bits, not {self.client_id}")
         if self.decode_throughput <= 0:
-            raise ValidationError("decode_throughput must be positive")
+            raise ValidationError(f"decode_throughput must be positive, not {self.decode_throughput}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,21 +159,21 @@ class SessionTopology:
 
     def __post_init__(self):
         if self.mode not in (EDGE_HOSTED, CLIENT_HOSTED):
-            raise ValidationError(f"unknown topology mode {self.mode!r}")
+            raise ValidationError(f"mode must be {EDGE_HOSTED} or {CLIENT_HOSTED}, not {self.mode!r:.40}")
         if not self.clients:
-            raise ValidationError("topology needs at least one client")
+            raise ValidationError("clients must hold at least one client")
         ids = [c.client_id for c in self.clients]
         if len(set(ids)) != len(ids):
-            raise ValidationError("client ids must be unique")
+            raise ValidationError("clients must have unique ids")
         if self.mode == EDGE_HOSTED and self.host_node is None:
-            raise ValidationError("edge_hosted topology requires a host node")
+            raise ValidationError(f"host_node must be set: an {EDGE_HOSTED} topology renders on a node")
         if self.mode == CLIENT_HOSTED:
-            if self.master_id is None or self.master_id not in ids:
-                raise ValidationError("client_hosted topology requires the master among the clients")
+            if self.master_id not in ids:
+                raise ValidationError(f"topology master {self.master_id} is not a client id")
             if len(ids) == 1:
-                raise ValidationError("client_hosted topology requires a receiver besides the master")
+                raise ValidationError(f"clients: a {CLIENT_HOSTED} scenario needs a receiver besides the master")
             if self.master_uplink is None:
-                raise ValidationError("client_hosted topology requires a master uplink profile")
+                raise ValidationError(f"master_uplink must be set: the {CLIENT_HOSTED} master streams on it")
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,9 +187,9 @@ class BandwidthStep:
 
     def __post_init__(self):
         if self.time_us < 0:
-            raise ValidationError("time must be non-negative")
+            raise ValidationError(f"time_us must be non-negative, not {self.time_us}")
         if self.bandwidth <= 0:
-            raise ValidationError("bandwidth must be positive")
+            raise ValidationError(f"bandwidth must be positive, not {self.bandwidth}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,9 +216,19 @@ class SessionSettings:
         if self.prerender not in (0, 1):
             raise ValidationError("prerender depth is 0 or 1")
         if self.sync_payload_bytes < 0:
-            raise ValidationError("sync_payload_bytes must be non-negative")
+            raise ValidationError(f"sync_payload_bytes must be non-negative, not {self.sync_payload_bytes}")
         if not 0.1 <= self.scene_complexity < math.inf:
-            raise ValidationError("scene_complexity must be finite and at least 0.1")
+            raise ValidationError(f"scene_complexity must be finite and at least 0.1, not {self.scene_complexity}")
+
+
+def check_run(ladder: tuple[QualityLevel, ...], duration_us: int, settings: SessionSettings) -> None:
+    """Raise ValidationError unless a run of `duration_us` on the valid `ladder`
+    can start: at least 1 s of simulated time and `settings.start_level` on it.
+    A message starts with the name it is about, so a caller can add its key."""
+    if duration_us < 1_000_000:
+        raise ValidationError(f"duration_us must be at least 1000000 (1 s of simulated time), not {duration_us}")
+    if not 0 <= settings.start_level < len(ladder):
+        raise ValidationError(f"start_level {settings.start_level} is outside the {len(ladder)}-rung ladder")
 
 
 class _ClientState:
@@ -275,11 +285,8 @@ class _Simulation:
 
     def __init__(self, topology: SessionTopology, ladder: tuple[QualityLevel, ...],
                  duration_us: int, settings: SessionSettings, seed: int, start_time: int):
-        if duration_us < 1_000_000:
-            raise ValidationError("session duration must be at least 1 s of simulated time")
         validate_ladder(ladder)
-        if not 0 <= settings.start_level < len(ladder):
-            raise ValidationError("start_level outside ladder")
+        check_run(ladder, duration_us, settings)
         self.topology = topology
         self.ladder = ladder
         self.settings = settings
@@ -322,12 +329,9 @@ class _Simulation:
         self._build_paths()
         # push order of the submission that first reached each frame path's last_arrival
         self.arrival_seq = {id(r.path): 0 for r in self.paths if r.kind == "frames"}
-        self.sync_bytes = HEADER_LEN + settings.sync_payload_bytes
-        self.syncs = [(r.path, ((self.sync_bytes, len(self.clients) if r.owner is None else 1),))
+        sync_bytes = HEADER_LEN + settings.sync_payload_bytes
+        self.syncs = [(r.path, ((sync_bytes, len(self.clients) if r.owner is None else 1),))
                       for r in self.paths if r.kind == "frames"]  # one datagram per client on the path
-        for path in self.down_frames.values():
-            if self.sync_bytes > path.profile.mtu:
-                raise ValidationError("sync payload does not fit the downstream MTU")
 
         for cid in self.up_data:
             bounds = []

@@ -124,6 +124,13 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
     ({"shared_egress": {}}, "shared_egress: missing required key"),
     ({"events": [{"time": 0, "bandwidth": 100_000_000, "clients": []}]},
      "events[0].clients must list at least one client id"),
+    # a client needs at least one path, in either mode
+    ({"clients": [{"id": 0, "paths": {}}]}, "clients[0].paths must hold at least one path"),
+    ({"clients": [*_MASTER["clients"][:2], dict(_MASTER["clients"][2], paths={})], "topology": _MASTER["topology"]},
+     "clients[2].paths must hold at least one path"),
+    # a session check names the key its field came from
+    ({"duration": 5}, "(scenario.duration)"),
+    ({"controller": {"start_level": 9}}, "(controller.start_level)"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import functools
 import heapq
 import json
+import operator
 import random
 import re
 import types
@@ -254,6 +256,33 @@ def test_every_single_leaf_mutant_that_validates_runs():
     for name, path in _LEAVES:
         for value in _MUTANTS:
             _validate_then_run(name, [(path, value)])
+
+
+_CONTAINERS = [(name, path) for name, doc in _SHIPPED.items() for path in _key_paths(doc)
+               if isinstance(functools.reduce(operator.getitem, path, doc), (dict, list))]
+
+
+def test_every_emptied_container_mutant_that_validates_runs():
+    """Each object or array of a shipped scenario replaced by {} and by []."""
+    for name, path in _CONTAINERS:
+        for empty in (dict, list):
+            _validate_then_run(name, [(path, empty())])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"state_sync_bytes": -1}, "scenario: sync_payload_bytes must be non-negative, not -1 (scenario.state_sync_bytes)"),
+    ({"duration": 5}, "scenario: duration_us must be at least 1000000 (1 s of simulated time), not 5 (scenario.duration)"),
+    ({"controller": {"window": 99}}, "controller: window_us must be at least 100 us, not 99 (controller.window)"),
+    ({"clients": [{"id": -1, "paths": {"one_way_latency": 2_000, "bandwidth": 700_000_000}}]},
+     "clients[0]: client_id must fit in 32 bits, not -1 (clients[0].id)"),
+    # a message that starts with no field keeps its form
+    ({"nodes": [{"node_id": 1, "pixel_throughput": 0, "encode_throughput": 1}]},
+     "nodes[0]: node throughputs must be positive"),
+])
+def test_a_type_message_that_starts_with_a_field_ends_with_its_key_path(overrides, message):
+    with pytest.raises(ValidationError) as info:
+        parse_scenario(_nominal_doc(**overrides))
+    assert str(info.value) == message
 
 
 def test_a_mutant_that_loses_every_probe_is_a_run_failure():
