@@ -18,16 +18,16 @@ earlier than the previous delivery on the path.
 `Path.submit` takes one datagram: its bytes, or any item with the size of
 the datagram it stands for, such as a message record.  `Path.submit_burst`
 takes back-to-back datagrams submitted at one instant as `(size, count)`
-runs, such as the fragments of a frame, and carries each as its size.
-`Path.submit_series` takes `count` datagrams of one size submitted at
-`first + i * step`, such as a client's periodic input, and also carries each
-as its size.  Every datagram is 1 B to the MTU.  A burst or a series makes
-the same decisions, in the same order, and leaves the same state as one
-`submit` per datagram.  `Path.advance_to` pops and lists what has arrived;
-`Path.forget_to` pops and counts it, for a caller that never reads its
-deliveries.  No code in `src` calls `advance_to`: a run reads each delivery
-time off its submission, and only the tests, their reference oracles and the
-benchmark's tracer and micro cases poll a path.
+runs, such as the fragments of a frame, carries each as its size and returns
+arrival and drop runs.  `Path.submit_series` takes `count` datagrams of one
+size submitted at `first + i * step`, such as a client's periodic input, and
+also carries each as its size.  Every datagram is 1 B to the MTU.  A burst
+or a series makes the same decisions, in the same order, and leaves the same
+state as one `submit` per datagram.  `Path.advance_to` pops and lists what
+has arrived; `Path.forget_to` pops and counts it, for a caller that never
+reads its deliveries.  No code in `src` calls `advance_to`: a run reads each
+delivery time off its submission, and only the tests, their reference
+oracles and the benchmark's tracer and micro cases poll a path.
 
 In-flight datagrams are kept as runs.  `_serializing` holds runs
 `(first_end, tx, count, size)`: `count` datagrams of `size` bytes whose
@@ -52,7 +52,7 @@ is admitted in a fixed number of steps, exactly as datagram by datagram:
   of a run and drops the rest; a smaller size that follows may still fit.
 
 With loss or jitter it goes datagram by datagram: loss draw, jitter draw,
-queue check, serializer and clamp, writing runs of one.
+queue check, serializer and clamp, writing and returning runs of one.
 
 A series on a draw-free path is one run as well when each datagram finds the
 serializer idle: `busy_until <= first` and a serialization time `tx` of at
@@ -147,13 +147,14 @@ class Path:
         `data` is the datagram's bytes, or any item standing for a datagram
         of `size` bytes; `advance_to` later yields it as given.
         """
-        return self._admit(((len(data) if size is None else size, 1),), now, data)[0]
+        return self._admit(((len(data) if size is None else size, 1),), now, data)[0][0]
 
-    def submit_burst(self, runs, now: int) -> list[int | Drop]:
+    def submit_burst(self, runs, now: int) -> list[tuple[int | Drop, int, int]]:
         """Submit back-to-back datagrams at `now`, given as `(size, count)` runs.
 
-        Returns one delivery time or drop reason per datagram, exactly as one
-        `submit` per datagram would; `advance_to` later yields each one's size.
+        Returns arrival runs `(first, step, count)`, at `first + i * step`, and
+        drop runs `(Drop, 0, count)`, which expand to one `submit` per datagram's
+        results; `advance_to` later yields each datagram's size.
         """
         return self._admit(runs, now)
 
@@ -171,7 +172,7 @@ class Path:
         profile = self.profile
         tx = ceil_div(size * 8 * 1_000_000, profile.bandwidth)
         if profile.loss_rate > 0 or profile.jitter > 0 or self.busy_until > first or tx > step:
-            return [self._admit(((size, 1),), first + i * step)[0] for i in range(count)]
+            return [self._admit(((size, 1),), first + i * step)[0][0] for i in range(count)]
         # a closed-form run, exact by the module docstring
         self.rng.skip(count)
         self.submitted += count
@@ -199,7 +200,7 @@ class Path:
             raise ValidationError("submission time regressed")
         return total
 
-    def _admit(self, runs, now: int, item=None) -> list[int | Drop]:
+    def _admit(self, runs, now: int, item=None) -> list[tuple[int | Drop, int, int]]:
         """Admit `(size, count)` runs back to back at `now`, each datagram carried as `item` or, if None, its size."""
         total = self._check(runs, now)
         self._last_submit = now
@@ -211,7 +212,7 @@ class Path:
         busy, queued, last = self.busy_until, self.queued_bytes, self.last_arrival
         for _, _, done, size in _pop_runs(serializing, now):
             queued -= done * size
-        out: list[int | Drop] = []
+        out: list[tuple[int | Drop, int, int]] = []
         if not (loss_rate > 0 or jitter > 0):
             self.rng.skip(total)
             for size, count in runs:
@@ -226,10 +227,10 @@ class Path:
                     last = busy + latency  # without jitter arrivals never fall, so no clamp binds
                     serializing.append((first, tx, fits, size))
                     pending.append((first + latency, tx, fits, size if item is None else item))
-                    out += range(first + latency, last + 1, tx)
+                    out.append((first + latency, tx, fits))
                 if fits < count:
                     self.dropped_queue += count - fits
-                    out += repeat(Drop.QUEUE, count - fits)
+                    out.append((Drop.QUEUE, 0, count - fits))
         else:
             rng, jitter_draw = self.rng, 0
             for size, count in runs:
@@ -241,10 +242,10 @@ class Path:
                         jitter_draw = rng.next_below(jitter + 1)
                     if lost:
                         self.dropped_loss += 1
-                        out.append(Drop.LOSS)
+                        out.append((Drop.LOSS, 0, 1))
                     elif queued + size > capacity:
                         self.dropped_queue += 1
-                        out.append(Drop.QUEUE)
+                        out.append((Drop.QUEUE, 0, 1))
                     else:
                         busy = (now if now > busy else busy) + tx
                         queued += size
@@ -254,7 +255,7 @@ class Path:
                             arrival = last
                         last = arrival
                         pending.append((arrival, 0, 1, cargo))
-                        out.append(arrival)
+                        out.append((arrival, 0, 1))
         self.busy_until, self.queued_bytes, self.last_arrival = busy, queued, last
         return out
 

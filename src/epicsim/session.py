@@ -481,11 +481,10 @@ class _Simulation:
         lost, cut = path.dropped_loss - lost, path.dropped_queue - cut
         self._seq += 1
         seq = self._seq
-        st.pending[fid] = (arrivals[0], level_idx, input_origin)
+        st.pending[fid] = (arrivals[0][0], level_idx, input_origin)
         st.frames.sent += 1
         if lost or cut:  # the first dropped fragment names the reason
-            drop = min(Drop, key=arrivals.index) if lost and cut else Drop.LOSS if lost else Drop.QUEUE
-            outcome, end = "fragment_" + drop.value, t
+            outcome, end = "fragment_" + next(at.value for at, _, _ in arrivals if isinstance(at, Drop)), t
             self._drop_frame(cid, fid, outcome)
         else:
             end, completed = frame_outcome(arrivals)
@@ -498,7 +497,7 @@ class _Simulation:
             self.arrival_seq[id(path)] = seq
         if self.log_frames:
             logger.debug("t=%d client %d frame %d: %d fragments, %d dropped, %s at %d", t, cid, fid,
-                         len(arrivals), lost + cut, outcome, end)
+                         sum(run[2] for run in arrivals), lost + cut, outcome, end)
 
     def _on_sync(self, t: int):
         for path, runs in self.syncs:

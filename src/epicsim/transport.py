@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -259,19 +258,20 @@ class Reassembler:
         return tuple(self._expire(now))
 
 
-def frame_outcome(arrivals: list[int]) -> tuple[int, bool]:
-    """(time, completed) of a frame all of whose fragments arrive, in arrival order.
+def frame_outcome(runs: list[tuple[int, int, int]]) -> tuple[int, bool]:
+    """(time, completed) of a frame all of whose fragments arrive, from `Path.submit_burst`'s arrival runs.
 
     The frame is abandoned at the first arrival more than the reassembly
     timeout after the first one, where `Reassembler.offer` expires it on
     receiving that fragment; otherwise it completes at the last arrival.
-    Newer frames, older completions and timeout sweeps are the receiver's to
-    apply.
+    Each run takes a fixed number of steps.  Newer frames, older completions
+    and timeout sweeps are the receiver's to apply.
     """
-    late = bisect_right(arrivals, arrivals[0] + REASSEMBLY_TIMEOUT_US)
-    if late < len(arrivals):
-        return arrivals[late], False
-    return arrivals[-1], True
+    bound = runs[0][0] + REASSEMBLY_TIMEOUT_US
+    for first, step, count in runs:
+        if (last := first + (count - 1) * step) > bound:  # the first late arrival; step > 0 if first <= bound
+            return (first if first > bound else first + ((bound - first) // step + 1) * step), False
+    return last, True
 
 
 @dataclass(slots=True)

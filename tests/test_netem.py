@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from epicsim.model import NetworkProfile, ValidationError
 from epicsim.netem import Drop, Path
+from epicsim.transport import fragment_runs
 from reference_netem import reference_simulate
 
 
@@ -193,6 +194,20 @@ def test_event_driven_path_matches_stepper_reference():
     assert total == 1_000
 
 
+def _burst(path, runs, now):
+    """`path.submit_burst(runs, now)` expanded into one outcome per datagram, checking the outcome runs' form."""
+    out = []
+    for first, step, count in path.submit_burst(runs, now):
+        assert count >= 1
+        if isinstance(first, Drop):
+            assert step == 0
+            out += [first] * count
+        else:
+            out += [first + i * step for i in range(count)]
+    assert len(out) == sum(count for _, count in runs)
+    return out
+
+
 def _outcome(result):
     if isinstance(result, int):
         return ("delivered", result)
@@ -263,7 +278,7 @@ def test_burst_equals_a_per_packet_submit_loop(profile, seed, ops):
     for op, dt, arg in ops:
         now += dt
         if op == "burst":
-            got = burst.submit_burst(arg, now)
+            got = _burst(burst, arg, now)
             assert got == [loop.submit(bytes(size), now) for size in _sizes_of(arg)]
         elif op == "single":
             assert burst.submit(bytes(arg), now) == loop.submit(bytes(arg), now)
@@ -319,7 +334,7 @@ def test_bursts_match_stepper_reference(profile, seed, bursts):
     for dt, runs in bursts:
         now += dt
         submissions += [(now, size) for size in _sizes_of(runs)]
-        got += [_outcome(r) for r in path.submit_burst(runs, now)]
+        got += [_outcome(r) for r in _burst(path, runs, now)]
     assert got == reference_simulate(profile, seed, submissions)
 
 
@@ -383,8 +398,18 @@ def test_burst_rejects_oversize_and_time_regression_before_any_change():
 def test_a_run_of_no_datagrams_submits_nothing():
     for loss_rate in (0.0, 0.5):
         burst, loop = Path(_profile(loss_rate=loss_rate), seed=3), Path(_profile(loss_rate=loss_rate), seed=3)
-        assert burst.submit_burst([(100, 2), (0, 0), (1_501, 0)], 0) == [loop.submit(bytes(100), 0) for _ in range(2)]
+        assert _burst(burst, [(100, 2), (0, 0), (1_501, 0)], 0) == [loop.submit(bytes(100), 0) for _ in range(2)]
         assert _timing_state(burst) == _timing_state(loop)
+
+
+def test_a_draw_free_frame_comes_back_as_at_most_two_runs():
+    """A 207,360 B frame at MTU 1400 is 152 fragments, of two sizes: one arrival run each."""
+    runs = fragment_runs(207_360, 1_400)
+    profile = _profile(mtu=1_400)
+    assert len(Path(profile, seed=4).submit_burst(runs, 0)) <= 2
+    loop = Path(profile, seed=4)
+    assert _burst(Path(profile, seed=4), runs, 0) == [loop.submit(bytes(size), 0) for size in _sizes_of(runs)]
+
 
 # draw-free with a queue of one or two MTUs, so a busy serializer drops series datagrams
 _tiny_queue = st.builds(

@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 
@@ -12,6 +13,7 @@ from epicsim.model import (
     NodeSpec,
     ValidationError,
 )
+from epicsim.netem import Drop
 from epicsim.session import (
     BandwidthStep,
     ClientSpec,
@@ -20,6 +22,7 @@ from epicsim.session import (
     compare_topologies,
     run_session,
 )
+from epicsim.transport import fragment_runs
 
 EDGE_NODE = NodeSpec(node_id=1, pixel_throughput=5_000_000_000, encode_throughput=4_000_000_000)
 CLEAN = NetworkProfile(one_way_latency=0, jitter=0, loss_rate=0.0, bandwidth=10**12, mtu=1400)
@@ -219,6 +222,27 @@ def test_packet_logging_is_one_line_per_frame(caplog):
     assert len(lines) == trace.frames.sent
     assert all("fragments" in line for line in lines)
     assert any("fragment_loss" in line for line in lines)
+
+
+@pytest.mark.parametrize("first", [Drop.LOSS, Drop.QUEUE])
+def test_a_frame_with_a_loss_and_a_queue_cut_is_dropped_for_its_first_dropped_fragment(first):
+    """A queue of two fragments behind a lossy link, so a frame both loses fragments and has them cut."""
+    profile = NetworkProfile(one_way_latency=2_000, loss_rate=0.3, bandwidth=700_000_000, mtu=1400,
+                             queue_capacity=2_800)
+    for seed in range(100):
+        sim = session._Simulation(_edge((ClientSpec(0, profile),)), DEFAULT_LADDER, 1_000_000,
+                                  SessionSettings(), seed, 0)
+        loop = copy.deepcopy(sim.down_frames[0])
+        # each fragment carried as its size, as a burst carries it
+        outcomes = [loop.submit(size, 0, size) for size, count in fragment_runs(207_360, 1400) for _ in range(count)]
+        drops = [outcome for outcome in outcomes if isinstance(outcome, Drop)]
+        if set(drops) == set(Drop) and drops[0] is first:
+            break
+    else:
+        raise AssertionError(f"no seed drops a {first.value} fragment first and the other kind later")
+    sim._on_ready(0, 0, 0, 0, None)
+    assert sim.trace.drop_reasons == {"fragment_" + first.value: 1}
+    assert sim.down_frames[0] == loop
 
 
 def test_scene_complexity_floor_is_a_settings_check():

@@ -1,7 +1,8 @@
 import zlib
+from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epicsim.model import ValidationError
 from epicsim.transport import (
@@ -236,20 +237,47 @@ def test_fragment_sizes_rejects_what_fragment_rejects(size, mtu):
     assert str(sized.value) == str(real.value)
 
 
+def _bisect_frame_outcome(arrivals):
+    """The per-fragment form of `frame_outcome`, over a list of arrival times."""
+    late = bisect_right(arrivals, arrivals[0] + REASSEMBLY_TIMEOUT_US)
+    if late < len(arrivals):
+        return arrivals[late], False
+    return arrivals[-1], True
+
+
+def _expand(runs):
+    return [first + i * step for first, step, count in runs for i in range(count)]
+
+
+@st.composite
+def _arrival_runs(draw):
+    """Non-decreasing arrival runs `(first, step, count)` as a burst returns them.
+
+    Runs of one with step 0, as under loss or jitter, and arithmetic runs,
+    some long enough to straddle the reassembly timeout.
+    """
+    at, runs = draw(st.integers(0, 100_000)), []
+    for gap, step, count in draw(st.lists(st.one_of(
+            st.tuples(st.integers(0, 60_000), st.just(0), st.just(1)),
+            st.tuples(st.integers(0, 60_000), st.integers(1, 130_000), st.integers(1, 6))), min_size=1, max_size=8)):
+        runs.append((at + gap, step, count))
+        at += gap + (count - 1) * step
+    return runs
+
+
 @st.composite
 def _frame_timeline(draw):
-    """One frame's arrivals plus window sweeps, merged into one event order.
+    """One frame's arrival runs plus window sweeps, merged into one event order.
 
     Windows may fall on an arrival's microsecond, on either side of it.
     """
-    gaps = draw(st.lists(st.integers(0, 60_000), min_size=1, max_size=24))
-    start = draw(st.integers(0, 100_000))
-    arrivals = [start + sum(gaps[:i + 1]) for i in range(len(gaps))]
+    runs = draw(_arrival_runs())
+    arrivals = _expand(runs)
     windows = draw(st.lists(st.one_of(st.integers(0, arrivals[-1] + 100_000), st.sampled_from(arrivals)),
                             max_size=12, unique=True))
     events = [((a, 1, i), "fragment") for i, a in enumerate(arrivals)]
     events += [((w, draw(st.sampled_from([0, 2])), -1), "window") for w in windows]
-    return arrivals, [(key[0], kind) for key, kind in sorted(events)], draw(st.booleans())
+    return runs, [(key[0], kind) for key, kind in sorted(events)], draw(st.booleans())
 
 
 def _reassembler_fate(arrivals, timeline, stale):
@@ -272,11 +300,12 @@ def _reassembler_fate(arrivals, timeline, stale):
     return None
 
 
-def _frame_rule(arrivals, timeline, stale):
+def _frame_rule(runs, timeline, stale):
     """frame_outcome, with a window sweeping the frame if it runs first."""
     if stale:
         return None
-    end, completed = frame_outcome(arrivals)
+    end, completed = frame_outcome(runs)
+    arrivals = _expand(runs)
     index = 0
     for t, kind in timeline:
         if kind == "window" and t - arrivals[0] > REASSEMBLY_TIMEOUT_US:
@@ -291,12 +320,28 @@ def _frame_rule(arrivals, timeline, stale):
 @given(_frame_timeline())
 @settings(max_examples=250, deadline=None)
 def test_frame_outcome_and_window_sweep_agree_with_reassembler(timeline):
-    arrivals, merged, stale = timeline
-    assert _frame_rule(arrivals, merged, stale) == _reassembler_fate(arrivals, merged, stale)
+    runs, merged, stale = timeline
+    assert _frame_rule(runs, merged, stale) == _reassembler_fate(_expand(runs), merged, stale)
+
+
+@given(_arrival_runs())
+@example([(0, 0, 1), (REASSEMBLY_TIMEOUT_US, 0, 1), (REASSEMBLY_TIMEOUT_US + 1, 0, 1)])
+@example([(7, 125_000, 3), (250_007, 0, 1), (250_008, 3, 2)])
+@example([(0, 100_000, 2), (150_000, 100_000, 3)])
+@settings(max_examples=500, deadline=None)
+def test_frame_outcome_agrees_with_a_bisect_over_the_expanded_arrivals(runs):
+    assert frame_outcome(runs) == _bisect_frame_outcome(_expand(runs))
 
 
 def test_frame_outcome_examples():
-    assert frame_outcome([10, 20, 30]) == (30, True)
-    assert frame_outcome([0, 250_000]) == (250_000, True)
-    assert frame_outcome([0, 100_000, 250_001, 400_000]) == (250_001, False)
-    assert frame_outcome([5]) == (5, True)
+    assert frame_outcome([(10, 10, 3)]) == (30, True)
+    assert frame_outcome([(0, 250_000, 2)]) == (250_000, True)
+    assert frame_outcome([(0, 100_000, 2), (250_001, 149_999, 2)]) == (250_001, False)
+    assert frame_outcome([(5, 0, 1)]) == (5, True)
+    # runs of one, as a path with loss or jitter returns them; one arrives exactly at the bound
+    assert frame_outcome([(0, 0, 1), (100_000, 0, 1), (250_000, 0, 1)]) == (250_000, True)
+    assert frame_outcome([(0, 0, 1), (100_000, 0, 1), (250_000, 0, 1), (250_001, 0, 1)]) == (250_001, False)
+    # a run straddling the bound is cut inside it, and one ending on the bound is not
+    assert frame_outcome([(0, 0, 1), (200_000, 30_000, 4)]) == (260_000, False)
+    assert frame_outcome([(0, 125_000, 3)]) == (250_000, True)
+    assert frame_outcome([(0, 125_000, 3), (250_000, 0, 1), (400_000, 0, 1)]) == (400_000, False)
