@@ -181,7 +181,11 @@ def _cmd_live_probe(args) -> int:
     if not (colon and port.isdecimal() and 1 <= int(port) <= 65_535):
         raise ValidationError(f"--addr must be host:port with a port from 1 to 65535, "
                               f"not {args.addr!r:.40}")
-    result = live_probe((host or "127.0.0.1", int(port)), args.count, args.interval_us)
+    try:
+        result = live_probe((host or "127.0.0.1", int(port)), args.count, args.interval_us)
+    except ValidationError as exc:  # its message starts with the parameter, which names the flag
+        param, _, rest = str(exc).partition(" ")
+        raise ValidationError(f"--{param.replace('_', '-')} {rest}") from None
     print(f"sent={result.sent} received={result.received} loss={result.loss_rate:.4f}")
     print(f"rtt p50={result.rtt_percentile(50)}us p95={result.rtt_percentile(95)}us "
           f"p99={result.rtt_percentile(99)}us")

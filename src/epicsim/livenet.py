@@ -126,10 +126,14 @@ def live_probe(addr: tuple[str, int], count: int, interval_us: int = 1_000,
     """Send `count` PINGs, one every `interval_us`, to an echo server and measure loopback RTT.
 
     RTT is receive time minus the echoed timestamp on the shared monotonic
-    clock, clamped to at least 1 us.  Raises `ProbeLost` if every probe is lost.
+    clock, clamped to at least 1 us.  Raises `ProbeLost` if every probe is lost,
+    and a `ValidationError` that starts with the parameter's name for a
+    `count` below 1 or a negative `interval_us`.
     """
     if count <= 0:
-        raise ValidationError("probe count must be positive")
+        raise ValidationError(f"count must be positive, not {count}")
+    if interval_us < 0:
+        raise ValidationError(f"interval_us must be non-negative, not {interval_us}")
     rtts: list[int] = []
     first_ping = b""
     with _udp_socket() as sock:

@@ -553,10 +553,27 @@ def sweep(cfg: ScenarioConfig, param: str, values: list) -> list[tuple[object, K
 
 
 def scale_clients(cfg: ScenarioConfig, n: int) -> ScenarioConfig:
-    """N-user variant: replicate the first client, derive the seed from (seed, N).
-    The document shares its parts with `cfg.raw`; `parse_scenario` copies what it keeps."""
-    template = cfg.raw["clients"][0]
-    return parse_scenario(dict(cfg.raw, seed=cfg.seed ^ n, clients=[dict(template, id=i) for i in range(n)]))
+    """N-user variant: replicate the first client as ids 0..N-1, derive the seed from (seed, N).
+
+    The ids the document names follow: replica 0 is a client-hosted master,
+    and a bandwidth step keeps only the targets among the N, or is dropped
+    when none is left.  The document shares its parts with `cfg.raw`;
+    `parse_scenario` copies what it keeps.
+    """
+    raw = cfg.raw
+    doc = dict(raw, seed=cfg.seed ^ n, clients=[dict(raw["clients"][0], id=i) for i in range(n)])
+    if cfg.mode == CLIENT_HOSTED:
+        doc["topology"] = dict(raw["topology"], master=0)
+    if "events" in raw:
+        doc["events"] = []
+        for step in raw["events"]:
+            if step.get("clients") is not None:
+                targets = [cid for cid in step["clients"] if cid < n]
+                if not targets:
+                    continue
+                step = dict(step, clients=targets)
+            doc["events"].append(step)
+    return parse_scenario(doc)
 
 
 def _search_runner(cfg: ScenarioConfig):

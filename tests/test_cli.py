@@ -231,10 +231,35 @@ def test_client_hosted_searches_count_receivers(capsys):
     assert "congestion first appears at 1 users" in capsys.readouterr().out
 
 
+def test_searches_renumber_the_ids_a_scenario_names(tmp_path, capsys):
+    """The N users are ids 0..N-1: replica 0 hosts a client-hosted session, and a step keeps the targets among them."""
+    master = dict(_MASTER, topology=dict(_MASTER["topology"], master=3))
+    targeted = json.loads((SCENARIOS / "edge-nominal.json").read_text())
+    targeted.update(duration=1_000_000, events=[{"time": 0, "bandwidth": 10_000_000, "clients": [1]}])
+    targeted["clients"].append(dict(targeted["clients"][0], id=1))
+    for doc, load, stress in ((master, 0, 1), (targeted, 1, 2)):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == EXIT_OK
+        assert main(["loadtest", "--scenario", str(path), "--max-users", "3"]) == EXIT_OK
+        assert f"load_search: {load} users meet" in capsys.readouterr().out
+        assert main(["stresstest", "--scenario", str(path), "--max-users", "3"]) == EXIT_OK
+        assert f"congestion first appears at {stress} users" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("addr", ["localhost", "127.0.0.1:99999", "127.0.0.1:0", "127.0.0.1:x", "127.0.0.1:"])
 def test_live_probe_rejects_a_malformed_addr(capsys, addr):
     assert main(["live-probe", "--addr", addr, "--count", "1"]) == EXIT_VALIDATION
     assert "--addr must be host:port" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-1"), ("--interval-us", "-5")])
+def test_live_probe_rejects_a_bad_count_or_interval_in_one_line(capsys, flag, value):
+    # the last of two --count flags wins
+    assert main(["live-probe", "--addr", "127.0.0.1:9", "--count", "1", flag, value]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ") and captured.err.count("\n") == 1
 
 
 def test_live_probe_reports_an_unreachable_server_in_one_line(capsys):

@@ -71,6 +71,12 @@ def test_probe_count_must_be_positive(server):
         live_probe(("127.0.0.1", server.port), count=0)
 
 
+def test_probe_interval_may_be_zero_but_not_negative(server):
+    assert live_probe(("127.0.0.1", server.port), count=20, interval_us=0).sent == 20  # back to back
+    with pytest.raises(ValidationError, match="^interval_us "):
+        live_probe(("127.0.0.1", server.port), count=1, interval_us=-5)
+
+
 def test_probe_total_loss_raises():
     # nothing listens on this socket's port once it is closed
     probe_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -1,23 +1,18 @@
-"""The frame datapath against a per-packet reference receiver.
+"""The session against one all-events reference.
 
-`_PerPacket` runs the simulator the way a receiver that sees every packet
-would: each frame is fragmented and encoded on the wire format, each
-fragment is a separate submission with its own "arrive" event, and each
-client reassembles through a real `transport.Reassembler`, swept at every
-controller window.  The production session carries a frame as a burst of
-sizes with one outcome event.  Both must give the same trace and handle the
-same events in the same order, including jittery paths where a whole frame
-arrives at the clamped arrival of an earlier packet.
-
-`_WireMessages` runs the small messages the same way: input, PING/PONG and
-state sync are encoded on the wire format, with one fixed pose and
-per-sender sequence numbers, and decoded on arrival.  Each input and each
-PING is also an event whose message has its own "arrive" event: an input's
-sets the host's latest input for the next frame to read, a PING's submits
-the PONG, and a PONG's applies the RTT sample.  The production session sends
-each state sync as one burst per frame path, admits each client's inputs as
-one netem series that a frame reads when it starts, and its PINGs and PONGs
-as series, window by window, whose samples each window reads with a cursor.
+`_Events` runs the seed's event loop on today's types: every input and PING
+is an event, and every fragment, input, PING, PONG and state sync is its own
+encoded submission with its own "arrive" event.  The production session
+carries a frame as a burst of sizes with one outcome event, each state sync
+as one burst per frame path, each client's inputs as one netem series that a
+frame reads when it starts, and its PINGs and PONGs as series, window by
+window, whose samples each window reads with a cursor.  Both must give the
+same trace, handle the same events in the same order and have applied the
+same RTT samples when each window reads its srtt, including jittery paths
+where a whole frame arrives at the clamped arrival of an earlier packet, and
+inputs and PONGs that arrive at the exact microsecond of a frame or window
+event.  `tests/test_random_scenarios.py` compares them on generated
+scenarios as well.
 """
 
 import heapq
@@ -50,15 +45,18 @@ _INPUT_PAYLOAD = bytes(INPUT_PAYLOAD_LEN)
 
 
 class _Logged(session._Simulation):
-    """Logs every handled event and every frame resolution, in order."""
+    """Logs every handled event and every frame resolution, in order, and apart from them
+    the RTT samples each client has had applied when a window reads its srtt."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = []
-        self.frame_path_ids = {id(path) for path in self.down_frames.values()}
-        self.polled_path_ids = self.frame_path_ids | {
-            id(path) for paths in (self.up_data, self.up_probe, self.down_probe) for path in paths.values()}
-        self.path_names = {id(r.path): r.name for r in self.paths}
+        self.window_samples = []
+
+    def _read_pongs(self, st, t):
+        super()._read_pongs(st, t)
+        if t <= self.end:  # not the run's final read
+            self.window_samples.append((t, st.spec.client_id, len(st.rtt)))
 
     def _drop_frame(self, cid, fid, reason):
         if fid in self.clients[cid].pending:
@@ -71,72 +69,21 @@ class _Logged(session._Simulation):
         super().push(t, kind, *args)
 
     def handled(self, t, kind, args):
-        if kind in ("outcome", "input", "ping") or (
-                kind == "arrive" and id(args[0]) in self.polled_path_ids):
-            return  # production has one event per frame and none per input or probe
-        self.log.append((t, kind, *(self.path_names.get(id(a), a) for a in args)))
+        if kind not in ("outcome", "input", "ping", "arrive"):  # production has one event per frame, none per message
+            self.log.append((t, kind, *args))
 
 
-class _PerPacket(_Logged):
-    """Per-fragment submissions and arrive events, reassembly by Reassembler."""
+class _Events(_Logged):
+    """The seed's event loop: every message its own submission with its own "arrive" event.
 
-    _HANDLERS = {**session._Simulation._HANDLERS, "arrive": "_on_arrive"}
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.reassemblers = {cid: Reassembler() for cid in self.clients}
-        self.levels = {}
-
-    def _on_ready(self, t, cid, fid, level_idx, input_origin):
-        self.levels[(cid, fid)] = level_idx
-        size = frame_bytes(self.ladder[level_idx])
-        path = self.down_frames[cid]
-        self.clients[cid].pending[fid] = (math.inf, level_idx, input_origin)  # the Reassembler sweeps
-        self.clients[cid].frames.sent += 1
-        for frag in fragment(fid, bytes(size), path.profile.mtu):
-            result = path.submit(encode_fragment(cid, 0, t, frag), t)
-            if isinstance(result, Drop):
-                self._drop_frame(cid, fid, "fragment_" + result.value)
-            else:
-                self.push(result, "arrive", path)
-
-    def _on_sync(self, t):
-        payload = bytes(self.settings.sync_payload_bytes)
-        for cid, path in self.down_frames.items():
-            result = path.submit(encode_message(WireHeader(MsgType.STATE_SYNC, cid, 0, t), payload), t)
-            if isinstance(result, int):
-                self.push(result, "arrive", path)
-        if t + self.settings.sync_interval_us <= self.end:
-            self.push(t + self.settings.sync_interval_us, "sync")
-
-    def _on_arrive(self, t, path):
-        for data, at in path.advance_to(t):
-            header, payload = decode_message(data)
-            if header.msg_type != MsgType.FRAME_FRAG:
-                continue
-            cid = header.session_id
-            event = self.reassemblers[cid].offer(decode_fragment(payload), at)
-            for fid in event.abandoned:
-                self._drop_frame(cid, fid, "reassembly_abandoned")
-            if event.completed is not None:
-                fid = event.completed[0]
-                st = self.clients[cid]
-                if fid in st.pending:
-                    level = self.ladder[self.levels[(cid, fid)]]
-                    self.push(at + decode_time_us(level, st.spec.decode_throughput), "present", cid, fid)
-
-    def _on_window(self, t):
-        super()._on_window(t)
-        for cid, reassembler in self.reassemblers.items():
-            for fid in reassembler.sweep(t):
-                self._drop_frame(cid, fid, "reassembly_abandoned")
-
-
-class _WireMessages(_Logged):
-    """Small messages as wire bytes, encoded on submit and decoded on arrival;
-    inputs and PINGs as events, and each delivery an "arrive" event, so that
-    a frame sees an input, and a window an RTT sample, when its arrive event
-    ran first.  Every input carries the fixed `_POSE`: no run reads a pose."""
+    Inputs and PINGs are events.  Each fragment, input, PING, PONG and state
+    sync is encoded on the wire format, numbered per sender side, session and
+    type, submitted alone, and decoded by the arrive event that polls its path
+    at its arrival.  A fragment is offered to its client's `Reassembler`,
+    swept at every controller window; an input sets the host's latest input
+    for the next frame to read; a PING submits its PONG; a PONG applies its
+    RTT sample.  Every input carries the same zero pose: no run reads a pose.
+    """
 
     _HANDLERS = {**session._Simulation._HANDLERS,
                  "input": "_on_input", "ping": "_on_ping", "arrive": "_on_arrive"}
@@ -145,6 +92,7 @@ class _WireMessages(_Logged):
         super().__init__(*args, **kwargs)
         self.sequences = {}
         self.host_input_origin = dict.fromkeys(self.clients)
+        self.reassemblers = {cid: Reassembler() for cid in self.clients}
 
     def run(self):
         """The event loop with one "input" and one "ping" event per client and interval."""
@@ -159,9 +107,6 @@ class _WireMessages(_Logged):
         while self.heap and self.heap[0][0] <= self.end:
             t, _, kind, args = session.heapq.heappop(self.heap)
             getattr(self, self._HANDLERS[kind])(t, *args)
-        for r in self.paths:
-            if r.kind == "frames":
-                r.path.advance_to(self.end)
         return self._build_trace()
 
     def _admit_inputs(self, cid):
@@ -171,16 +116,15 @@ class _WireMessages(_Logged):
         return self.host_input_origin[st.spec.client_id]
 
     def _admit_probes(self, cid, t):
-        pass  # each "ping" event submits its own
-
-    def _read_pongs(self, st, t):
-        pass  # each PONG's arrive event applies its sample
+        pass  # each "ping" event submits its own, so no PONG waits for a window to read it
 
     def _submit(self, path, data, t):
-        """Submit one message; its delivery is an "arrive" event."""
+        """Submit one datagram; its delivery is an "arrive" event.  Returns its drop, if any."""
         result = path.submit(data, t)
-        if isinstance(result, int):
-            self.push(result, "arrive", path)
+        if isinstance(result, Drop):
+            return result
+        self.push(result, "arrive", path)
+        return None
 
     def _encode(self, side, msg_type, cid, t, payload=b""):
         """One message, numbered per sender side, session and type."""
@@ -199,30 +143,49 @@ class _WireMessages(_Logged):
         if t + self.settings.ping_interval_us <= self.end:
             self.push(t + self.settings.ping_interval_us, "ping", cid)
 
+    def _on_ready(self, t, cid, fid, level_idx, input_origin):
+        path = self.down_frames[cid]
+        self.clients[cid].pending[fid] = (math.inf, level_idx, input_origin)  # the Reassembler sweeps
+        self.clients[cid].frames.sent += 1
+        for frag in fragment(fid, bytes(frame_bytes(self.ladder[level_idx])), path.profile.mtu):
+            dropped = self._submit(path, encode_fragment(cid, 0, t, frag), t)
+            if dropped is not None:
+                self._drop_frame(cid, fid, "fragment_" + dropped.value)
+
     def _on_sync(self, t):
         payload = bytes(self.settings.sync_payload_bytes)
         for cid, path in self.down_frames.items():
-            before = path.last_arrival
-            path.submit(self._encode("h", MsgType.STATE_SYNC, cid, t, payload), t)
-            if path.last_arrival != before:
-                self._seq += 1
-                self.arrival_seq[id(path)] = self._seq
+            self._submit(path, self._encode("h", MsgType.STATE_SYNC, cid, t, payload), t)
         if t + self.settings.sync_interval_us <= self.end:
             self.push(t + self.settings.sync_interval_us, "sync")
 
     def _on_arrive(self, t, path):
         for data, at in path.advance_to(t):
-            header, _ = decode_message(data)
-            cid = header.session_id
-            if header.msg_type == MsgType.INPUT:
+            header, payload = decode_message(data)
+            cid, st = header.session_id, self.clients[header.session_id]
+            if header.msg_type == MsgType.FRAME_FRAG:
+                event = self.reassemblers[cid].offer(decode_fragment(payload), at)
+                for fid in event.abandoned:
+                    self._drop_frame(cid, fid, "reassembly_abandoned")
+                if event.completed is not None and event.completed[0] in st.pending:
+                    fid = event.completed[0]
+                    level = self.ladder[st.pending[fid][1]]
+                    self.push(at + decode_time_us(level, st.spec.decode_throughput), "present", cid, fid)
+            elif header.msg_type == MsgType.INPUT:
                 self.host_input_origin[cid] = header.timestamp
             elif header.msg_type == MsgType.PING:
                 pong = WireHeader(MsgType.PONG, cid, header.sequence, header.timestamp)
                 self._submit(self.down_probe[cid], encode_message(pong), at)
             elif header.msg_type == MsgType.PONG:
                 sample = at - header.timestamp
-                self.clients[cid].estimator.update(sample)
-                self.clients[cid].rtt.append(sample)
+                st.estimator.update(sample)
+                st.rtt.append(sample)
+
+    def _on_window(self, t):
+        super()._on_window(t)
+        for cid, reassembler in self.reassemblers.items():
+            for fid in reassembler.sweep(t):
+                self._drop_frame(cid, fid, "reassembly_abandoned")
 
 
 def _run(cfg, cls, monkeypatch):
@@ -230,7 +193,7 @@ def _run(cfg, cls, monkeypatch):
 
 
 def _run_logged(run, cls, monkeypatch):
-    """`run()` with `cls` as the session's simulation; returns its trace and handled-event log."""
+    """`run()` with `cls` as the session's simulation; returns its trace and its logs."""
     sims = []
 
     class Recording(cls):
@@ -249,7 +212,7 @@ def _run_logged(run, cls, monkeypatch):
         m.setattr(session, "heapq", type("Heap", (), {"heappush": staticmethod(heapq.heappush),
                                                       "heappop": staticmethod(heappop)}))
         trace = run()
-    return trace, sims[-1].log
+    return trace, (sims[-1].log, sims[-1].window_samples)
 
 
 TINY_LADDER = [
@@ -282,20 +245,14 @@ CASES = {
                 "nodes": [{"node_id": 1, "pixel_throughput": 5_000_000_000, "encode_throughput": 10_000_000}],
                 "controller": {"enabled": True, "start_level": 0, "window": 100_000}},
         "paths": {"loss_rate": 0.0005, "queue_capacity": 8_000_000}}),
-}
-
-
-# the shipped scenarios, whose paths are draw-free, shortened to 1 s (master-server is
-# in CASES)
-WIRE_CASES = {
-    **CASES,
+    # shipped scenarios, whose paths are draw-free, shortened to 1 s
     "edge-nominal": ("edge-nominal.json", None, {"doc": {"duration": 1_000_000}}),
     "shared-egress": ("shared-egress.json", 4, {"doc": {"duration": 1_000_000}}),
 }
 
 
 def _config(case, seed):
-    scenario, n, overrides = WIRE_CASES[case]
+    scenario, n, overrides = CASES[case]
     doc = apply_overrides(orchestrator.load_scenario(str(SCENARIOS / scenario)).raw, overrides)
     cfg = orchestrator.parse_scenario(dict(doc, seed=seed))
     return cfg if n is None else orchestrator.scale_clients(cfg, n)
@@ -303,20 +260,10 @@ def _config(case, seed):
 
 @pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("seed", [1, 2])
-def test_frame_datapath_matches_per_packet_reference(case, seed, monkeypatch):
+def test_session_matches_the_all_events_reference(case, seed, monkeypatch):
     cfg = _config(case, seed)
     trace, log = _run(cfg, _Logged, monkeypatch)
-    ref_trace, ref_log = _run(cfg, _PerPacket, monkeypatch)
-    assert trace == ref_trace
-    assert log == ref_log
-
-
-@pytest.mark.parametrize("case", list(WIRE_CASES))
-@pytest.mark.parametrize("seed", [1, 2])
-def test_message_records_match_the_wire_byte_path(case, seed, monkeypatch):
-    cfg = _config(case, seed)
-    trace, log = _run(cfg, _Logged, monkeypatch)
-    ref_trace, ref_log = _run(cfg, _WireMessages, monkeypatch)
+    ref_trace, ref_log = _run(cfg, _Events, monkeypatch)
     assert trace == ref_trace
     assert log == ref_log
 
@@ -394,7 +341,7 @@ def _drive_clamped_frame(cls):
 
 def test_clamped_frame_resolves_where_the_earlier_packet_arrived():
     log, arrival = _drive_clamped_frame(_Logged)
-    ref_log, _ = _drive_clamped_frame(_PerPacket)
+    ref_log, _ = _drive_clamped_frame(_Events)
     assert log == ref_log
     assert log.index(("complete", arrival + 1, 0, 0)) < log.index((arrival, "window"))
 
@@ -462,7 +409,7 @@ def test_inputs_arriving_as_a_frame_starts_match_input_events(monkeypatch):
     for case in _TIE_CASES:
         args = _tie_case(*case)
         trace, log = _run_logged(lambda: session.run_session(*args), _Logged, monkeypatch)
-        ref_trace, ref_log = _run_logged(lambda: session.run_session(*args), _WireMessages, monkeypatch)
+        ref_trace, ref_log = _run_logged(lambda: session.run_session(*args), _Events, monkeypatch)
         assert trace == ref_trace, case
         assert log == ref_log, case
 
@@ -521,7 +468,7 @@ def test_pongs_arriving_as_a_window_reads_match_pong_events(monkeypatch):
     for case in _PONG_CASES:
         args = _pong_case(*case)
         got = _run_reading_srtt(args, _Logged, monkeypatch)
-        assert got == _run_reading_srtt(args, _WireMessages, monkeypatch), case
+        assert got == _run_reading_srtt(args, _Events, monkeypatch), case
 
 
 class _ScriptedJitter:
@@ -556,7 +503,7 @@ def test_a_pong_group_is_ordered_by_the_first_ping_of_its_arrival(monkeypatch):
     settings = session.SessionSettings(ping_interval_us=100, controller=session.ControllerConfig(window_us=500))
     args = topology, (QualityLevel(0, 96, 64, 24, 0.8),), 1_000_000, settings, 5, 0
     runs = []
-    for cls in (_Logged, _WireMessages):
+    for cls in (_Logged, _Events):
         class Scripted(cls):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
