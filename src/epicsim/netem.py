@@ -39,7 +39,10 @@ either one up to a time, splitting a run that has partly passed.
 one.  It releases the serializer once, before the first datagram: `now` is
 fixed, and every serialization end an admission adds is later than `now` (a
 datagram of at least 1 B takes at least 1 us), so every datagram of the
-admission finds the same ones serialized by `now`.  When the profile has
+admission finds the same ones serialized by `now`.  An idle serializer
+(`busy_until <= now`) has ended every serialization, so the release empties
+`_serializing` and the queue in one step; a busy one pops the runs that
+have ended.  When the profile has
 neither loss nor jitter no draw can decide anything: the RNG skips the
 admission's loss draws in one step (its state is a counter), and each run
 is admitted in a fixed number of steps, exactly as datagram by datagram:
@@ -210,8 +213,12 @@ class Path:
         loss_rate, jitter = profile.loss_rate, profile.jitter
         serializing, pending = self._serializing, self._pending
         busy, queued, last = self.busy_until, self.queued_bytes, self.last_arrival
-        for _, _, done, size in _pop_runs(serializing, now):
-            queued -= done * size
+        if busy <= now:  # idle: every serialization has ended
+            serializing.clear()
+            queued = 0
+        else:
+            for _, _, done, size in _pop_runs(serializing, now):
+                queued -= done * size
         out: list[tuple[int | Drop, int, int]] = []
         if not (loss_rate > 0 or jitter > 0):
             self.rng.skip(total)

@@ -10,8 +10,24 @@ No message is encoded, and none is an event.  A state sync is a datagram of
 its wire size, sent to each frame path as one burst with one datagram per
 client on it; nothing reads its arrival.  A frame is carried as runs of its
 fragments' wire sizes, submitted to its path as one burst, and resolved by
-one event: the frame's completion or abandonment, computed from the
-fragments' arrival times.  No frame bytes are generated.
+one outcome event, or where it is submitted: the frame's completion or
+abandonment, computed from the fragments' arrival times.  No frame bytes are
+generated.
+
+A frame is presented where it is submitted when no event could see the
+difference.  Its outcome event would set `last_completed` at its last
+arrival and push its present event for P, one decode time later; the
+present moves it from `pending` to the delivered, window and per-second
+counts and `m2p`.  Only the client's own readies, outcomes and presents, the
+windows and the end of the run read that state.  So `_on_ready` sets
+`last_completed` and presents the frame at P at once when its burst
+completes it, it is newer than the last completed frame (so not stale) and
+its client's only pending frame (no other outcome or present of the client
+acts before P), every frame the client has started is ready and P is before
+the client's next frame event (no ready of the client comes before P), P is
+before the next window not yet handled (no window reads or sweeps before
+P), and P is not after the end (the present event would run).  Otherwise it
+pushes the outcome event.
 
 Inputs are neither records nor events.  The host reads an input for one thing:
 when a frame starts, the send time of the latest input it holds becomes the
@@ -237,7 +253,8 @@ class _ClientState:
         "last_completed", "pending", "last_presented", "next_frame_id",
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
-        "inputs", "input_bounds", "input_cursor", "input_origin", "input_first", "last_frame", "decode_us",
+        "inputs", "input_bounds", "input_cursor", "input_origin", "input_first", "last_frame", "next_frame",
+        "decode_us",
         "pings", "pongs", "ping_group",
     )
 
@@ -266,6 +283,7 @@ class _ClientState:
         self.input_origin: int | None = None  # send time of the latest input seen
         self.input_first = True               # the input event at last_frame ran first
         self.last_frame = start               # time of the latest frame event
+        self.next_frame = start               # time of the next frame event
         # the probe stream (module docstring), with S and P as the tie rule names them
         self.pings = 0                        # PINGs submitted
         self.pongs: list[tuple[int, int, int, int]] = []  # each PONG not yet read: arrival, sent, P, S
@@ -296,6 +314,7 @@ class _Simulation:
 
         self.heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
+        self.next_window = start_time + settings.controller.window_us  # the next window event not yet handled
         self.log_frames = logger.isEnabledFor(logging.DEBUG)
 
         self.master_id = topology.master_id if topology.mode == CLIENT_HOSTED else None
@@ -463,7 +482,7 @@ class _Simulation:
         st.next_frame_id += 1
         ready = t + (0 if self.settings.prerender else rt) + et
         self.push(ready, "ready", cid, fid, level_idx, self._read_inputs(st, t))
-        nxt = t + interval
+        st.next_frame = nxt = t + interval
         if nxt <= self.end:
             self.push(nxt, "frame", cid)
 
@@ -489,10 +508,17 @@ class _Simulation:
         else:
             end, completed = frame_outcome(arrivals)
             outcome = "completes" if completed else "reassembly_abandoned"
-            # a whole frame arriving at the instant of an earlier packet is
-            # seen with that packet; the tie-break keeps path order
-            order = self.arrival_seq[id(path)] if end == before else seq
-            heapq.heappush(self.heap, (end, order, "outcome", (seq, cid, fid, level_idx, completed)))
+            present = end + st.decode_us[level_idx]
+            if (completed and fid > st.last_completed and len(st.pending) == 1
+                    and st.frames.sent == st.next_frame_id
+                    and present < st.next_frame and present < self.next_window and present <= self.end):
+                st.last_completed = fid  # no event sees the frame before its present (module docstring)
+                self._on_present(present, cid, fid)
+            else:
+                # a whole frame arriving at the instant of an earlier packet is
+                # seen with that packet; the tie-break keeps path order
+                order = self.arrival_seq[id(path)] if end == before else seq
+                heapq.heappush(self.heap, (end, order, "outcome", (seq, cid, fid, level_idx, completed)))
         if path.last_arrival != before:
             self.arrival_seq[id(path)] = seq
         if self.log_frames:
@@ -579,7 +605,7 @@ class _Simulation:
             for fid in swept:
                 self._drop_frame(cid, fid, "reassembly_abandoned")
         trace.queue_drop_timeline.append(sum(r.path.dropped_queue for r in self.paths if r.kind == "frames"))
-        nxt = t + cfg.window_us
+        self.next_window = nxt = t + cfg.window_us
         if nxt <= self.end:
             self.push(nxt, "window", )
 

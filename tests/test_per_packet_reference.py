@@ -3,16 +3,19 @@
 `_Events` runs the seed's event loop on today's types: every input and PING
 is an event, and every fragment, input, PING, PONG and state sync is its own
 encoded submission with its own "arrive" event.  The production session
-carries a frame as a burst of sizes with one outcome event, each state sync
-as one burst per frame path, each client's inputs as one netem series that a
-frame reads when it starts, and its PINGs and PONGs as series, window by
-window, whose samples each window reads with a cursor.  Both must give the
-same trace, handle the same events in the same order and have applied the
-same RTT samples when each window reads its srtt, including jittery paths
-where a whole frame arrives at the clamped arrival of an earlier packet, and
-inputs and PONGs that arrive at the exact microsecond of a frame or window
-event.  `tests/test_random_scenarios.py` compares them on generated
-scenarios as well.
+carries a frame as a burst of sizes, presented where it is submitted or
+resolved by one outcome event, each state sync as one burst per frame path,
+each client's inputs as one netem series that a frame reads when it starts,
+and its PINGs and PONGs as series, window by window, whose samples each
+window reads with a cursor.  Both must give the same trace, handle the same
+events in the same order, present each client's frames at the same times in
+the same order, and have applied the same RTT samples and counted the same
+frames when each window reads them.  That includes jittery paths where a
+whole frame arrives at the clamped arrival of an earlier packet, inputs and
+PONGs that arrive at the exact microsecond of a frame or window event, and
+one case for each condition under which the session does not present a
+frame where it is submitted.  `tests/test_random_scenarios.py` compares
+them on generated scenarios as well.
 """
 
 import heapq
@@ -45,32 +48,40 @@ _INPUT_PAYLOAD = bytes(INPUT_PAYLOAD_LEN)
 
 
 class _Logged(session._Simulation):
-    """Logs every handled event and every frame resolution, in order, and apart from them
-    the RTT samples each client has had applied when a window reads its srtt."""
+    """Logs every handled event but a present and every frame drop, in order.  Apart from
+    them it logs each present per client, since the session may present a frame where it
+    is submitted, and what each window reads of each client: the RTT samples applied and
+    the frames and bits counted since the last window."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = []
+        self.presents = []
         self.window_samples = []
 
     def _read_pongs(self, st, t):
         super()._read_pongs(st, t)
         if t <= self.end:  # not the run's final read
-            self.window_samples.append((t, st.spec.client_id, len(st.rtt)))
+            self.window_samples.append((t, st.spec.client_id, len(st.rtt),
+                                        st.window_delivered, st.window_dropped, st.window_bits))
 
     def _drop_frame(self, cid, fid, reason):
         if fid in self.clients[cid].pending:
             self.log.append(("drop", cid, fid, reason))
         super()._drop_frame(cid, fid, reason)
 
-    def push(self, t, kind, *args):
-        if kind == "present":
-            self.log.append(("complete", t, *args))
-        super().push(t, kind, *args)
+    def _on_present(self, t, cid, fid):
+        self.presents.append((cid, t, fid))
+        super()._on_present(t, cid, fid)
 
     def handled(self, t, kind, args):
-        if kind not in ("outcome", "input", "ping", "arrive"):  # production has one event per frame, none per message
+        # production has no event per message, and at most one per frame after its ready
+        if kind not in ("outcome", "present", "input", "ping", "arrive"):
             self.log.append((t, kind, *args))
+
+    def logs(self):
+        """The handled-event log, each client's presents in order, and the window reads."""
+        return self.log, sorted(self.presents, key=lambda present: present[0]), self.window_samples
 
 
 class _Events(_Logged):
@@ -212,7 +223,7 @@ def _run_logged(run, cls, monkeypatch):
         m.setattr(session, "heapq", type("Heap", (), {"heappush": staticmethod(heapq.heappush),
                                                       "heappop": staticmethod(heappop)}))
         trace = run()
-    return trace, (sims[-1].log, sims[-1].window_samples)
+    return trace, sims[-1].logs()
 
 
 TINY_LADDER = [
@@ -319,7 +330,9 @@ def _drive_clamped_frame(cls):
     scheduled for its arrival time; then a one-fragment frame is submitted
     whose own draw is small, so it is clamped to the sync's arrival.  A
     per-packet receiver sees the frame in the sync's arrive event, which was
-    scheduled before the window.
+    scheduled before the window.  The frame's present falls after the window,
+    so the session resolves it by an outcome event.  Returns the logs, every
+    handled event as `(t, kind)` and the sync's arrival.
     """
     profile = NetworkProfile(one_way_latency=2_000, jitter=1_000_000, bandwidth=700_000_000)
     topology = session.SessionTopology("edge_hosted", (session.ClientSpec(0, profile),),
@@ -330,20 +343,78 @@ def _drive_clamped_frame(cls):
     sim._on_sync(0)
     arrival = path.last_arrival
     sim.push(arrival, "window")
+    sim.next_window = arrival
     sim._on_ready(10, 0, 0, 0, None)
     assert path.last_arrival == arrival  # the frame was clamped
+    handled = []
     while sim.heap:
         t, _, kind, args = heapq.heappop(sim.heap)
         sim.handled(t, kind, args)
+        handled.append((t, kind))
         getattr(sim, sim._HANDLERS[kind])(t, *args)
-    return sim.log, arrival
+    return sim.logs(), handled, arrival
 
 
 def test_clamped_frame_resolves_where_the_earlier_packet_arrived():
-    log, arrival = _drive_clamped_frame(_Logged)
-    ref_log, _ = _drive_clamped_frame(_Events)
-    assert log == ref_log
-    assert log.index(("complete", arrival + 1, 0, 0)) < log.index((arrival, "window"))
+    logs, handled, arrival = _drive_clamped_frame(_Logged)
+    ref_logs, _, _ = _drive_clamped_frame(_Events)
+    assert logs == ref_logs
+    assert handled.index((arrival, "outcome")) < handled.index((arrival, "window"))
+    assert logs[1] == [(0, arrival + 1, 0)]  # presented, not swept
+
+
+def _submission_case(levels=((96, 64, 60), (64, 48, 60)), latency=100, bandwidth=700_000_000, queue=None,
+                     encode=4_000_000_000, decode=7_000_000_000, duration=1_000_000, window=250_000, k_down=2):
+    """One client on a draw-free path; each level is `(width, height, fps)`."""
+    profile = NetworkProfile(one_way_latency=latency, bandwidth=bandwidth, queue_capacity=queue)
+    topology = session.SessionTopology("edge_hosted", (session.ClientSpec(0, profile, decode),),
+                                       host_node=NodeSpec(1, 5_000_000_000, encode))
+    ladder = tuple(QualityLevel(i, width, height, fps, 0.8) for i, (width, height, fps) in enumerate(levels))
+    settings = session.SessionSettings(controller=session.ControllerConfig(window_us=window, k_down=k_down))
+    return topology, ladder, duration, settings, 5, 0
+
+
+# Each case meets one condition under which `_on_ready` pushes an outcome
+# event for a frame that would otherwise be presented where it is submitted;
+# without that condition the run leaves the reference.  Levels downgrade at
+# a window: after two windows whose srtt exceeds the 7 ms budget, or with
+# `k_down=1` after the first, short of throughput.
+_SUBMISSION_CASES = {
+    # the burst completes the frame: 800x800 frames at 2 fps are 47 fragments,
+    # 5.6 ms apart at 2 Mb/s, so each is abandoned by its own late fragment
+    "abandoned-by-its-own-fragment": dict(levels=((800, 800, 2), (64, 48, 2)), bandwidth=2_000_000,
+                                          queue=2_000_000, window=400_000),
+    # fid > last_completed: encoding takes 50 ms at level 0 and 25 ms at level 1, so
+    # the frame started after the downgrade at 500 ms is ready, complete and
+    # presented before the last level-0 frame is ready, which never resolves
+    "older-than-the-last-completed": dict(levels=((96, 64, 60), (64, 48, 24)), latency=3_600, encode=122_880),
+    # every started frame is ready: encoding takes 25 ms at level 0, longer than
+    # the frame interval, and 12.5 ms at level 1; the last level-0 frame is ready
+    # after the first level-1 frame starts and 4.2 ms before it is ready, and is
+    # presented after it: the level-1 decode is 6.1 ms shorter
+    "newer-frame-not-yet-ready": dict(levels=((96, 64, 60), (64, 48, 24)), encode=245_760, decode=500_000,
+                                      k_down=1),
+    # present before the next frame: the last level-0 frame is ready 12.3 ms after it
+    # starts, after the downgrade at 470 ms, and takes 12.3 ms to decode; the
+    # next frame, 1/8 its size, starts, is ready and is presented before it
+    "newer-frame-presented-first": dict(levels=((96, 64, 60), (32, 24, 60)), latency=3_600, encode=500_000,
+                                        decode=500_000, window=235_000),
+    # present before the next window: the frame started at 233,338 us is presented
+    # at 250,000 us, the first window's microsecond, and counts in the next window
+    "present-at-a-window": dict(latency=16_649),
+    # present by the end: the frame started at 1,000,020 us is ready at
+    # 1,000,024 us and arrives after the end at 1,000,025 us, still in flight
+    "present-after-the-end": dict(duration=1_000_025),
+}
+
+
+@pytest.mark.parametrize("case", list(_SUBMISSION_CASES))
+def test_frames_presented_where_they_are_submitted_match_frame_events(case, monkeypatch):
+    args = _submission_case(**_SUBMISSION_CASES[case])
+    trace, logs = _run_logged(lambda: session.run_session(*args), _Logged, monkeypatch)
+    ref_trace, ref_logs = _run_logged(lambda: session.run_session(*args), _Events, monkeypatch)
+    assert trace == ref_trace
+    assert logs == ref_logs
 
 
 # 56 B inputs take 1 us to serialize at 448 Mb/s and 2 us at 224 Mb/s

@@ -11,10 +11,14 @@ client; a shared egress or master uplink carries 2-4 clients.
 divide the frame interval, a latency of `k * tick - tx` for the input sent
 `k` ticks before a frame event, and windows and ping intervals that are
 whole ticks, so that inputs arrive at frame events and PONGs at windows.
+In some of them (9 of the 40) every path is slow and the first level's
+frames are 51 full fragments whose last arrives exactly the reassembly
+timeout after the first, so they complete, where a last fragment one
+microsecond later would abandon them; inputs still arrive at frame events.
 
 Production and `_Events` must give the same trace and the same logs (the
-handled events, and the RTT samples each window has applied), or raise the
-same `NoPong`.
+handled events, each client's presents, and the RTT samples and frame
+counts each window reads), or raise the same `NoPong`.
 """
 
 import copy
@@ -26,12 +30,15 @@ import pytest
 
 from epicsim import orchestrator
 from epicsim.model import DEFAULT_LADDER, ceil_div
-from epicsim.transport import HEADER_LEN, INPUT_PAYLOAD_LEN
+from epicsim.transport import HEADER_LEN, INPUT_PAYLOAD_LEN, REASSEMBLY_TIMEOUT_US, fragment_capacity
 from test_per_packet_reference import TINY_LADDER, _Events, _Logged, _run
 
 SHIPPED = {path.stem: json.loads(path.read_text())
            for path in sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))}
 DURATION = 1_000_000
+# full 1,400 B fragments take 5 ms at 2.24 Mb/s, so a frame of 51 of them, sent on an
+# idle or a busy path, has its last fragment arrive exactly the reassembly timeout after its first
+_TIMEOUT_BANDWIDTH, _TIMEOUT_MTU, _TIMEOUT_TX = 2_240_000, 1_400, 5_000
 
 
 def _base(rng, receivers):
@@ -126,6 +133,14 @@ def _tie_document(seed):
     window = tick * rng.choice((ahead, rng.randint(1, 8)))
     doc.update(tick=tick, ping_interval=rng.choice((window, tick * rng.randint(1, 4))))
     doc["controller"] = {"enabled": rng.random() < 0.5, "start_level": 0, "window": window}
+    input_tx = ceil_div((HEADER_LEN + INPUT_PAYLOAD_LEN) * 8_000_000, _TIMEOUT_BANDWIDTH)
+    if ahead * tick >= input_tx and rng.random() < 0.3:  # drawn last: the other documents stay as they were
+        doc.pop("events", None)
+        for profile in _profiles(doc):
+            profile.update(one_way_latency=ahead * tick - input_tx, bandwidth=_TIMEOUT_BANDWIDTH, mtu=_TIMEOUT_MTU,
+                           queue_capacity=2_000_000, jitter=0, loss_rate=0.0)
+        doc["ladder"][0] = dict(level_index=0, width=fragment_capacity(_TIMEOUT_MTU),
+                                height=REASSEMBLY_TIMEOUT_US // _TIMEOUT_TX + 1, fps=fps, bpp=8)
     return doc
 
 
