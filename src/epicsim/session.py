@@ -630,7 +630,7 @@ class _Simulation:
             self._admit_inputs(cid)
             self.push(self.start, "frame", cid)
         self.push(self.start, "sync")
-        self.push(self.start + self.settings.controller.window_us, "window")
+        self.push(self.next_window, "window")
         for step in self.settings.bandwidth_steps:
             self.push(self.start + step.time_us, "bwstep", step)
 
