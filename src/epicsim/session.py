@@ -33,11 +33,12 @@ Inputs are neither records nor events.  The host reads an input for one thing:
 when a frame starts, the send time of the latest input it holds becomes the
 frame's motion-to-photon origin.  A client's inputs are sent at
 `start + k * tick` on its own `up_data` path, which carries nothing else, so
-the session submits them as one netem series (`Path.submit_series`) at the
-start of the run, and again after each bandwidth step that reaches that path,
-up to the next such step or the end of the run.  The input at `start` is sent
-before a step at `start`; an input at any later time T after a step at T.
-Each frame event reads the arrivals with a cursor.
+the next k is the path's `submitted`.  Like PINGs, they go window by window:
+at the start of the run, at each controller window and at each bandwidth
+step that reaches that path, one netem series submits those sent by the next
+window and before the next such step.  The input at `start` is sent before a
+step at `start`; an input at any later time T after a step at T.  Each frame
+event reads the arrivals in order and drops those it has read.
 
 The tie rule makes that read equal to an event loop in which each input is an
 event that pushes its own arrive event, and the arrive event sets the host's
@@ -104,6 +105,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .adapt import (
@@ -253,9 +255,8 @@ class _ClientState:
         "last_completed", "pending", "last_presented", "next_frame_id",
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
-        "inputs", "input_bounds", "input_cursor", "input_origin", "input_first", "last_frame", "next_frame",
-        "decode_us",
-        "pings", "pongs", "ping_group",
+        "inputs", "input_bounds", "input_origin", "input_first", "last_frame", "next_frame",
+        "decode_us", "pongs", "ping_group",
     )
 
     def __init__(self, spec: ClientSpec, ladder, start_level: int, start: int):
@@ -276,16 +277,14 @@ class _ClientState:
         self.m2p: list[int] = []
         self.rtt: list[int] = []
         # the input stream (module docstring): the arrival or drop of each
-        # admitted input, indexed by k for the input sent at start + k * tick
-        self.inputs: list[int | Drop] = []
+        # admitted input the host has not read, in the order they were sent
+        self.inputs: deque[int | Drop] = deque()
         self.input_bounds: list[int] = []     # admission boundaries, the next one last
-        self.input_cursor = 0                 # first input the host has not yet seen
         self.input_origin: int | None = None  # send time of the latest input seen
         self.input_first = True               # the input event at last_frame ran first
         self.last_frame = start               # time of the latest frame event
         self.next_frame = start               # time of the next frame event
         # the probe stream (module docstring), with S and P as the tie rule names them
-        self.pings = 0                        # PINGs submitted
         self.pongs: list[tuple[int, int, int, int]] = []  # each PONG not yet read: arrival, sent, P, S
         self.ping_group = (-1, -1)            # the latest P, and its S
 
@@ -401,33 +400,33 @@ class _Simulation:
 
     # -- client-side streams ----------------------------------------------
 
-    def _admit_inputs(self, cid: int):
-        """Submit the client's inputs sent before its next admission boundary."""
-        st, tick = self.clients[cid], self.settings.tick_us
-        k = len(st.inputs)
-        count = (st.input_bounds.pop() - 1 - self.start) // tick + 1 - k
-        st.inputs += self.up_data[cid].submit_series(_INPUT_BYTES, self.start + k * tick, tick, count)
+    def _admit_inputs(self, cid: int, t: int, horizon: int):
+        """Submit the client's inputs sent by `horizon` and before its next admission boundary."""
+        st, tick, up = self.clients[cid], self.settings.tick_us, self.up_data[cid]
+        up.forget_to(t)  # nothing reads a delivery
+        first = self.start + up.submitted * tick
+        count = (min(horizon, st.input_bounds[-1] - 1) - first) // tick + 1
+        st.inputs += up.submit_series(_INPUT_BYTES, first, tick, count)
 
     def _read_inputs(self, st: _ClientState, t: int) -> int | None:
         """Send time of the latest input the host holds when the frame at `t` starts.
 
-        Reads the admitted arrivals from the cursor under the tie rule of the
-        module docstring, then records this frame event's place in push order.
+        Reads and drops the admitted arrivals under the tie rule of the module
+        docstring, then records this frame event's place in push order.
         """
-        inputs, k, n = st.inputs, st.input_cursor, len(st.inputs)
-        start, tick, prev = self.start, self.settings.tick_us, st.last_frame
+        inputs, tick, prev = st.inputs, self.settings.tick_us, st.last_frame
+        sent = self.start + (self.up_data[st.spec.client_id].submitted - len(inputs)) * tick  # of inputs[0]
         seen = t - 1  # the latest arrival seen
-        while k < n:
-            at = inputs[k]
+        while inputs:
+            at = inputs[0]
             if at.__class__ is int:
-                sent = start + k * tick
                 if at > seen:  # the first input arriving at t decides for all of them
                     if at != t or not (sent < prev or sent == prev and st.input_first):
                         break
                     seen = t
                 st.input_origin = sent
-            k += 1
-        st.input_cursor = k
+            inputs.popleft()
+            sent += tick
         pushed = t - tick  # the input event at t was pushed then, this frame event at prev
         if pushed != prev:
             st.input_first = pushed < prev
@@ -438,10 +437,9 @@ class _Simulation:
         """Submit the client's PINGs sent by `t`, and the PONG of each that arrives by the end."""
         st, interval, end = self.clients[cid], self.settings.ping_interval_us, self.end
         up, down = self.up_probe[cid], self.down_probe[cid]
-        k, st.pings = st.pings, (t - self.start) // interval + 1
-        first = self.start + k * interval
+        first = self.start + up.submitted * interval
         pinged, (group_at, group_sent) = [], st.ping_group
-        for i, at in enumerate(up.submit_series(HEADER_LEN, first, interval, st.pings - k)):
+        for i, at in enumerate(up.submit_series(HEADER_LEN, first, interval, (t - first) // interval + 1)):
             if at.__class__ is int and at <= end:
                 if at != group_at:
                     group_at, group_sent = at, first + i * interval
@@ -580,6 +578,7 @@ class _Simulation:
         window_index = len(trace.queue_drop_timeline)
         for cid, st in self.clients.items():
             self._admit_probes(cid, t)
+            self._admit_inputs(cid, t, t + cfg.window_us)
             self._read_pongs(st, t)
             resolved = st.window_delivered + st.window_dropped
             stats = WindowStats(
@@ -607,7 +606,7 @@ class _Simulation:
         trace.queue_drop_timeline.append(sum(r.path.dropped_queue for r in self.paths if r.kind == "frames"))
         self.next_window = nxt = t + cfg.window_us
         if nxt <= self.end:
-            self.push(nxt, "window", )
+            self.push(nxt, "window")
 
     def _on_bwstep(self, t: int, step: BandwidthStep):
         targets = step.client_ids
@@ -615,7 +614,8 @@ class _Simulation:
             if r.kind != "probe" and (targets is None or r.owner in targets):
                 r.path.set_bandwidth(step.bandwidth)
                 if r.kind == "input":
-                    self._admit_inputs(r.owner)
+                    self.clients[r.owner].input_bounds.pop()
+                    self._admit_inputs(r.owner, t, self.next_window)
         logger.info("t=%d bandwidth step to %d b/s", t, step.bandwidth)
 
     # -- main loop ----------------------------------------------------------
@@ -627,7 +627,7 @@ class _Simulation:
 
     def run(self) -> RunTrace:
         for cid in self.clients:
-            self._admit_inputs(cid)
+            self._admit_inputs(cid, self.start, self.next_window)
             self.push(self.start, "frame", cid)
         self.push(self.start, "sync")
         self.push(self.next_window, "window")

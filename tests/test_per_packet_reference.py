@@ -5,17 +5,18 @@ is an event, and every fragment, input, PING, PONG and state sync is its own
 encoded submission with its own "arrive" event.  The production session
 carries a frame as a burst of sizes, presented where it is submitted or
 resolved by one outcome event, each state sync as one burst per frame path,
-each client's inputs as one netem series that a frame reads when it starts,
-and its PINGs and PONGs as series, window by window, whose samples each
-window reads with a cursor.  Both must give the same trace, handle the same
-events in the same order, present each client's frames at the same times in
-the same order, and have applied the same RTT samples and counted the same
-frames when each window reads them.  That includes jittery paths where a
-whole frame arrives at the clamped arrival of an earlier packet, inputs and
-PONGs that arrive at the exact microsecond of a frame or window event, and
-one case for each condition under which the session does not present a
-frame where it is submitted.  `tests/test_random_scenarios.py` compares
-them on generated scenarios as well.
+each client's inputs as series, window by window, that a frame reads when
+it starts, and its PINGs and PONGs as series, window by window, whose
+samples each window reads with a cursor.  Both must give the same trace,
+handle the same events in the same order, present each client's frames at
+the same times in the same order, and have applied the same RTT samples and
+counted the same frames when each window reads them.  That includes jittery
+paths where a whole frame arrives at the clamped arrival of an earlier
+packet, inputs and PONGs that arrive at the exact microsecond of a frame or
+window event, inputs sent at the microsecond of a bandwidth step, and one
+case for each condition under which the session does not present a frame
+where it is submitted.  `tests/test_random_scenarios.py` compares them on
+generated scenarios as well.
 """
 
 import heapq
@@ -120,7 +121,7 @@ class _Events(_Logged):
             getattr(self, self._HANDLERS[kind])(t, *args)
         return self._build_trace()
 
-    def _admit_inputs(self, cid):
+    def _admit_inputs(self, cid, t, horizon):
         pass  # each "input" event submits its own
 
     def _read_inputs(self, st, t):
@@ -483,6 +484,36 @@ def test_inputs_arriving_as_a_frame_starts_match_input_events(monkeypatch):
         ref_trace, ref_log = _run_logged(lambda: session.run_session(*args), _Events, monkeypatch)
         assert trace == ref_trace, case
         assert log == ref_log, case
+
+
+# Inputs go every 10 ms.  A 56 B input takes 1 us at the paths' 448 Mb/s,
+# 10 ms at 44.8 kb/s and 1 ms at 448 kb/s, so a frame event (one every
+# 8,333 us) falls between the arrivals the input sent at a step's exact
+# microsecond would have at the old and the new rate, and its ready event
+# carries that input as its latest or not.  Each case is a window length and
+# the steps `(time, bandwidth, client_ids)`.
+_INPUT_STEP_CASES = {
+    "at-a-window": (250_000, ((500_000, 44_800, None),)),
+    "before-a-window": (246_667, ((740_000, 44_800, None),)),  # the third window is at 740,001 us
+    "two-at-one-instant": (250_000, ((500_000, 44_800, None), (500_000, 448_000, (1,)))),
+    "at-0": (250_000, ((0, 44_800, None),)),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_STEP_CASES))
+def test_inputs_sent_at_a_bandwidth_step_match_input_events(case, monkeypatch):
+    """Each admission caps the inputs it submits before the client's next step, at a window or not."""
+    window, steps = _INPUT_STEP_CASES[case]
+    profile = NetworkProfile(one_way_latency=3_000, bandwidth=_TIE_BANDWIDTH)
+    topology = session.SessionTopology("edge_hosted", tuple(session.ClientSpec(cid, profile) for cid in (0, 1)),
+                                       host_node=NodeSpec(1, 5_000_000_000, 4_000_000_000))
+    settings = session.SessionSettings(tick_us=10_000, controller=session.ControllerConfig(window_us=window),
+                                       bandwidth_steps=tuple(session.BandwidthStep(*step) for step in steps))
+    args = topology, (QualityLevel(0, 96, 64, 120, 0.8),), 1_000_000, settings, 5, 0
+    trace, logs = _run_logged(lambda: session.run_session(*args), _Logged, monkeypatch)
+    ref_trace, ref_logs = _run_logged(lambda: session.run_session(*args), _Events, monkeypatch)
+    assert trace == ref_trace
+    assert logs == ref_logs
 
 
 # 24 B probes take 1 us to serialize at 192 Mb/s, so a PONG arrives 2 * (latency + 1) after its PING is sent

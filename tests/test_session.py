@@ -260,24 +260,29 @@ def test_settings_reject_a_negative_sync_and_a_non_finite_complexity(field):
 @pytest.mark.parametrize("profile", [NOMINAL, NetworkProfile(one_way_latency=2_000, jitter=3_000, loss_rate=0.05,
                                                              bandwidth=700_000_000, mtu=1400)])
 def test_probe_state_after_each_window_is_the_probes_in_flight(profile):
-    """Each window submits the PINGs sent by then, and keeps only the PONGs it has not yet applied."""
-    interval, window = 100, 250_000
-    one_way = profile.one_way_latency + profile.jitter + 1  # the longest, with 1 us for a 24 B probe
+    """Each window submits the PINGs sent by then, and keeps only the PONGs it has not yet applied;
+    it submits the inputs sent by the next window, and keeps only the inputs the host has not read."""
+    interval, tick, window = 100, 100, 250_000
+    one_way = profile.one_way_latency + profile.jitter + 1  # the longest, with 1 us for a 24 B probe or 56 B input
+    frame_interval = max(level.frame_interval for level in DEFAULT_LADDER)  # since the last frame read its inputs
     checked = []
 
     class Checked(session._Simulation):
         def _on_window(self, t):
             super()._on_window(t)
             for cid, st in self.clients.items():
-                assert st.pings == (t - self.start) // interval + 1
+                assert self.up_probe[cid].submitted == (t - self.start) // interval + 1
                 assert all(sent <= t <= at for at, sent, *_ in st.pongs)
                 assert len(st.pongs) <= 2 * one_way // interval + 1
                 assert self.up_probe[cid].in_flight <= one_way // interval + 1
                 assert self.down_probe[cid].in_flight <= 2 * one_way // interval + 1
+                assert len(st.inputs) <= (window + frame_interval + one_way) // tick + 1
+                assert self.up_data[cid].in_flight <= (window + one_way) // tick + 1
             checked.append(t)
 
     sim = Checked(_edge((ClientSpec(0, profile),)), DEFAULT_LADDER, 2_000_000,
-                  SessionSettings(ping_interval_us=interval), 3, 0)
+                  SessionSettings(tick_us=tick, ping_interval_us=interval), 3, 0)
     trace = sim.run()
     assert len(checked) == 2_000_000 // window
     assert len(trace.rtt_samples[0]) > 0.8 * 2_000_000 // interval
+    assert sim.up_data[0].submitted == (sim.end - sim.start) // tick + 1
