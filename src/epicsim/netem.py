@@ -18,16 +18,16 @@ earlier than the previous delivery on the path.
 `Path.submit` takes one datagram: its bytes, or any item with the size of
 the datagram it stands for, such as a message record.  `Path.submit_burst`
 takes back-to-back datagrams submitted at one instant as `(size, count)`
-runs, such as the fragments of a frame, carries each as its size and returns
-arrival and drop runs.  `Path.submit_series` takes `count` datagrams of one
-size submitted at `first + i * step`, such as a client's periodic input, and
-also carries each as its size.  Every datagram is 1 B to the MTU.  A burst
-or a series makes the same decisions, in the same order, and leaves the same
-state as one `submit` per datagram.  `Path.advance_to` pops and lists what
-has arrived; `Path.forget_to` pops and counts it, for a caller that never
-reads its deliveries.  No code in `src` calls `advance_to`: a run reads each
-delivery time off its submission, and only the tests, their reference
-oracles and the benchmark's tracer and micro cases poll a path.
+runs, such as the fragments of a frame.  `Path.submit_series` takes `count`
+datagrams of one size submitted at `first + i * step`, such as a client's
+periodic input.  Both carry each as its size and return arrival runs
+`(first, step, count)` and drop runs `(Drop, 0, count)`.  Every datagram is
+1 B to the MTU.  Both make the same decisions, in the same order, and leave
+the same state as one `submit` per datagram.  `Path.advance_to` pops and
+lists what has arrived; `Path.forget_to` pops and counts it, for a caller
+that never reads its deliveries.  No code in `src` calls `advance_to`: a run
+reads each delivery time off its submission, and only the tests, their
+reference oracles and the benchmark's tracer and micro cases poll a path.
 
 In-flight datagrams are kept as runs.  `_serializing` holds runs
 `(first_end, tx, count, size)`: `count` datagrams of `size` bytes whose
@@ -63,9 +63,10 @@ most `step`.  Each datagram then leaves at its own submission time and has
 finished before the next one is submitted, so the queue holds one datagram
 at a time (it fits: the queue holds at least one MTU), the arrivals are
 `first + tx + latency + i * step`, and only the last datagram is left
-serializing.  Any other series is admitted one datagram at a time.
-`_state()` expands every run into one tuple per datagram, so paths compare
-equal whatever runs they hold.
+serializing; the series returns that one run.  Any other series is
+admitted one datagram at a time and returns runs of one.  `_state()`
+expands every run into one tuple per datagram, so paths compare equal
+whatever runs they hold.
 """
 
 from __future__ import annotations
@@ -161,11 +162,10 @@ class Path:
         """
         return self._admit(runs, now)
 
-    def submit_series(self, size: int, first: int, step: int, count: int) -> list[int | Drop]:
+    def submit_series(self, size: int, first: int, step: int, count: int) -> list[tuple[int | Drop, int, int]]:
         """Submit `count` datagrams of `size` bytes, the i-th at `first + i * step`.
 
-        Returns one delivery time or drop reason per datagram, exactly as one
-        `submit` per datagram would; `advance_to` later yields each one's size.
+        Returns runs as `submit_burst` does; `advance_to` later yields each one's size.
         """
         if count == 0:
             return []
@@ -175,7 +175,7 @@ class Path:
         profile = self.profile
         tx = ceil_div(size * 8 * 1_000_000, profile.bandwidth)
         if profile.loss_rate > 0 or profile.jitter > 0 or self.busy_until > first or tx > step:
-            return [self._admit(((size, 1),), first + i * step)[0][0] for i in range(count)]
+            return [self._admit(((size, 1),), first + i * step)[0] for i in range(count)]
         # a closed-form run, exact by the module docstring
         self.rng.skip(count)
         self.submitted += count
@@ -187,7 +187,7 @@ class Path:
         arrival = first + tx + profile.one_way_latency
         self.last_arrival = busy + profile.one_way_latency
         self._pending.append((arrival, step, count, size))
-        return list(range(arrival, self.last_arrival + 1, step))
+        return [(arrival, step, count)]
 
     def _check(self, runs, now: int) -> int:
         """Raise on a negative count, a datagram outside 1 B to the MTU or a regressed `now`; returns their count."""

@@ -474,7 +474,7 @@ def scenario_battery_gain(cfg: ScenarioConfig) -> float:
     views = replace(level, width=level.width * len(cfg.clients))
     baseline = power.average_power(power.EnergyConfig(local, profile, level, *throughputs))
     master = power.average_power(power.EnergyConfig(local, profile, views, *throughputs)) + profile.p_radio
-    return (baseline / master - 1.0) * 100.0
+    return power.life_gain(baseline, master)
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,11 +51,16 @@ def average_power(cfg: EnergyConfig) -> float:
     return p.p_idle + p.p_radio + p.p_decode * utilization
 
 
-def battery_life_gain(local: EnergyConfig, offloaded: EnergyConfig) -> float:
-    """Battery life increase of offloading over local rendering, in percent.
+def life_gain(p_base: float, p_new: float) -> float:
+    """Battery life increase, in percent, of drawing `p_new` watts in place of `p_base`.
 
-    Life is capacity/power, so gain = (P_local / P_offloaded - 1) * 100.
+    Life is capacity/power, so gain = (P_base / P_new - 1) * 100.
     """
+    return (p_base / p_new - 1.0) * 100.0
+
+
+def battery_life_gain(local: EnergyConfig, offloaded: EnergyConfig) -> float:
+    """Battery life increase of offloading over local rendering, in percent (`life_gain`)."""
     if local.mode is not EnergyMode.LOCAL_RENDER or offloaded.mode is not EnergyMode.OFFLOADED:
         raise ValidationError("expected a local-render baseline and an offloaded config")
     if local.profile.battery_capacity != offloaded.profile.battery_capacity:
@@ -64,7 +69,7 @@ def battery_life_gain(local: EnergyConfig, offloaded: EnergyConfig) -> float:
     p_off = average_power(offloaded)
     if p_off <= 0:
         raise ValidationError("offloaded power must be positive")
-    return (p_local / p_off - 1.0) * 100.0
+    return life_gain(p_local, p_off)
 
 
 def battery_life_hours(cfg: EnergyConfig) -> float:

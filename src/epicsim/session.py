@@ -37,8 +37,10 @@ the next k is the path's `submitted`.  Like PINGs, they go window by window:
 at the start of the run, at each controller window and at each bandwidth
 step that reaches that path, one netem series submits those sent by the next
 window and before the next such step.  The input at `start` is sent before a
-step at `start`; an input at any later time T after a step at T.  Each frame
-event reads the arrivals in order and drops those it has read.
+step at `start`; an input at any later time T after a step at T.  The client
+keeps the arrival runs, each with its trip time, arrival minus send: a run's
+arrivals step by `tick` as its sends do.  Each frame event reads them in
+order, a run with one division, and drops what it has read.
 
 The tie rule makes that read equal to an event loop in which each input is an
 event that pushes its own arrive event, and the arrive event sets the host's
@@ -60,18 +62,17 @@ profile, carry nothing else and never take a bandwidth step: a measurement
 slice on which probes meet propagation and their own serialization, not the
 frame bursts.  So each controller window at W, one every w us, submits the
 PINGs sent by W as a series (the end of the run, those sent by the end);
-their PONGs follow as a series when the arrivals step by the interval, one
-by one otherwise.  The window applies the samples of the PONGs arriving
-before W and keeps the rest.  The PONGs arriving at W are applied as in an
-event loop in which each PING and each delivery is an event: if the first
-one's arrive event, pushed by its PING's arrive event at P, was pushed
-before this window, pushed by the one at `W - w`.  With S the send time of
-the first PING arriving at P, that is when `P < W - w`, or
-`P == W - w != start + w` and (`S < P - w`, or `S == P - w` and
-`ping_interval > w`): the run pushes the window at `start + w` first, a
-PING arrives after `start`, the arrive event at P is pushed at S, the PING
-event at S at `S - ping_interval` and the window at S at `S - w`, and at
-equal intervals the window leads from `start + w` on.
+each PING arrival run is echoed as one PONG series.  The window applies the
+samples of the PONGs arriving before W and keeps the rest.  The PONGs
+arriving at W are applied as in an event loop in which each PING and each
+delivery is an event: if the first one's arrive event, pushed by its PING's
+arrive event at P, was pushed before this window, pushed by the one at
+`W - w`.  With S the send time of the first PING arriving at P, that is
+when `P < W - w`, or `P == W - w != start + w` and (`S < P - w`, or
+`S == P - w` and `ping_interval > w`): the run pushes the window at
+`start + w` first, a PING arrives after `start`, the arrive event at P is
+pushed at S, the PING event at S at `S - ping_interval` and the window at S
+at `S - w`, and at equal intervals the window leads from `start + w` on.
 
 Two topologies are supported.  In edge_hosted mode the render host is an
 edge node and every client gets an independent emulated path.  In
@@ -84,11 +85,14 @@ are counted in closed form, outside the event loop.
 
 Frame accounting is done by the harness, which sees both ends.  Each client
 keeps one map of the frames it was sent that are neither delivered nor
-dropped; only `_drop_frame` and `_on_present` remove one.  A frame is dropped
-the moment any of its fragments is lost or cut from a queue, when it arrives
-complete but stale (an out-of-order completion under latest-wins
-presentation), or when reassembly abandons it; otherwise it is delivered at
-presentation time.  Frames left in the map at the end count as in-flight.
+dropped; only `_drop_frame`, `_on_present` and `_on_outcome` remove one.  A
+frame is dropped the moment any of its fragments is lost or cut from a
+queue, when its present comes after a newer frame's (stale under
+latest-wins presentation), or when reassembly abandons it; otherwise it is
+delivered at presentation time.  A frame whose outcome comes after a newer
+frame has completed never completes: its outcome moves it to the client's
+count of frames that never resolve.  That count and the frames left in the
+map at the end are in flight.
 
 The receiver keeps the rules of `transport.Reassembler`: a frame pending more
 than the reassembly timeout after its first fragment is abandoned by its own
@@ -134,7 +138,6 @@ from .transport import (
     HEADER_LEN,
     INPUT_PAYLOAD_LEN,
     REASSEMBLY_TIMEOUT_US,
-    MsgType,
     RttEstimator,
     fragment_runs,
     frame_outcome,
@@ -256,7 +259,7 @@ class _ClientState:
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
         "inputs", "input_bounds", "input_origin", "input_first", "last_frame", "next_frame",
-        "decode_us", "pongs", "ping_group",
+        "decode_us", "pongs", "ping_group", "never_resolved",
     )
 
     def __init__(self, spec: ClientSpec, ladder, start_level: int, start: int):
@@ -268,6 +271,7 @@ class _ClientState:
         # each frame sent and not yet delivered or dropped:
         # fid -> (first fragment arrival, level index, motion-to-photon origin)
         self.pending: dict[int, tuple[int, int, int | None]] = {}
+        self.never_resolved = 0  # frames out of pending that never resolve: in flight
         self.last_presented = -1
         self.next_frame_id = 0
         self.frames = FrameCounts()
@@ -276,9 +280,9 @@ class _ClientState:
         self.window_bits = 0
         self.m2p: list[int] = []
         self.rtt: list[int] = []
-        # the input stream (module docstring): the arrival or drop of each
-        # admitted input the host has not read, in the order they were sent
-        self.inputs: deque[int | Drop] = deque()
+        # the input stream (module docstring): runs (arrival, trip, count) of the admitted
+        # inputs the host has not read, in the order they were sent, arriving tick apart
+        self.inputs: deque[tuple[int, int, int]] = deque()
         self.input_bounds: list[int] = []     # admission boundaries, the next one last
         self.input_origin: int | None = None  # send time of the latest input seen
         self.input_first = True               # the input event at last_frame ran first
@@ -404,9 +408,12 @@ class _Simulation:
         """Submit the client's inputs sent by `horizon` and before its next admission boundary."""
         st, tick, up = self.clients[cid], self.settings.tick_us, self.up_data[cid]
         up.forget_to(t)  # nothing reads a delivery
-        first = self.start + up.submitted * tick
-        count = (min(horizon, st.input_bounds[-1] - 1) - first) // tick + 1
-        st.inputs += up.submit_series(_INPUT_BYTES, first, tick, count)
+        sent = self.start + up.submitted * tick
+        count = (min(horizon, st.input_bounds[-1] - 1) - sent) // tick + 1
+        for at, _, n in up.submit_series(_INPUT_BYTES, sent, tick, count):
+            if at.__class__ is int:  # a run's arrivals step by tick, as its sends do: one trip time
+                st.inputs.append((at, at - sent, n))
+            sent += n * tick
 
     def _read_inputs(self, st: _ClientState, t: int) -> int | None:
         """Send time of the latest input the host holds when the frame at `t` starts.
@@ -415,18 +422,19 @@ class _Simulation:
         docstring, then records this frame event's place in push order.
         """
         inputs, tick, prev = st.inputs, self.settings.tick_us, st.last_frame
-        sent = self.start + (self.up_data[st.spec.client_id].submitted - len(inputs)) * tick  # of inputs[0]
         seen = t - 1  # the latest arrival seen
         while inputs:
-            at = inputs[0]
-            if at.__class__ is int:
-                if at > seen:  # the first input arriving at t decides for all of them
-                    if at != t or not (sent < prev or sent == prev and st.input_first):
-                        break
-                    seen = t
-                st.input_origin = sent
+            at, trip, count = inputs[0]
+            if at > seen:  # the first input arriving at t decides for all of them
+                sent = at - trip
+                if at != t or not (sent < prev or sent == prev and st.input_first):
+                    break
+                seen = t
+            done = min(count, (seen - at) // tick + 1)
+            st.input_origin = at - trip + (done - 1) * tick
             inputs.popleft()
-            sent += tick
+            if done < count:
+                inputs.appendleft((at + done * tick, trip, count - done))
         pushed = t - tick  # the input event at t was pushed then, this frame event at prev
         if pushed != prev:
             st.input_first = pushed < prev
@@ -434,23 +442,24 @@ class _Simulation:
         return st.input_origin
 
     def _admit_probes(self, cid: int, t: int):
-        """Submit the client's PINGs sent by `t`, and the PONG of each that arrives by the end."""
+        """Submit the client's PINGs sent by `t`, and echo each arrival run, cut at the end, as one PONG series."""
         st, interval, end = self.clients[cid], self.settings.ping_interval_us, self.end
         up, down = self.up_probe[cid], self.down_probe[cid]
-        first = self.start + up.submitted * interval
-        pinged, (group_at, group_sent) = [], st.ping_group
-        for i, at in enumerate(up.submit_series(HEADER_LEN, first, interval, (t - first) // interval + 1)):
+        sent = self.start + up.submitted * interval
+        for at, _, n in up.submit_series(HEADER_LEN, sent, interval, (t - sent) // interval + 1):
             if at.__class__ is int and at <= end:
-                if at != group_at:
-                    group_at, group_sent = at, first + i * interval
-                pinged.append((first + i * interval, at, group_sent))
-        st.ping_group = (group_at, group_sent)
-        n, arrival = len(pinged), pinged[0][1] if pinged else 0
-        if n and [at for _, at, _ in pinged] == list(range(arrival, arrival + n * interval, interval)):
-            pongs = down.submit_series(HEADER_LEN, arrival, interval, n)
-        else:
-            pongs = [down.submit((MsgType.PONG, cid, sent), at, HEADER_LEN) for sent, at, _ in pinged]
-        st.pongs += [(pong, *ping) for pong, ping in zip(pongs, pinged) if pong.__class__ is int and pong <= end]
+                # PING k of the run is sent at sent + k * interval and arrives at at + k * interval, after
+                # the one before it but for k = 0, which may arrive with the previous run's last PING
+                first_s = st.ping_group[1] if at == st.ping_group[0] else sent  # S of PING 0
+                echoed, i = min(n, (end - at) // interval + 1), 0
+                for pong, step, count in down.submit_series(HEADER_LEN, at, interval, echoed):
+                    st.pongs += [(pong + (k - i) * step, sent + k * interval, at + k * interval,
+                                  sent + k * interval if k else first_s)
+                                 for k in range(i, i + count) if pong.__class__ is int and pong + (k - i) * step <= end]
+                    i += count
+                last = echoed - 1
+                st.ping_group = (at + last * interval, sent + last * interval if last else first_s)
+            sent += n * interval
         up.forget_to(t)  # nothing reads a delivery
         down.forget_to(t)
 
@@ -538,9 +547,12 @@ class _Simulation:
 
     def _on_outcome(self, t: int, _seq: int, cid: int, fid: int, level_idx: int, completed: bool):
         st = self.clients[cid]
-        if fid not in st.pending or fid <= st.last_completed:
-            return  # swept by a window, or older than a completed frame: never completes
-        if completed:
+        if fid not in st.pending:
+            return  # swept by a window
+        if fid <= st.last_completed:  # older than a completed frame: never completes, stays in flight
+            del st.pending[fid]
+            st.never_resolved += 1
+        elif completed:
             st.last_completed = fid
             self.push(t + st.decode_us[level_idx], "present", cid, fid)
         else:
@@ -598,7 +610,8 @@ class _Simulation:
             st.window_delivered = 0
             st.window_dropped = 0
             st.window_bits = 0
-            # a frame at or below last_completed awaits its present event or never resolves
+            # a frame at or below last_completed awaits its present event, or its outcome
+            # event, which counts it as never resolved
             swept = [fid for fid, (first, _, _) in st.pending.items()
                      if fid > st.last_completed and t - first > REASSEMBLY_TIMEOUT_US]
             for fid in swept:
@@ -673,7 +686,7 @@ class _Simulation:
         for r in self.paths:
             p = r.path
             trace.path_counters[r.name] = (p.submitted, p.delivered, p.dropped_loss, p.dropped_queue)
-        pending = sum(len(st.pending) for st in self.clients.values())
+        pending = sum(len(st.pending) + st.never_resolved for st in self.clients.values())
         assert totals.in_flight == pending, "frame conservation violated"
         return trace
 

@@ -194,16 +194,22 @@ def test_event_driven_path_matches_stepper_reference():
     assert total == 1_000
 
 
-def _burst(path, runs, now):
-    """`path.submit_burst(runs, now)` expanded into one outcome per datagram, checking the outcome runs' form."""
+def _expanded(outcome_runs):
+    """Arrival and drop runs expanded into one outcome per datagram, checking the runs' form."""
     out = []
-    for first, step, count in path.submit_burst(runs, now):
+    for first, step, count in outcome_runs:
         assert count >= 1
         if isinstance(first, Drop):
             assert step == 0
             out += [first] * count
         else:
             out += [first + i * step for i in range(count)]
+    return out
+
+
+def _burst(path, runs, now):
+    """`path.submit_burst(runs, now)` expanded into one outcome per datagram."""
+    out = _expanded(path.submit_burst(runs, now))
     assert len(out) == sum(count for _, count in runs)
     return out
 
@@ -448,7 +454,7 @@ def test_series_equals_a_per_datagram_submit_loop(profile, seed, ops):
                     loop.submit(bytes(size), first)
             else:
                 got = series.submit_series(size, first, step, count)
-                assert got == [loop.submit(bytes(size), first + i * step) for i in range(count)]
+                assert _expanded(got) == [loop.submit(bytes(size), first + i * step) for i in range(count)]
                 if count:
                     now = max(now, first + (count - 1) * step)
         elif op == "burst":
@@ -469,7 +475,21 @@ def test_draw_free_series_on_an_idle_path_is_one_pending_run():
     path = Path(_profile(), seed=9)
     path.submit_burst([(1_500, 4)], 0)  # serialized by 4_800 us
     arrivals = path.submit_series(56, 5_000, 8_333, 1_000)
-    assert arrivals == list(range(5_045 + 2_000, 5_045 + 2_000 + 1_000 * 8_333, 8_333))
+    assert arrivals == [(7_045, 8_333, 1_000)]
     assert len(path._pending) == 2 and path._pending[-1] == (7_045, 8_333, 1_000, 56)
     assert list(path._serializing) == [(5_000 + 999 * 8_333 + 45, 45, 1, 56)]
     assert path.rng.state == Path(_profile(), seed=9).rng.state + 1_004 * 0x9E3779B97F4A7C15 & (2**64 - 1)
+
+
+@pytest.mark.parametrize("profile, busy, size, step", [
+    (_profile(jitter=300), False, 56, 8_333),     # a drawing path
+    (_profile(loss_rate=0.3), False, 56, 8_333),
+    (_profile(), True, 56, 8_333),                # a draw-free path still serializing at the first send
+    (_profile(), False, 1_500, 1_000),            # a draw-free path with tx = 1,200 us > step
+])
+def test_a_series_without_the_closed_form_returns_runs_of_one(profile, busy, size, step):
+    path = Path(profile, seed=9)
+    if busy:
+        path.submit_burst([(1_500, 4)], 4_000)  # serialized by 8_800 us
+    runs = path.submit_series(size, 5_000, step, 20)
+    assert len(runs) == 20 and all(count == 1 for _, _, count in runs)

@@ -418,6 +418,30 @@ def test_frames_presented_where_they_are_submitted_match_frame_events(case, monk
     assert logs == ref_logs
 
 
+def test_a_frame_completing_older_than_the_last_completed_leaves_pending_at_its_outcome(monkeypatch):
+    """In `older-than-the-last-completed` the last level-0 frame completes after the first level-1
+    frame.  Its outcome event takes it out of `pending`, still in flight, so the later frames are
+    presented where they are submitted: of the 15 frames readied after the downgrade, only the last
+    three level-0 frames and the first level-1 frame, readied before that outcome, take an outcome event."""
+    readied, outcomes = {}, set()
+
+    class Counting(_Logged):
+        def _on_ready(self, t, cid, fid, level_idx, input_origin):
+            readied[fid] = t
+            super()._on_ready(t, cid, fid, level_idx, input_origin)
+
+        def _on_outcome(self, t, seq, cid, fid, level_idx, completed):
+            outcomes.add(fid)
+            super()._on_outcome(t, seq, cid, fid, level_idx, completed)
+
+    args = _submission_case(**_SUBMISSION_CASES["older-than-the-last-completed"])
+    trace, _ = _run_logged(lambda: session.run_session(*args), Counting, monkeypatch)
+    downgrade = trace.level_changes[0].time
+    after = [fid for fid, t in readied.items() if t > downgrade]
+    assert trace.frames.in_flight == 1 and len(after) == 15
+    assert sorted(outcomes.intersection(after)) == sorted(after)[:4]
+
+
 # 56 B inputs take 1 us to serialize at 448 Mb/s and 2 us at 224 Mb/s
 _TIE_BANDWIDTH, _STEP_BANDWIDTH = 448_000_000, 224_000_000
 # (fps, ticks per frame interval): ticks that divide the interval
@@ -593,25 +617,29 @@ def test_a_pong_group_is_ordered_by_the_first_ping_of_its_arrival(monkeypatch):
     PINGs go every 100 us and windows every 500 us.  The PING sent at 900 us
     is delayed to 1,500 us, and the five after it are clamped to that
     arrival.  The PONG of the one sent at 900 us arrives at 1,501 us, and the
-    next PONG is delayed to 2,000 us, the next window's microsecond; the
-    rest are clamped to it.  The first PONG arriving at 2,000 us belongs to
-    the PING sent at 1,000 us = P - w, but the arrive event that submitted it
-    was pushed at 900 us, before the window at 1,500 us, so the window at
-    2,000 us sees the group.
+    PONG of the one sent at `sent` is delayed to 2,000 us, the next window's
+    microsecond; the rest are clamped to it.  The first PONG arriving at
+    2,000 us belongs to the PING sent at 1,000 us = P - w, or to the one
+    sent at 1,100 us, which the window at 1,500 us submits apart from the
+    two before it, but the arrive event that submitted it was pushed at
+    900 us, before the window at 1,500 us, so the window at 2,000 us sees
+    the group.
     """
     profile = NetworkProfile(one_way_latency=0, jitter=600, bandwidth=_PONG_BANDWIDTH)
     topology = session.SessionTopology("edge_hosted", (session.ClientSpec(0, profile),),
                                        host_node=NodeSpec(1, 5_000_000_000, 4_000_000_000))
     settings = session.SessionSettings(ping_interval_us=100, controller=session.ControllerConfig(window_us=500))
     args = topology, (QualityLevel(0, 96, 64, 24, 0.8),), 1_000_000, settings, 5, 0
-    runs = []
-    for cls in (_Logged, _Events):
-        class Scripted(cls):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.up_probe[0].rng = _ScriptedJitter({9: 599})
-                self.down_probe[0].rng = _ScriptedJitter({10: 498})
-        runs.append(_run_reading_srtt(args, Scripted, monkeypatch))
-    assert runs[0] == runs[1]
-    reads = runs[0][2]
-    assert reads.index(("sample", 2_000 - 1_000)) < [i for i, read in enumerate(reads) if read[0] == "srtt"][3]
+    for pong, sent in ((10, 1_000), (11, 1_100)):
+        runs = []
+        for cls in (_Logged, _Events):
+            class Scripted(cls):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    self.up_probe[0].rng = _ScriptedJitter({9: 599})
+                    # PONG 9, the first submitted at 1,500 us, ends its 1 us serialization at 1,501 us
+                    self.down_probe[0].rng = _ScriptedJitter({pong: 2_000 - (1_500 + pong - 8)})
+            runs.append(_run_reading_srtt(args, Scripted, monkeypatch))
+        assert runs[0] == runs[1], sent
+        reads = runs[0][2]
+        assert reads.index(("sample", 2_000 - sent)) < [i for i, read in enumerate(reads) if read[0] == "srtt"][3]

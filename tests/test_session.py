@@ -276,7 +276,7 @@ def test_probe_state_after_each_window_is_the_probes_in_flight(profile):
                 assert len(st.pongs) <= 2 * one_way // interval + 1
                 assert self.up_probe[cid].in_flight <= one_way // interval + 1
                 assert self.down_probe[cid].in_flight <= 2 * one_way // interval + 1
-                assert len(st.inputs) <= (window + frame_interval + one_way) // tick + 1
+                assert sum(run[2] for run in st.inputs) <= (window + frame_interval + one_way) // tick + 1
                 assert self.up_data[cid].in_flight <= (window + one_way) // tick + 1
             checked.append(t)
 
