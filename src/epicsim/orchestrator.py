@@ -333,10 +333,9 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         frame_paths = [("shared_egress", settings.shared_egress)]
     else:
         frame_paths = [(f"clients[{i}].paths", p) for i, c in enumerate(clients) for p in c.paths.values()]
-    sync_size = HEADER_LEN + settings.sync_payload_bytes
     for where, profile in frame_paths:
-        if sync_size > profile.mtu:
-            raise ValidationError(f"scenario.state_sync_bytes: a {sync_size} B state sync "
+        if settings.sync_bytes > profile.mtu:
+            raise ValidationError(f"scenario.state_sync_bytes: a {settings.sync_bytes} B state sync "
                                   f"does not fit the {profile.mtu} B mtu of {where}")
         for i, level in enumerate(ladder):
             rung = "ladder" if ladder is DEFAULT_LADDER else f"ladder[{i}]"

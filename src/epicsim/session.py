@@ -35,12 +35,13 @@ frame's motion-to-photon origin.  A client's inputs are sent at
 `start + k * tick` on its own `up_data` path, which carries nothing else, so
 the next k is the path's `submitted`.  Like PINGs, they go window by window:
 at the start of the run, at each controller window and at each bandwidth
-step that reaches that path, one netem series submits those sent by the next
-window and before the next such step.  The input at `start` is sent before a
-step at `start`; an input at any later time T after a step at T.  The client
-keeps the arrival runs, each with its trip time, arrival minus send: a run's
-arrivals step by `tick` as its sends do.  Each frame event reads them in
-order, a run with one division, and drops what it has read.
+step, whichever clients it reaches, one netem series per client submits those
+sent by the next window and before the run's next step.  The input at
+`start` is sent before a step at `start`; an input at any later time T after
+a step at T.  The client keeps the arrival runs, each with its trip time,
+arrival minus send: a run's arrivals step by `tick` as its sends do.  Each
+frame event reads them in order, a run with one division, and drops what it
+has read.
 
 The tie rule makes that read equal to an event loop in which each input is an
 event that pushes its own arrive event, and the arrive event sets the host's
@@ -101,7 +102,8 @@ whichever comes first, and a frame older than the last completed one never
 completes.  Events at one microsecond run in push order.  A frame's outcome
 event takes the place in that order of the submission that first reached
 the path's arrival at that microsecond, the packet with which a receiver
-polling the path would have seen it.
+polling the path would have seen it.  Outcomes that take the same place run
+in their own push order.
 """
 
 from __future__ import annotations
@@ -110,6 +112,7 @@ import heapq
 import logging
 import math
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .adapt import (
@@ -227,6 +230,11 @@ class SessionSettings:
     bandwidth_steps: tuple[BandwidthStep, ...] = ()
     prerender: int = 0                    # 1 hides render time via render-ahead
 
+    @property
+    def sync_bytes(self) -> int:
+        """The wire size of a state-sync message."""
+        return HEADER_LEN + self.sync_payload_bytes
+
     def __post_init__(self):
         for name in ("tick_us", "ping_interval_us", "sync_interval_us"):
             value = getattr(self, name)
@@ -258,12 +266,14 @@ class _ClientState:
         "last_completed", "pending", "last_presented", "next_frame_id",
         "frames", "window_delivered", "window_dropped", "window_bits",
         "m2p", "rtt",
-        "inputs", "input_bounds", "input_origin", "input_first", "last_frame", "next_frame",
+        "inputs", "input_origin", "input_first", "last_frame", "next_frame",
         "decode_us", "pongs", "ping_group", "never_resolved",
+        "up_data", "down_frames", "up_probe", "down_probe", "per_second_bits",
     )
 
-    def __init__(self, spec: ClientSpec, ladder, start_level: int, start: int):
+    def __init__(self, spec: ClientSpec, ladder, start_level: int, start: int, per_second_bits: list[int]):
         self.spec = spec
+        self.per_second_bits = per_second_bits  # the trace's own list for this client
         self.decode_us = [decode_time_us(level, spec.decode_throughput) for level in ladder]
         self.estimator = RttEstimator()
         self.controller = ControllerState(level=start_level)
@@ -283,7 +293,6 @@ class _ClientState:
         # the input stream (module docstring): runs (arrival, trip, count) of the admitted
         # inputs the host has not read, in the order they were sent, arriving tick apart
         self.inputs: deque[tuple[int, int, int]] = deque()
-        self.input_bounds: list[int] = []     # admission boundaries, the next one last
         self.input_origin: int | None = None  # send time of the latest input seen
         self.input_first = True               # the input event at last_frame ran first
         self.last_frame = start               # time of the latest frame event
@@ -291,6 +300,7 @@ class _ClientState:
         # the probe stream (module docstring), with S and P as the tie rule names them
         self.pongs: list[tuple[int, int, int, int]] = []  # each PONG not yet read: arrival, sent, P, S
         self.ping_group = (-1, -1)            # the latest P, and its S
+        # up_data, down_frames, up_probe and down_probe: its paths, set by _Simulation._build_paths
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,14 +325,18 @@ class _Simulation:
         self.start = start_time
         self.end = start_time + duration_us
 
-        self.heap: list[tuple[int, int, str, tuple]] = []
+        self.heap: list[tuple[int, int, Callable, tuple]] = []  # (time, push order, handler, its args)
         self._seq = 0
         self.next_window = start_time + settings.controller.window_us  # the next window event not yet handled
         self.log_frames = logger.isEnabledFor(logging.DEBUG)
 
+        nsec = -(-duration_us // 1_000_000)
+        self.trace = RunTrace(duration_us=duration_us, session_start=start_time,
+                              per_second_bits={spec.client_id: [0] * nsec for spec in topology.clients})
         self.master_id = topology.master_id if topology.mode == CLIENT_HOSTED else None
         # the master renders for itself outside the event loop (_build_trace)
-        self.clients = {spec.client_id: _ClientState(spec, ladder, settings.start_level, start_time)
+        self.clients = {spec.client_id: _ClientState(spec, ladder, settings.start_level, start_time,
+                                                     self.trace.per_second_bits[spec.client_id])
                         for spec in topology.clients if spec.client_id != self.master_id}
 
         if topology.mode == EDGE_HOSTED:
@@ -331,40 +345,26 @@ class _Simulation:
                 raise CapacityError(
                     f"node {node.node_id} supports {node.max_sessions} sessions, "
                     f"got {len(topology.clients)} clients")
-            self.render_node = node
         else:
-            self.render_node = topology.device_node
-        node, complexity = self.render_node, settings.scene_complexity
+            node = topology.device_node
         # per level: frame bytes, render us, encode us, frame interval us
         self.level_costs = [
-            (frame_bytes(level), render_time_us(level, complexity, node.pixel_throughput),
+            (frame_bytes(level), render_time_us(level, settings.scene_complexity, node.pixel_throughput),
              encode_time_us(level, node.encode_throughput), level.frame_interval)
             for level in ladder]
         # fragment size runs by (frame bytes, mtu), filled as frames are first streamed
         self.fragments: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
         self.paths: list[_PathRecord] = []
-        self.up_data: dict[int, Path] = {}
-        self.down_frames: dict[int, Path] = {}
-        self.up_probe: dict[int, Path] = {}
-        self.down_probe: dict[int, Path] = {}
         self._build_paths()
         # push order of the submission that first reached each frame path's last_arrival
         self.arrival_seq = {id(r.path): 0 for r in self.paths if r.kind == "frames"}
-        sync_bytes = HEADER_LEN + settings.sync_payload_bytes
-        self.syncs = [(r.path, ((sync_bytes, len(self.clients) if r.owner is None else 1),))
+        self.syncs = [(r.path, ((settings.sync_bytes, len(self.clients) if r.owner is None else 1),))
                       for r in self.paths if r.kind == "frames"]  # one datagram per client on the path
-
-        for cid in self.up_data:
-            bounds = []
-            for step in settings.bandwidth_steps:
-                at = self.start + step.time_us
-                if at <= self.end and (step.client_ids is None or cid in step.client_ids):
-                    bounds.append(at + 1 if at == self.start else at)  # the input at start goes first
-            self.clients[cid].input_bounds = [self.end + 1, *sorted(bounds, reverse=True)]
-        nsec = -(-duration_us // 1_000_000)
-        self.trace = RunTrace(duration_us=duration_us, session_start=start_time,
-                              per_second_bits={spec.client_id: [0] * nsec for spec in topology.clients})
+        # the run's input admission bounds (module docstring), the next one last: each step by the end, and the end
+        steps = sorted((self.start + step.time_us for step in settings.bandwidth_steps), reverse=True)
+        self.input_bounds = [self.end + 1, *(at + 1 if at == self.start else at  # the input at start goes first
+                                             for at in steps if at <= self.end)]
 
     # -- wiring ---------------------------------------------------------
 
@@ -386,30 +386,28 @@ class _Simulation:
             shared = self._add_path("master_uplink", t.master_uplink, (0xAB, 6), "frames", None)
         elif s.shared_egress is not None:
             shared = self._add_path("shared_egress", s.shared_egress, (0xE6, 5), "frames", None)
-        for spec in t.clients:
-            cid, profile = spec.client_id, spec.profile
-            if cid == self.master_id:
-                continue
-            self.up_data[cid] = self._add_path(f"up_data[{cid}]", profile, (cid, 1), "input", cid)
-            self.down_frames[cid] = shared or self._add_path(
+        for cid, st in self.clients.items():
+            profile = st.spec.profile
+            st.up_data = self._add_path(f"up_data[{cid}]", profile, (cid, 1), "input", cid)
+            st.down_frames = shared or self._add_path(
                 f"down_frames[{cid}]", profile, (cid, 2), "frames", cid)
-            self.up_probe[cid] = self._add_path(f"up_probe[{cid}]", profile, (cid, 3), "probe", cid)
-            self.down_probe[cid] = self._add_path(f"down_probe[{cid}]", profile, (cid, 4), "probe", cid)
+            st.up_probe = self._add_path(f"up_probe[{cid}]", profile, (cid, 3), "probe", cid)
+            st.down_probe = self._add_path(f"down_probe[{cid}]", profile, (cid, 4), "probe", cid)
 
     # -- event plumbing --------------------------------------------------
 
-    def push(self, t: int, kind: str, *args) -> None:
+    def push(self, t: int, handler: Callable, *args) -> None:
         self._seq += 1
-        heapq.heappush(self.heap, (t, self._seq, kind, args))
+        heapq.heappush(self.heap, (t, self._seq, handler, args))
 
     # -- client-side streams ----------------------------------------------
 
-    def _admit_inputs(self, cid: int, t: int, horizon: int):
-        """Submit the client's inputs sent by `horizon` and before its next admission boundary."""
-        st, tick, up = self.clients[cid], self.settings.tick_us, self.up_data[cid]
+    def _admit_inputs(self, st: _ClientState, t: int, horizon: int):
+        """Submit the client's inputs sent by `horizon` and before the run's next admission bound."""
+        tick, up = self.settings.tick_us, st.up_data
         up.forget_to(t)  # nothing reads a delivery
         sent = self.start + up.submitted * tick
-        count = (min(horizon, st.input_bounds[-1] - 1) - sent) // tick + 1
+        count = (min(horizon, self.input_bounds[-1] - 1) - sent) // tick + 1
         for at, _, n in up.submit_series(_INPUT_BYTES, sent, tick, count):
             if at.__class__ is int:  # a run's arrivals step by tick, as its sends do: one trip time
                 st.inputs.append((at, at - sent, n))
@@ -441,18 +439,17 @@ class _Simulation:
         st.last_frame = t
         return st.input_origin
 
-    def _admit_probes(self, cid: int, t: int):
+    def _admit_probes(self, st: _ClientState, t: int):
         """Submit the client's PINGs sent by `t`, and echo each arrival run, cut at the end, as one PONG series."""
-        st, interval, end = self.clients[cid], self.settings.ping_interval_us, self.end
-        up, down = self.up_probe[cid], self.down_probe[cid]
-        sent = self.start + up.submitted * interval
-        for at, _, n in up.submit_series(HEADER_LEN, sent, interval, (t - sent) // interval + 1):
+        interval, end = self.settings.ping_interval_us, self.end
+        sent = self.start + st.up_probe.submitted * interval
+        for at, _, n in st.up_probe.submit_series(HEADER_LEN, sent, interval, (t - sent) // interval + 1):
             if at.__class__ is int and at <= end:
                 # PING k of the run is sent at sent + k * interval and arrives at at + k * interval, after
                 # the one before it but for k = 0, which may arrive with the previous run's last PING
                 first_s = st.ping_group[1] if at == st.ping_group[0] else sent  # S of PING 0
                 echoed, i = min(n, (end - at) // interval + 1), 0
-                for pong, step, count in down.submit_series(HEADER_LEN, at, interval, echoed):
+                for pong, step, count in st.down_probe.submit_series(HEADER_LEN, at, interval, echoed):
                     st.pongs += [(pong + (k - i) * step, sent + k * interval, at + k * interval,
                                   sent + k * interval if k else first_s)
                                  for k in range(i, i + count) if pong.__class__ is int and pong + (k - i) * step <= end]
@@ -460,8 +457,8 @@ class _Simulation:
                 last = echoed - 1
                 st.ping_group = (at + last * interval, sent + last * interval if last else first_s)
             sent += n * interval
-        up.forget_to(t)  # nothing reads a delivery
-        down.forget_to(t)
+        st.up_probe.forget_to(t)  # nothing reads a delivery
+        st.down_probe.forget_to(t)
 
     def _read_pongs(self, st: _ClientState, t: int):
         """Apply the RTT samples of the PONGs that the window at `t` sees, by the module docstring's tie rule."""
@@ -481,22 +478,20 @@ class _Simulation:
 
     # -- host-side frame pipeline ------------------------------------------
 
-    def _on_frame(self, t: int, cid: int):
-        st = self.clients[cid]
+    def _on_frame(self, t: int, st: _ClientState):
         level_idx = st.controller.level
         _, rt, et, interval = self.level_costs[level_idx]
         fid = st.next_frame_id
         st.next_frame_id += 1
         ready = t + (0 if self.settings.prerender else rt) + et
-        self.push(ready, "ready", cid, fid, level_idx, self._read_inputs(st, t))
+        self.push(ready, self._on_ready, st, fid, level_idx, self._read_inputs(st, t))
         st.next_frame = nxt = t + interval
         if nxt <= self.end:
-            self.push(nxt, "frame", cid)
+            self.push(nxt, self._on_frame, st)
 
-    def _on_ready(self, t: int, cid: int, fid: int, level_idx: int, input_origin: int | None):
-        st = self.clients[cid]
+    def _on_ready(self, t: int, st: _ClientState, fid: int, level_idx: int, input_origin: int | None):
         size = self.level_costs[level_idx][0]
-        path = self.down_frames[cid]
+        path = st.down_frames
         key = (size, path.profile.mtu)
         runs = self.fragments.get(key)
         if runs is None:
@@ -511,7 +506,7 @@ class _Simulation:
         st.frames.sent += 1
         if lost or cut:  # the first dropped fragment names the reason
             outcome, end = "fragment_" + next(at.value for at, _, _ in arrivals if isinstance(at, Drop)), t
-            self._drop_frame(cid, fid, outcome)
+            self._drop_frame(st, fid, outcome)
         else:
             end, completed = frame_outcome(arrivals)
             outcome = "completes" if completed else "reassembly_abandoned"
@@ -520,16 +515,18 @@ class _Simulation:
                     and st.frames.sent == st.next_frame_id
                     and present < st.next_frame and present < self.next_window and present <= self.end):
                 st.last_completed = fid  # no event sees the frame before its present (module docstring)
-                self._on_present(present, cid, fid)
+                self._on_present(present, st, fid)
             else:
                 # a whole frame arriving at the instant of an earlier packet is
-                # seen with that packet; the tie-break keeps path order
+                # seen with that packet; the tie-break keeps path order.  Two outcomes
+                # may take one order at one instant: the handlers compare equal, and
+                # seq, the first argument, runs them in their push order
                 order = self.arrival_seq[id(path)] if end == before else seq
-                heapq.heappush(self.heap, (end, order, "outcome", (seq, cid, fid, level_idx, completed)))
+                heapq.heappush(self.heap, (end, order, self._on_outcome, (seq, st, fid, level_idx, completed)))
         if path.last_arrival != before:
             self.arrival_seq[id(path)] = seq
         if self.log_frames:
-            logger.debug("t=%d client %d frame %d: %d fragments, %d dropped, %s at %d", t, cid, fid,
+            logger.debug("t=%d client %d frame %d: %d fragments, %d dropped, %s at %d", t, st.spec.client_id, fid,
                          sum(run[2] for run in arrivals), lost + cut, outcome, end)
 
     def _on_sync(self, t: int):
@@ -541,12 +538,11 @@ class _Simulation:
                 self.arrival_seq[id(path)] = self._seq
         nxt = t + self.settings.sync_interval_us
         if nxt <= self.end:
-            self.push(nxt, "sync")
+            self.push(nxt, self._on_sync)
 
     # -- arrivals ------------------------------------------------------------
 
-    def _on_outcome(self, t: int, _seq: int, cid: int, fid: int, level_idx: int, completed: bool):
-        st = self.clients[cid]
+    def _on_outcome(self, t: int, _seq: int, st: _ClientState, fid: int, level_idx: int, completed: bool):
         if fid not in st.pending:
             return  # swept by a window
         if fid <= st.last_completed:  # older than a completed frame: never completes, stays in flight
@@ -554,14 +550,13 @@ class _Simulation:
             st.never_resolved += 1
         elif completed:
             st.last_completed = fid
-            self.push(t + st.decode_us[level_idx], "present", cid, fid)
+            self.push(t + st.decode_us[level_idx], self._on_present, st, fid)
         else:
-            self._drop_frame(cid, fid, "reassembly_abandoned")
+            self._drop_frame(st, fid, "reassembly_abandoned")
 
-    def _on_present(self, t: int, cid: int, fid: int):
-        st = self.clients[cid]
+    def _on_present(self, t: int, st: _ClientState, fid: int):
         if fid <= st.last_presented:
-            self._drop_frame(cid, fid, "stale")
+            self._drop_frame(st, fid, "stale")
             return
         _, level_idx, input_origin = st.pending.pop(fid)
         bits = self.level_costs[level_idx][0] * 8
@@ -569,13 +564,12 @@ class _Simulation:
         st.frames.delivered += 1
         st.window_delivered += 1
         st.window_bits += bits
-        buckets = self.trace.per_second_bits[cid]
+        buckets = st.per_second_bits
         buckets[min((t - self.start) // 1_000_000, len(buckets) - 1)] += bits
         if input_origin is not None:
             st.m2p.append(t - input_origin)
 
-    def _drop_frame(self, cid: int, fid: int, reason: str):
-        st = self.clients[cid]
+    def _drop_frame(self, st: _ClientState, fid: int, reason: str):
         if st.pending.pop(fid, None) is None:
             return  # resolved already: a receiver may report a frame once per lost fragment
         st.frames.dropped += 1
@@ -589,8 +583,8 @@ class _Simulation:
         cfg, trace = self.settings.controller, self.trace
         window_index = len(trace.queue_drop_timeline)
         for cid, st in self.clients.items():
-            self._admit_probes(cid, t)
-            self._admit_inputs(cid, t, t + cfg.window_us)
+            self._admit_probes(st, t)
+            self._admit_inputs(st, t, t + cfg.window_us)
             self._read_pongs(st, t)
             resolved = st.window_delivered + st.window_dropped
             stats = WindowStats(
@@ -615,45 +609,40 @@ class _Simulation:
             swept = [fid for fid, (first, _, _) in st.pending.items()
                      if fid > st.last_completed and t - first > REASSEMBLY_TIMEOUT_US]
             for fid in swept:
-                self._drop_frame(cid, fid, "reassembly_abandoned")
+                self._drop_frame(st, fid, "reassembly_abandoned")
         trace.queue_drop_timeline.append(sum(r.path.dropped_queue for r in self.paths if r.kind == "frames"))
         self.next_window = nxt = t + cfg.window_us
         if nxt <= self.end:
-            self.push(nxt, "window")
+            self.push(nxt, self._on_window)
 
     def _on_bwstep(self, t: int, step: BandwidthStep):
         targets = step.client_ids
         for r in self.paths:
             if r.kind != "probe" and (targets is None or r.owner in targets):
                 r.path.set_bandwidth(step.bandwidth)
-                if r.kind == "input":
-                    self.clients[r.owner].input_bounds.pop()
-                    self._admit_inputs(r.owner, t, self.next_window)
+        self.input_bounds.pop()
+        for st in self.clients.values():
+            self._admit_inputs(st, t, self.next_window)
         logger.info("t=%d bandwidth step to %d b/s", t, step.bandwidth)
 
     # -- main loop ----------------------------------------------------------
 
-    _HANDLERS = {
-        "frame": "_on_frame", "ready": "_on_ready", "outcome": "_on_outcome", "present": "_on_present",
-        "sync": "_on_sync", "window": "_on_window", "bwstep": "_on_bwstep",
-    }
-
     def run(self) -> RunTrace:
-        for cid in self.clients:
-            self._admit_inputs(cid, self.start, self.next_window)
-            self.push(self.start, "frame", cid)
-        self.push(self.start, "sync")
-        self.push(self.next_window, "window")
+        for st in self.clients.values():
+            self._admit_inputs(st, self.start, self.next_window)
+            self.push(self.start, self._on_frame, st)
+        self.push(self.start, self._on_sync)
+        self.push(self.next_window, self._on_window)
         for step in self.settings.bandwidth_steps:
-            self.push(self.start + step.time_us, "bwstep", step)
+            self.push(self.start + step.time_us, self._on_bwstep, step)
 
         heap, end = self.heap, self.end
-        handlers = {kind: getattr(self, name) for kind, name in self._HANDLERS.items()}
         while heap and heap[0][0] <= end:
-            t, _, kind, args = heapq.heappop(heap)
-            handlers[kind](t, *args)
-        for cid, st in self.clients.items():
-            self._admit_probes(cid, end)
+            t, _, handler, args = heapq.heappop(heap)
+            handler(t, *args)
+        heap.clear()  # events after the end hold bound handlers, a cycle through this run: free it at once
+        for st in self.clients.values():
+            self._admit_probes(st, end)
             self._read_pongs(st, end + 1)  # every PONG kept arrives by the end
         for r in self.paths:
             r.path.forget_to(end)  # count the deliveries no event polled
@@ -674,7 +663,7 @@ class _Simulation:
             else:
                 st = self.clients[cid]
                 rtt, m2p, frames, level = st.rtt, st.m2p, st.frames, st.controller.level
-                trace.frame_path_ids[cid] = path_ids[id(self.down_frames[cid])]
+                trace.frame_path_ids[cid] = path_ids[id(st.down_frames)]
             trace.rtt_samples[cid] = rtt
             trace.motion_to_photon[cid] = m2p
             trace.per_client_frames[cid] = frames

@@ -48,6 +48,11 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _INPUT_PAYLOAD = bytes(INPUT_PAYLOAD_LEN)
 
 
+def _kind(handler):
+    """An event's kind: the name of its handler without `_on_`."""
+    return handler.__name__.removeprefix("_on_")
+
+
 class _Logged(session._Simulation):
     """Logs every handled event but a present and every frame drop, in order.  Apart from
     them it logs each present per client, since the session may present a frame where it
@@ -66,19 +71,21 @@ class _Logged(session._Simulation):
             self.window_samples.append((t, st.spec.client_id, len(st.rtt),
                                         st.window_delivered, st.window_dropped, st.window_bits))
 
-    def _drop_frame(self, cid, fid, reason):
-        if fid in self.clients[cid].pending:
-            self.log.append(("drop", cid, fid, reason))
-        super()._drop_frame(cid, fid, reason)
+    def _drop_frame(self, st, fid, reason):
+        if fid in st.pending:
+            self.log.append(("drop", st.spec.client_id, fid, reason))
+        super()._drop_frame(st, fid, reason)
 
-    def _on_present(self, t, cid, fid):
-        self.presents.append((cid, t, fid))
-        super()._on_present(t, cid, fid)
+    def _on_present(self, t, st, fid):
+        self.presents.append((st.spec.client_id, t, fid))
+        super()._on_present(t, st, fid)
 
-    def handled(self, t, kind, args):
+    def handled(self, t, handler, args):
         # production has no event per message, and at most one per frame after its ready
+        kind = _kind(handler)
         if kind not in ("outcome", "present", "input", "ping", "arrive"):
-            self.log.append((t, kind, *args))
+            self.log.append((t, kind, *(arg.spec.client_id if isinstance(arg, session._ClientState) else arg
+                                        for arg in args)))
 
     def logs(self):
         """The handled-event log, each client's presents in order, and the window reads."""
@@ -97,9 +104,6 @@ class _Events(_Logged):
     RTT sample.  Every input carries the same zero pose: no run reads a pose.
     """
 
-    _HANDLERS = {**session._Simulation._HANDLERS,
-                 "input": "_on_input", "ping": "_on_ping", "arrive": "_on_arrive"}
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.sequences = {}
@@ -108,26 +112,26 @@ class _Events(_Logged):
 
     def run(self):
         """The event loop with one "input" and one "ping" event per client and interval."""
-        for cid in self.clients:
-            self.push(self.start, "input", cid)
-            self.push(self.start, "ping", cid)
-            self.push(self.start, "frame", cid)
-        self.push(self.start, "sync")
-        self.push(self.start + self.settings.controller.window_us, "window")
+        for st in self.clients.values():
+            self.push(self.start, self._on_input, st)
+            self.push(self.start, self._on_ping, st)
+            self.push(self.start, self._on_frame, st)
+        self.push(self.start, self._on_sync)
+        self.push(self.start + self.settings.controller.window_us, self._on_window)
         for step in self.settings.bandwidth_steps:
-            self.push(self.start + step.time_us, "bwstep", step)
+            self.push(self.start + step.time_us, self._on_bwstep, step)
         while self.heap and self.heap[0][0] <= self.end:
-            t, _, kind, args = session.heapq.heappop(self.heap)
-            getattr(self, self._HANDLERS[kind])(t, *args)
+            t, _, handler, args = session.heapq.heappop(self.heap)
+            handler(t, *args)
         return self._build_trace()
 
-    def _admit_inputs(self, cid, t, horizon):
+    def _admit_inputs(self, st, t, horizon):
         pass  # each "input" event submits its own
 
     def _read_inputs(self, st, t):
         return self.host_input_origin[st.spec.client_id]
 
-    def _admit_probes(self, cid, t):
+    def _admit_probes(self, st, t):
         pass  # each "ping" event submits its own, so no PONG waits for a window to read it
 
     def _submit(self, path, data, t):
@@ -135,7 +139,7 @@ class _Events(_Logged):
         result = path.submit(data, t)
         if isinstance(result, Drop):
             return result
-        self.push(result, "arrive", path)
+        self.push(result, self._on_arrive, path)
         return None
 
     def _encode(self, side, msg_type, cid, t, payload=b""):
@@ -145,31 +149,31 @@ class _Events(_Logged):
         self.sequences[key] = sequence + 1
         return encode_message(WireHeader(msg_type, cid, sequence, t), payload)
 
-    def _on_input(self, t, cid):
-        self._submit(self.up_data[cid], self._encode("c", MsgType.INPUT, cid, t, _INPUT_PAYLOAD), t)
+    def _on_input(self, t, st):
+        self._submit(st.up_data, self._encode("c", MsgType.INPUT, st.spec.client_id, t, _INPUT_PAYLOAD), t)
         if t + self.settings.tick_us <= self.end:
-            self.push(t + self.settings.tick_us, "input", cid)
+            self.push(t + self.settings.tick_us, self._on_input, st)
 
-    def _on_ping(self, t, cid):
-        self._submit(self.up_probe[cid], self._encode("c", MsgType.PING, cid, t), t)
+    def _on_ping(self, t, st):
+        self._submit(st.up_probe, self._encode("c", MsgType.PING, st.spec.client_id, t), t)
         if t + self.settings.ping_interval_us <= self.end:
-            self.push(t + self.settings.ping_interval_us, "ping", cid)
+            self.push(t + self.settings.ping_interval_us, self._on_ping, st)
 
-    def _on_ready(self, t, cid, fid, level_idx, input_origin):
-        path = self.down_frames[cid]
-        self.clients[cid].pending[fid] = (math.inf, level_idx, input_origin)  # the Reassembler sweeps
-        self.clients[cid].frames.sent += 1
+    def _on_ready(self, t, st, fid, level_idx, input_origin):
+        path = st.down_frames
+        st.pending[fid] = (math.inf, level_idx, input_origin)  # the Reassembler sweeps
+        st.frames.sent += 1
         for frag in fragment(fid, bytes(frame_bytes(self.ladder[level_idx])), path.profile.mtu):
-            dropped = self._submit(path, encode_fragment(cid, 0, t, frag), t)
+            dropped = self._submit(path, encode_fragment(st.spec.client_id, 0, t, frag), t)
             if dropped is not None:
-                self._drop_frame(cid, fid, "fragment_" + dropped.value)
+                self._drop_frame(st, fid, "fragment_" + dropped.value)
 
     def _on_sync(self, t):
         payload = bytes(self.settings.sync_payload_bytes)
-        for cid, path in self.down_frames.items():
-            self._submit(path, self._encode("h", MsgType.STATE_SYNC, cid, t, payload), t)
+        for cid, st in self.clients.items():
+            self._submit(st.down_frames, self._encode("h", MsgType.STATE_SYNC, cid, t, payload), t)
         if t + self.settings.sync_interval_us <= self.end:
-            self.push(t + self.settings.sync_interval_us, "sync")
+            self.push(t + self.settings.sync_interval_us, self._on_sync)
 
     def _on_arrive(self, t, path):
         for data, at in path.advance_to(t):
@@ -178,16 +182,16 @@ class _Events(_Logged):
             if header.msg_type == MsgType.FRAME_FRAG:
                 event = self.reassemblers[cid].offer(decode_fragment(payload), at)
                 for fid in event.abandoned:
-                    self._drop_frame(cid, fid, "reassembly_abandoned")
+                    self._drop_frame(st, fid, "reassembly_abandoned")
                 if event.completed is not None and event.completed[0] in st.pending:
                     fid = event.completed[0]
                     level = self.ladder[st.pending[fid][1]]
-                    self.push(at + decode_time_us(level, st.spec.decode_throughput), "present", cid, fid)
+                    self.push(at + decode_time_us(level, st.spec.decode_throughput), self._on_present, st, fid)
             elif header.msg_type == MsgType.INPUT:
                 self.host_input_origin[cid] = header.timestamp
             elif header.msg_type == MsgType.PING:
                 pong = WireHeader(MsgType.PONG, cid, header.sequence, header.timestamp)
-                self._submit(self.down_probe[cid], encode_message(pong), at)
+                self._submit(st.down_probe, encode_message(pong), at)
             elif header.msg_type == MsgType.PONG:
                 sample = at - header.timestamp
                 st.estimator.update(sample)
@@ -197,7 +201,7 @@ class _Events(_Logged):
         super()._on_window(t)
         for cid, reassembler in self.reassemblers.items():
             for fid in reassembler.sweep(t):
-                self._drop_frame(cid, fid, "reassembly_abandoned")
+                self._drop_frame(self.clients[cid], fid, "reassembly_abandoned")
 
 
 def _run(cfg, cls, monkeypatch):
@@ -278,6 +282,8 @@ def test_session_matches_the_all_events_reference(case, seed, monkeypatch):
     ref_trace, ref_log = _run(cfg, _Events, monkeypatch)
     assert trace == ref_trace
     assert log == ref_log
+    # the log names a client's record by its id: each client's frame events under its own
+    assert {entry[2] for entry in log[0] if entry[1] == "frame"} == set(trace.frame_path_ids)
 
 
 def test_each_record_has_the_wire_size_of_its_message(monkeypatch):
@@ -289,9 +295,9 @@ def test_each_record_has_the_wire_size_of_its_message(monkeypatch):
     class Recording(session._Simulation):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            for kind, paths in ((MsgType.INPUT, self.up_data), (MsgType.PING, self.up_probe),
-                                (MsgType.PONG, self.down_probe)):
-                series_kinds.update(dict.fromkeys(map(id, paths.values()), kind))
+            for st in self.clients.values():
+                series_kinds.update({id(st.up_data): MsgType.INPUT, id(st.up_probe): MsgType.PING,
+                                     id(st.down_probe): MsgType.PONG})
 
         def _on_sync(self, t):
             syncing.append(t)
@@ -340,20 +346,26 @@ def _drive_clamped_frame(cls):
                                        host_node=NodeSpec(1, 5_000_000_000, 4_000_000_000))
     ladder = tuple(QualityLevel(**level) for level in TINY_LADDER)
     sim = cls(topology, ladder, 1_000_000, session.SessionSettings(), 3, 0)
-    path = sim.down_frames[0]
+    path = sim.clients[0].down_frames
     sim._on_sync(0)
     arrival = path.last_arrival
-    sim.push(arrival, "window")
+    sim.push(arrival, sim._on_window)
     sim.next_window = arrival
-    sim._on_ready(10, 0, 0, 0, None)
+    sim._on_ready(10, sim.clients[0], 0, 0, None)
     assert path.last_arrival == arrival  # the frame was clamped
+    handled = _drain(sim)
+    return sim.logs(), handled, arrival
+
+
+def _drain(sim):
+    """Runs every event left on the heap, logged; returns each as `(t, kind)`."""
     handled = []
     while sim.heap:
-        t, _, kind, args = heapq.heappop(sim.heap)
-        sim.handled(t, kind, args)
-        handled.append((t, kind))
-        getattr(sim, sim._HANDLERS[kind])(t, *args)
-    return sim.logs(), handled, arrival
+        t, _, handler, args = heapq.heappop(sim.heap)
+        sim.handled(t, handler, args)
+        handled.append((t, _kind(handler)))
+        handler(t, *args)
+    return handled
 
 
 def test_clamped_frame_resolves_where_the_earlier_packet_arrived():
@@ -362,6 +374,42 @@ def test_clamped_frame_resolves_where_the_earlier_packet_arrived():
     assert logs == ref_logs
     assert handled.index((arrival, "outcome")) < handled.index((arrival, "window"))
     assert logs[1] == [(0, arrival + 1, 0)]  # presented, not swept
+
+
+def _tied_outcomes(cls):
+    """Two frames of one client clamped to an earlier packet's arrival, their outcomes not yet run.
+
+    The state sync sent at 0 draws 500 ms of jitter; frames 0 and 1, one
+    fragment each, are submitted at 10 and 20 us with no jitter, so both are
+    clamped to the sync's arrival and take its place in push order.  Returns
+    the simulation and that arrival.
+    """
+    profile = NetworkProfile(one_way_latency=2_000, jitter=1_000_000, bandwidth=700_000_000)
+    topology = session.SessionTopology("edge_hosted", (session.ClientSpec(0, profile),),
+                                       host_node=NodeSpec(1, 5_000_000_000, 4_000_000_000))
+    ladder = tuple(QualityLevel(**level) for level in TINY_LADDER)
+    sim = cls(topology, ladder, 1_000_000, session.SessionSettings(), 3, 0)
+    st = sim.clients[0]
+    st.down_frames.rng = _ScriptedJitter({0: 500_000})
+    sim._on_sync(0)
+    arrival = st.down_frames.last_arrival
+    for fid in (0, 1):
+        sim._on_ready(10 + 10 * fid, st, fid, 0, None)
+    assert st.down_frames.last_arrival == arrival  # both frames were clamped
+    return sim, arrival
+
+
+def test_outcomes_taking_one_place_in_push_order_run_in_their_own():
+    """Frame 1's outcome run first would complete it and leave frame 0 never resolved."""
+    sim, arrival = _tied_outcomes(_Logged)
+    outcomes = [event[:2] for event in sim.heap if _kind(event[2]) == "outcome"]
+    assert outcomes == [(arrival, outcomes[0][1])] * 2
+    _drain(sim)
+    ref, _ = _tied_outcomes(_Events)
+    _drain(ref)
+    assert sim.logs() == ref.logs()
+    present = arrival + sim.clients[0].decode_us[0]
+    assert sim.logs()[1] == [(0, present, 0), (0, present, 1)]
 
 
 def _submission_case(levels=((96, 64, 60), (64, 48, 60)), latency=100, bandwidth=700_000_000, queue=None,
@@ -426,13 +474,13 @@ def test_a_frame_completing_older_than_the_last_completed_leaves_pending_at_its_
     readied, outcomes = {}, set()
 
     class Counting(_Logged):
-        def _on_ready(self, t, cid, fid, level_idx, input_origin):
+        def _on_ready(self, t, st, fid, level_idx, input_origin):
             readied[fid] = t
-            super()._on_ready(t, cid, fid, level_idx, input_origin)
+            super()._on_ready(t, st, fid, level_idx, input_origin)
 
-        def _on_outcome(self, t, seq, cid, fid, level_idx, completed):
+        def _on_outcome(self, t, seq, st, fid, level_idx, completed):
             outcomes.add(fid)
-            super()._on_outcome(t, seq, cid, fid, level_idx, completed)
+            super()._on_outcome(t, seq, st, fid, level_idx, completed)
 
     args = _submission_case(**_SUBMISSION_CASES["older-than-the-last-completed"])
     trace, _ = _run_logged(lambda: session.run_session(*args), Counting, monkeypatch)
@@ -636,9 +684,9 @@ def test_a_pong_group_is_ordered_by_the_first_ping_of_its_arrival(monkeypatch):
             class Scripted(cls):
                 def __init__(self, *args, **kwargs):
                     super().__init__(*args, **kwargs)
-                    self.up_probe[0].rng = _ScriptedJitter({9: 599})
+                    self.clients[0].up_probe.rng = _ScriptedJitter({9: 599})
                     # PONG 9, the first submitted at 1,500 us, ends its 1 us serialization at 1,501 us
-                    self.down_probe[0].rng = _ScriptedJitter({pong: 2_000 - (1_500 + pong - 8)})
+                    self.clients[0].down_probe.rng = _ScriptedJitter({pong: 2_000 - (1_500 + pong - 8)})
             runs.append(_run_reading_srtt(args, Scripted, monkeypatch))
         assert runs[0] == runs[1], sent
         reads = runs[0][2]

@@ -1,6 +1,8 @@
 import copy
 import logging
 import math
+import re
+from collections import Counter
 
 import pytest
 
@@ -213,15 +215,23 @@ def test_input_drives_motion_to_photon():
 
 
 def test_packet_logging_is_one_line_per_frame(caplog):
+    """EPICSIM_LOG=packets: one line per frame sent, naming its client and outcome; a dropped
+    frame's line names the reason the trace counts it under."""
     caplog.set_level(logging.DEBUG, logger="epicsim.session")
     profile = NetworkProfile(one_way_latency=2_000, jitter=500, loss_rate=0.01,
-                             bandwidth=700_000_000, mtu=1400)
-    trace = run_session(_edge((ClientSpec(0, profile),)), DEFAULT_LADDER, 1_000_000,
+                             bandwidth=700_000_000, mtu=1400, queue_capacity=100_000)
+    trace = run_session(_edge((ClientSpec(0, profile), ClientSpec(7, profile))), DEFAULT_LADDER, 1_000_000,
                         SessionSettings(), seed=1)
-    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-    assert len(lines) == trace.frames.sent
-    assert all("fragments" in line for line in lines)
-    assert any("fragment_loss" in line for line in lines)
+    lines = [re.fullmatch(r"t=\d+ client (\d+) frame (\d+): \d+ fragments, (\d+) dropped, (\w+) at \d+",
+                          r.getMessage()) for r in caplog.records if r.levelno == logging.DEBUG]
+    frames = {cid: [int(line[2]) for line in lines if int(line[1]) == cid] for cid in (0, 7)}
+    assert frames == {cid: list(range(counts.sent)) for cid, counts in trace.per_client_frames.items()}
+    outcomes = Counter(line[4] for line in lines)
+    assert set(outcomes) <= {"completes", "reassembly_abandoned", "fragment_loss", "fragment_queue_full"}
+    assert all((line[3] != "0") == line[4].startswith("fragment_") for line in lines)
+    assert {reason: n for reason, n in outcomes.items() if reason.startswith("fragment_")} == {
+        reason: n for reason, n in trace.drop_reasons.items() if reason.startswith("fragment_")}
+    assert outcomes["fragment_loss"] and outcomes["fragment_queue_full"]
 
 
 @pytest.mark.parametrize("first", [Drop.LOSS, Drop.QUEUE])
@@ -232,7 +242,7 @@ def test_a_frame_with_a_loss_and_a_queue_cut_is_dropped_for_its_first_dropped_fr
     for seed in range(100):
         sim = session._Simulation(_edge((ClientSpec(0, profile),)), DEFAULT_LADDER, 1_000_000,
                                   SessionSettings(), seed, 0)
-        loop = copy.deepcopy(sim.down_frames[0])
+        loop = copy.deepcopy(sim.clients[0].down_frames)
         # each fragment carried as its size, as a burst carries it
         outcomes = [loop.submit(size, 0, size) for size, count in fragment_runs(207_360, 1400) for _ in range(count)]
         drops = [outcome for outcome in outcomes if isinstance(outcome, Drop)]
@@ -240,9 +250,9 @@ def test_a_frame_with_a_loss_and_a_queue_cut_is_dropped_for_its_first_dropped_fr
             break
     else:
         raise AssertionError(f"no seed drops a {first.value} fragment first and the other kind later")
-    sim._on_ready(0, 0, 0, 0, None)
+    sim._on_ready(0, sim.clients[0], 0, 0, None)
     assert sim.trace.drop_reasons == {"fragment_" + first.value: 1}
-    assert sim.down_frames[0] == loop
+    assert sim.clients[0].down_frames == loop
 
 
 def test_scene_complexity_floor_is_a_settings_check():
@@ -270,14 +280,14 @@ def test_probe_state_after_each_window_is_the_probes_in_flight(profile):
     class Checked(session._Simulation):
         def _on_window(self, t):
             super()._on_window(t)
-            for cid, st in self.clients.items():
-                assert self.up_probe[cid].submitted == (t - self.start) // interval + 1
+            for st in self.clients.values():
+                assert st.up_probe.submitted == (t - self.start) // interval + 1
                 assert all(sent <= t <= at for at, sent, *_ in st.pongs)
                 assert len(st.pongs) <= 2 * one_way // interval + 1
-                assert self.up_probe[cid].in_flight <= one_way // interval + 1
-                assert self.down_probe[cid].in_flight <= 2 * one_way // interval + 1
+                assert st.up_probe.in_flight <= one_way // interval + 1
+                assert st.down_probe.in_flight <= 2 * one_way // interval + 1
                 assert sum(run[2] for run in st.inputs) <= (window + frame_interval + one_way) // tick + 1
-                assert self.up_data[cid].in_flight <= (window + one_way) // tick + 1
+                assert st.up_data.in_flight <= (window + one_way) // tick + 1
             checked.append(t)
 
     sim = Checked(_edge((ClientSpec(0, profile),)), DEFAULT_LADDER, 2_000_000,
@@ -285,4 +295,4 @@ def test_probe_state_after_each_window_is_the_probes_in_flight(profile):
     trace = sim.run()
     assert len(checked) == 2_000_000 // window
     assert len(trace.rtt_samples[0]) > 0.8 * 2_000_000 // interval
-    assert sim.up_data[0].submitted == (sim.end - sim.start) // tick + 1
+    assert sim.clients[0].up_data.submitted == (sim.end - sim.start) // tick + 1
