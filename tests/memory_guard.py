@@ -1,26 +1,30 @@
 """Check the peak memory of four long `edge-nominal` runs against their bounds.
 
-    python tests/memory_guard.py [CASE ...]
+    python tests/memory_guard.py CASE
 
-Each case is a 60 s run of `scenarios/edge-nominal.json`, run in a fresh
-process of its own, since `ru_maxrss` is the peak of the whole process:
+Each case is a 60 s run of `scenarios/edge-nominal.json`.  The script runs
+one case, so that each case has a fresh process of its own, since
+`ru_maxrss` is the peak of the whole process:
 
 - clean: a PING every 100 us, on clean paths, at most 100 MB;
 - impaired: the same with jitter and loss on every path, at most 100 MB;
 - one-window: jitter and loss and one 60 s controller window, at most 50 MB;
 - inputs: jitter and loss, two clients and an input every 100 us, at most 40 MB.
 
-With no CASE it runs every case, and with several, each in a process it
-starts.  Exits 0 when each peak is within its bound, and 1 when one is
-not.  It needs `epicsim` importable, as an installed package or on
-PYTHONPATH, and is not part of tier-1.
+Exits 0 when the peak is within its bound, and 1 when it is not.  CI runs
+every case with a shell loop under `bash -e`, which fails the step at the
+first case that exits non-zero, a signal's kill included:
+
+    for case in clean impaired one-window inputs; do python tests/memory_guard.py "$case"; done
+
+It needs `epicsim` importable, as an installed package or on PYTHONPATH,
+and is not part of tier-1.
 """
 
 from __future__ import annotations
 
 import json
 import resource
-import subprocess
 import sys
 from pathlib import Path
 
@@ -44,7 +48,7 @@ def _document(case: str) -> dict:
     return doc
 
 
-def _run_case(case: str) -> int:
+def main(case: str) -> int:
     """Run `case` in this process; 0 if its peak RSS is within its bound, else 1."""
     from epicsim import orchestrator
 
@@ -57,14 +61,7 @@ def _run_case(case: str) -> int:
     return 0
 
 
-def main(cases: list[str]) -> int:
-    unknown = [case for case in cases if case not in BOUNDS_MB]
-    if unknown:
-        sys.exit(f"unknown case {unknown[0]!r}: choose from {', '.join(BOUNDS_MB)}")
-    if len(cases) == 1:  # this process runs nothing else, so its peak is the case's
-        return _run_case(cases[0])
-    return max(subprocess.run([sys.executable, __file__, case]).returncode for case in cases or BOUNDS_MB)
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    if len(sys.argv) != 2 or sys.argv[1] not in BOUNDS_MB:
+        sys.exit(f"usage: {sys.argv[0]} CASE, where CASE is one of {', '.join(BOUNDS_MB)}")
+    sys.exit(main(sys.argv[1]))
