@@ -25,9 +25,12 @@ periodic input.  Both carry each as its size and return arrival runs
 1 B to the MTU.  Both make the same decisions, in the same order, and leave
 the same state as one `submit` per datagram.  `Path.advance_to` pops and
 lists what has arrived; `Path.forget_to` pops and counts it, for a caller
-that never reads its deliveries.  No code in `src` calls `advance_to`: a run
-reads each delivery time off its submission, and only the tests, their
-reference oracles and the benchmark's tracer and micro cases poll a path.
+that never reads its deliveries; `Path.skip_delivered` counts datagrams as
+submitted and delivered without admitting them, for a caller that knows that
+none is drawn on or cut and that all arrive by its next `forget_to` (a frame
+train).  No code in `src` calls `advance_to`: a run reads each delivery time
+off its submission, and only the tests, their reference oracles and the
+benchmark's tracer and micro cases poll a path.
 
 In-flight datagrams are kept as runs.  `_serializing` holds runs
 `(first_end, tx, count, size)`: `count` datagrams of `size` bytes whose
@@ -188,6 +191,13 @@ class Path:
         self.last_arrival = busy + profile.one_way_latency
         self._pending.append((arrival, step, count, size))
         return [(arrival, step, count)]
+
+    def skip_delivered(self, count: int) -> None:
+        """Count `count` datagrams as submitted and delivered and skip their draws, changing nothing else: on a
+        path without loss or jitter, what admitting them uncut and a `forget_to` past their arrivals leave there."""
+        self.rng.skip(count)
+        self.submitted += count
+        self.delivered += count
 
     def _check(self, runs, now: int) -> int:
         """Raise on a negative count, a datagram outside 1 B to the MTU or a regressed `now`; returns their count."""

@@ -26,8 +26,28 @@ its client's only pending frame (no other outcome or present of the client
 acts before P), every frame the client has started is ready and P is before
 the client's next frame event (no ready of the client comes before P), P is
 before the next window not yet handled (no window reads or sweeps before
-P), and P is not after the end (the present event would run).  Otherwise it
-pushes the outcome event.
+P), and P is not after the end (the present event would run), the three
+bounds of `_present_by`.  Otherwise it pushes the outcome event.
+
+Such frames go in trains.  At the frame event at T of the first client on a
+path without loss or jitter, when each client on it starts a frame at T, at
+one level, with nothing pending, `trains.settle_train` settles the path's
+instants T, T + I, ... in one pass: it sends each client's frames, reads
+their inputs and presents them, and sends the syncs between them.  An instant
+is settled while each frame is presented by the rule above before the next
+instant, the group's bursts plus one sync fit the queue, the ready is before
+the next step and at no sync, the syncs due before it leave the path idle by
+then, and the next instant is not a sync time; the train then ends at the
+last ready that the last sync before it has reached.  It takes the clients
+in the push order of their frame events at T (`frame_seq`), which need not
+be client order once they have run at different frame rates: their bursts
+at each instant and their next frame events go in the order those events
+would run.  Each client's frame event for the first instant not settled,
+pushed at T, keeps its place there: a window or step there was pushed by T,
+the path's clients have no other event, other clients' events touch none of
+their state, and the last rule keeps out a sync pushed after T.  The
+clients' frame events at T return at once; a train that settles nothing
+waits for the next window.
 
 Inputs are neither records nor events.  The host reads an input for one thing:
 when a frame starts, the send time of the latest input it holds becomes the
@@ -137,6 +157,7 @@ from .model import (
 from .netem import Drop, Path
 from .render import decode_time_us, encode_time_us, render_time_us
 from .rng import derive_seed
+from .trains import FRAME_LINE, settle_train
 from .transport import (
     HEADER_LEN,
     INPUT_PAYLOAD_LEN,
@@ -268,7 +289,7 @@ class _ClientState:
         "m2p", "rtt",
         "inputs", "input_origin", "input_first", "last_frame", "next_frame",
         "decode_us", "pongs", "ping_group", "never_resolved",
-        "up_data", "down_frames", "up_probe", "down_probe", "per_second_bits",
+        "up_data", "down_frames", "up_probe", "down_probe", "per_second_bits", "train_from", "frame_seq",
     )
 
     def __init__(self, spec: ClientSpec, ladder, start_level: int, start: int, per_second_bits: list[int]):
@@ -297,10 +318,11 @@ class _ClientState:
         self.input_first = True               # the input event at last_frame ran first
         self.last_frame = start               # time of the latest frame event
         self.next_frame = start               # time of the next frame event
+        self.frame_seq = 0                    # its push order (_push_frame)
         # the probe stream (module docstring), with S and P as the tie rule names them
         self.pongs: list[tuple[int, int, int, int]] = []  # each PONG not yet read: arrival, sent, P, S
         self.ping_group = (-1, -1)            # the latest P, and its S
-        # up_data, down_frames, up_probe and down_probe: its paths, set by _Simulation._build_paths
+        # set by _build_paths: its four paths, and train_from, the earliest frame event that may start a train
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,6 +335,7 @@ class _PathRecord:
 
 class _Simulation:
     """One run of the event loop; construct, call run(), read the trace."""
+    _train = settle_train  # the frame trains (module docstring)
 
     def __init__(self, topology: SessionTopology, ladder: tuple[QualityLevel, ...],
                  duration_us: int, settings: SessionSettings, seed: int, start_time: int):
@@ -328,6 +351,8 @@ class _Simulation:
         self.heap: list[tuple[int, int, Callable, tuple]] = []  # (time, push order, handler, its args)
         self._seq = 0
         self.next_window = start_time + settings.controller.window_us  # the next window event not yet handled
+        self.next_sync = start_time                                     # the next state sync not yet handled
+        self.trained: dict[int, int] = {}  # per frame path: the last ready a train settled; it counted the syncs before
         self.log_frames = logger.isEnabledFor(logging.DEBUG)
 
         nsec = -(-duration_us // 1_000_000)
@@ -347,14 +372,11 @@ class _Simulation:
                     f"got {len(topology.clients)} clients")
         else:
             node = topology.device_node
-        # per level: frame bytes, render us, encode us, frame interval us
-        self.level_costs = [
-            (frame_bytes(level), render_time_us(level, settings.scene_complexity, node.pixel_throughput),
-             encode_time_us(level, node.encode_throughput), level.frame_interval)
-            for level in ladder]
-        # fragment size runs by (frame bytes, mtu), filled as frames are first streamed
-        self.fragments: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-
+        self.level_costs = []  # per level: frame bytes, render us, us from a frame's start to its ready, interval us
+        for level in ladder:
+            rt = render_time_us(level, settings.scene_complexity, node.pixel_throughput)
+            ready = (0 if settings.prerender else rt) + encode_time_us(level, node.encode_throughput)
+            self.level_costs.append((frame_bytes(level), rt, ready, level.frame_interval))
         self.paths: list[_PathRecord] = []
         self._build_paths()
         # push order of the submission that first reached each frame path's last_arrival
@@ -389,8 +411,11 @@ class _Simulation:
         for cid, st in self.clients.items():
             profile = st.spec.profile
             st.up_data = self._add_path(f"up_data[{cid}]", profile, (cid, 1), "input", cid)
-            st.down_frames = shared or self._add_path(
+            st.down_frames = frames = shared or self._add_path(
                 f"down_frames[{cid}]", profile, (cid, 2), "frames", cid)
+            leads = shared is None or st is next(iter(self.clients.values()))  # the first client on its frame path
+            drawing = frames.profile.loss_rate or frames.profile.jitter
+            st.train_from = self.start if leads and not drawing else math.inf
             st.up_probe = self._add_path(f"up_probe[{cid}]", profile, (cid, 3), "probe", cid)
             st.down_probe = self._add_path(f"down_probe[{cid}]", profile, (cid, 4), "probe", cid)
 
@@ -479,23 +504,26 @@ class _Simulation:
     # -- host-side frame pipeline ------------------------------------------
 
     def _on_frame(self, t: int, st: _ClientState):
+        if st.next_frame != t or st.train_from <= t and self._train(t, st):
+            return  # settled by a train
         level_idx = st.controller.level
-        _, rt, et, interval = self.level_costs[level_idx]
+        _, _, ready, interval = self.level_costs[level_idx]
         fid = st.next_frame_id
         st.next_frame_id += 1
-        ready = t + (0 if self.settings.prerender else rt) + et
-        self.push(ready, self._on_ready, st, fid, level_idx, self._read_inputs(st, t))
-        st.next_frame = nxt = t + interval
-        if nxt <= self.end:
-            self.push(nxt, self._on_frame, st)
+        self.push(t + ready, self._on_ready, st, fid, level_idx, self._read_inputs(st, t))
+        self._push_frame(t + interval, st)
+
+    def _push_frame(self, t: int, st: _ClientState):
+        """Make `t` the client's next frame event, and push it if the run reaches it, keeping its push order."""
+        st.next_frame = t
+        if t <= self.end:
+            self.push(t, self._on_frame, st)
+            st.frame_seq = self._seq
 
     def _on_ready(self, t: int, st: _ClientState, fid: int, level_idx: int, input_origin: int | None):
         size = self.level_costs[level_idx][0]
         path = st.down_frames
-        key = (size, path.profile.mtu)
-        runs = self.fragments.get(key)
-        if runs is None:
-            runs = self.fragments[key] = fragment_runs(*key)
+        runs = fragment_runs(size, path.profile.mtu)
         path.forget_to(t)  # packets that have arrived; nothing reads them
         before, lost, cut = path.last_arrival, path.dropped_loss, path.dropped_queue
         arrivals = path.submit_burst(runs, t)
@@ -513,7 +541,7 @@ class _Simulation:
             present = end + st.decode_us[level_idx]
             if (completed and fid > st.last_completed and len(st.pending) == 1
                     and st.frames.sent == st.next_frame_id
-                    and present < st.next_frame and present < self.next_window and present <= self.end):
+                    and present <= self._present_by(st.next_frame)):
                 st.last_completed = fid  # no event sees the frame before its present (module docstring)
                 self._on_present(present, st, fid)
             else:
@@ -526,17 +554,24 @@ class _Simulation:
         if path.last_arrival != before:
             self.arrival_seq[id(path)] = seq
         if self.log_frames:
-            logger.debug("t=%d client %d frame %d: %d fragments, %d dropped, %s at %d", t, st.spec.client_id, fid,
-                         sum(run[2] for run in arrivals), lost + cut, outcome, end)
+            logger.debug(FRAME_LINE, t, st.spec.client_id, fid, sum(run[2] for run in arrivals), lost + cut,
+                         outcome, end)
+
+    def _present_by(self, next_frame: int) -> int:
+        """The latest present of a frame presented where it is submitted (module docstring), when its
+        client's next frame starts at `next_frame`: before it, before the next window, not after the end."""
+        return min(next_frame - 1, self.next_window - 1, self.end)
 
     def _on_sync(self, t: int):
         for path, runs in self.syncs:
+            if t < self.trained.get(id(path), t):
+                continue  # counted by a train
             before = path.last_arrival
             path.submit_burst(runs, t)  # nothing reads its arrival
             if path.last_arrival != before:
                 self._seq += 1
                 self.arrival_seq[id(path)] = self._seq
-        nxt = t + self.settings.sync_interval_us
+        self.next_sync = nxt = t + self.settings.sync_interval_us
         if nxt <= self.end:
             self.push(nxt, self._on_sync)
 
@@ -630,7 +665,7 @@ class _Simulation:
     def run(self) -> RunTrace:
         for st in self.clients.values():
             self._admit_inputs(st, self.start, self.next_window)
-            self.push(self.start, self._on_frame, st)
+            self._push_frame(self.start, st)
         self.push(self.start, self._on_sync)
         self.push(self.next_window, self._on_window)
         for step in self.settings.bandwidth_steps:

@@ -32,6 +32,7 @@ submission order, and a reply arrives after the message that triggered it.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -137,6 +138,7 @@ def fragment(frame_id: int, payload: bytes, mtu: int) -> list[FrameFragment]:
     ]
 
 
+@functools.lru_cache(maxsize=256)  # a run asks for the same few frame sizes again and again
 def fragment_runs(n_bytes: int, mtu: int) -> tuple[tuple[int, int], ...]:
     """Wire sizes of the FRAME_FRAG messages an `n_bytes` frame is sent as, as `(size, count)` runs.
 

@@ -417,6 +417,30 @@ def test_a_draw_free_frame_comes_back_as_at_most_two_runs():
     assert _burst(Path(profile, seed=4), runs, 0) == [loop.submit(bytes(size), 0) for size in _sizes_of(runs)]
 
 
+def test_skipping_delivered_datagrams_then_admitting_the_last_instant_leaves_every_admissions_state():
+    """Two clients' 1080p frames at four instants, 16,667 us apart, and a two-datagram sync between
+    instants: each arrives before the next instant.  Counting all but the last instant's frames and the
+    syncs, then one `forget_to` and the last instant's bursts, leaves what admitting each one leaves."""
+    profile = _profile(mtu=1_400, bandwidth=700_000_000)
+    runs, sync = fragment_runs(207_360, 1_400), ((280, 2),)
+    instants, syncs = [0, 16_667, 33_334, 50_001], [10_000, 40_000]
+    admitted = Path(profile, seed=6)
+    for t in sorted(instants + syncs):
+        if t in syncs:
+            admitted.submit_burst(sync, t)
+        else:
+            admitted.forget_to(t)
+            for _ in range(2):
+                admitted.submit_burst(runs, t)
+    counted, fragments = Path(profile, seed=6), sum(count for _, count in runs)
+    counted.skip_delivered(2 * fragments * (len(instants) - 1) + 2 * len(syncs))
+    counted.forget_to(instants[-1])
+    for _ in range(2):
+        counted.submit_burst(runs, instants[-1])
+    assert counted._state() == admitted._state()
+    assert counted.rng.state == admitted.rng.state
+
+
 # draw-free with a queue of one or two MTUs, so a busy serializer drops series datagrams
 _tiny_queue = st.builds(
     NetworkProfile,

@@ -4,23 +4,26 @@
 is an event, and every fragment, input, PING, PONG and state sync is its own
 encoded submission with its own "arrive" event.  The production session
 carries a frame as a burst of sizes, presented where it is submitted or
-resolved by one outcome event, each state sync as one burst per frame path,
-each client's inputs as series, window by window, that a frame reads when
-it starts, and its PINGs and PONGs as series, window by window, whose
-samples each window reads with a cursor.  Both must give the same trace,
-handle the same events in the same order, present each client's frames at
-the same times in the same order, and have applied the same RTT samples and
-counted the same frames when each window reads them.  That includes jittery
-paths where a whole frame arrives at the clamped arrival of an earlier
-packet, inputs and PONGs that arrive at the exact microsecond of a frame or
-window event, inputs sent at the microsecond of a bandwidth step, and one
-case for each condition under which the session does not present a frame
-where it is submitted.  `tests/test_random_scenarios.py` compares them on
-generated scenarios as well.
+resolved by one outcome event, or settled with the frames after it in a
+train, each state sync as one burst per frame path, each client's inputs as
+series, window by window, that a frame reads when it starts, and its PINGs
+and PONGs as series, window by window, whose samples each window reads with
+a cursor.  Both must give the same trace, handle the same state syncs,
+windows and bandwidth steps in the same order, start and present each
+client's frames at the same times in the same order, and have applied the
+same RTT samples and counted the same frames when each window reads
+them.  That includes jittery paths where a whole frame arrives at the clamped
+arrival of an earlier packet, inputs and PONGs that arrive at the exact
+microsecond of a frame or window event, inputs sent at the microsecond of a
+bandwidth step, and one case for each condition under which the session does
+not present a frame where it is submitted, and one for each condition under
+which a train stops short.  `tests/test_random_scenarios.py` and
+`tests/events_equivalence.py` compare them on generated scenarios as well.
 """
 
 import heapq
 import math
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -54,16 +57,33 @@ def _kind(handler):
 
 
 class _Logged(session._Simulation):
-    """Logs every handled event but a present and every frame drop, in order.  Apart from
-    them it logs each present per client, since the session may present a frame where it
-    is submitted, and what each window reads of each client: the RTT samples applied and
-    the frames and bits counted since the last window."""
+    """Logs every state sync, window and bandwidth step event handled and every frame drop,
+    in order.  Apart from them it logs per client each frame start (time, frame id, level and
+    motion-to-photon origin) and each present, since the session may settle a frame in a
+    train or present it where it is submitted, and what each window reads of each client:
+    the RTT samples applied and the frames and bits counted since the last window."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = []
         self.presents = []
         self.window_samples = []
+        self.starts = []
+        self.settled = 0  # frames settled by trains
+
+    def _train(self, t, st):
+        started = len(self.starts)
+        settled = super()._train(t, st)
+        self.settled += len(self.starts) - started
+        return settled
+
+    def _read_inputs(self, st, t):
+        origin = self._origin(st, t)
+        self.starts.append((st.spec.client_id, t, st.next_frame_id - 1, st.controller.level, origin))
+        return origin
+
+    def _origin(self, st, t):
+        return super()._read_inputs(st, t)
 
     def _read_pongs(self, st, t):
         super()._read_pongs(st, t)
@@ -81,15 +101,16 @@ class _Logged(session._Simulation):
         super()._on_present(t, st, fid)
 
     def handled(self, t, handler, args):
-        # production has no event per message, and at most one per frame after its ready
+        # production has no event per message, and none for a frame a train settles
         kind = _kind(handler)
-        if kind not in ("outcome", "present", "input", "ping", "arrive"):
-            self.log.append((t, kind, *(arg.spec.client_id if isinstance(arg, session._ClientState) else arg
-                                        for arg in args)))
+        if kind in ("sync", "window", "bwstep"):
+            self.log.append((t, kind, *args))
 
     def logs(self):
-        """The handled-event log, each client's presents in order, and the window reads."""
-        return self.log, sorted(self.presents, key=lambda present: present[0]), self.window_samples
+        """The handled-event log, each client's presents in order, the window reads, and each client's
+        frame starts in order."""
+        by_client = itemgetter(0)
+        return self.log, sorted(self.presents, key=by_client), self.window_samples, sorted(self.starts, key=by_client)
 
 
 class _Events(_Logged):
@@ -128,8 +149,11 @@ class _Events(_Logged):
     def _admit_inputs(self, st, t, horizon):
         pass  # each "input" event submits its own
 
-    def _read_inputs(self, st, t):
+    def _origin(self, st, t):
         return self.host_input_origin[st.spec.client_id]
+
+    def _train(self, t, st):
+        return False  # every frame takes its frame and ready events
 
     def _admit_probes(self, st, t):
         pass  # each "ping" event submits its own, so no PONG waits for a window to read it
@@ -202,6 +226,23 @@ class _Events(_Logged):
         for cid, reassembler in self.reassemblers.items():
             for fid in reassembler.sweep(t):
                 self._drop_frame(self.clients[cid], fid, "reassembly_abandoned")
+
+
+def _match_events(args, monkeypatch):
+    """Asserts that `run_session(*args)` gives the same trace and logs in production and in `_Events`;
+    returns how many frames production settled in trains."""
+    sims = []
+
+    class Kept(_Logged):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    trace, logs = _run_logged(lambda: session.run_session(*args), Kept, monkeypatch)
+    ref_trace, ref_logs = _run_logged(lambda: session.run_session(*args), _Events, monkeypatch)
+    assert trace == ref_trace
+    assert logs == ref_logs
+    return sims[-1].settled
 
 
 def _run(cfg, cls, monkeypatch):
@@ -282,8 +323,8 @@ def test_session_matches_the_all_events_reference(case, seed, monkeypatch):
     ref_trace, ref_log = _run(cfg, _Events, monkeypatch)
     assert trace == ref_trace
     assert log == ref_log
-    # the log names a client's record by its id: each client's frame events under its own
-    assert {entry[2] for entry in log[0] if entry[1] == "frame"} == set(trace.frame_path_ids)
+    # the log names a client's record by its id: each client's frame starts under its own
+    assert {entry[0] for entry in log[3]} == set(trace.frame_path_ids)
 
 
 def test_each_record_has_the_wire_size_of_its_message(monkeypatch):
@@ -457,37 +498,118 @@ _SUBMISSION_CASES = {
 }
 
 
+# how many frames of each case trains settle: the frames that meet the case's condition take `_on_ready`
+_SUBMISSION_SETTLED = {"abandoned-by-its-own-fragment": 0, "older-than-the-last-completed": 6,
+                       "newer-frame-not-yet-ready": 12, "newer-frame-presented-first": 16, "present-at-a-window": 56,
+                       "present-after-the-end": 60}
+
+
 @pytest.mark.parametrize("case", list(_SUBMISSION_CASES))
 def test_frames_presented_where_they_are_submitted_match_frame_events(case, monkeypatch):
-    args = _submission_case(**_SUBMISSION_CASES[case])
-    trace, logs = _run_logged(lambda: session.run_session(*args), _Logged, monkeypatch)
-    ref_trace, ref_logs = _run_logged(lambda: session.run_session(*args), _Events, monkeypatch)
-    assert trace == ref_trace
-    assert logs == ref_logs
+    assert _match_events(_submission_case(**_SUBMISSION_CASES[case]), monkeypatch) == _SUBMISSION_SETTLED[case]
 
 
 def test_a_frame_completing_older_than_the_last_completed_leaves_pending_at_its_outcome(monkeypatch):
     """In `older-than-the-last-completed` the last level-0 frame completes after the first level-1
     frame.  Its outcome event takes it out of `pending`, still in flight, so the later frames are
-    presented where they are submitted: of the 15 frames readied after the downgrade, only the last
-    three level-0 frames and the first level-1 frame, readied before that outcome, take an outcome event."""
-    readied, outcomes = {}, set()
+    presented where they are submitted, by `_on_ready` or a train: of the 15 frames readied after the
+    downgrade, only the last three level-0 frames and the first level-1 frame, readied before that
+    outcome, take an outcome event."""
+    sims, outcomes = [], set()
 
     class Counting(_Logged):
-        def _on_ready(self, t, st, fid, level_idx, input_origin):
-            readied[fid] = t
-            super()._on_ready(t, st, fid, level_idx, input_origin)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
 
         def _on_outcome(self, t, seq, st, fid, level_idx, completed):
             outcomes.add(fid)
             super()._on_outcome(t, seq, st, fid, level_idx, completed)
 
     args = _submission_case(**_SUBMISSION_CASES["older-than-the-last-completed"])
-    trace, _ = _run_logged(lambda: session.run_session(*args), Counting, monkeypatch)
+    trace, logs = _run_logged(lambda: session.run_session(*args), Counting, monkeypatch)
+    costs = sims[-1].level_costs  # the third is the time from a frame's start to its ready
+    readied = {fid: t + costs[level][2] for _, t, fid, level, _ in logs[3]}
     downgrade = trace.level_changes[0].time
     after = [fid for fid, t in readied.items() if t > downgrade]
     assert trace.frames.in_flight == 1 and len(after) == 15
     assert sorted(outcomes.intersection(after)) == sorted(after)[:4]
+
+
+def _train_case(decodes=(7_000_000_000,), shared=False, encode=6_144_000, bandwidth=700_000_000, latency=100,
+                queue=None, mtu=1_400, sync_interval=50_000, prerender=0, steps=(), fps=(60,), wobbly=(), seed=5):
+    """Clients with `decodes` rates on draw-free paths, their own or one shared egress, streaming 96x64
+    frames at 60 fps, one fragment each, ready 2 us of render plus the encode time after they start.
+
+    `fps` gives one level per rate, each 16 px narrower and shorter than the one before.  The clients in
+    `wobbly` have their own paths 2.8 ms long with 1.5 ms of jitter, so their RTT samples, one per 20 ms,
+    straddle the 7 ms budget, and the controller then moves a level at every window that asks for it."""
+    profile = NetworkProfile(one_way_latency=latency, bandwidth=bandwidth, queue_capacity=queue, mtu=mtu)
+    jittery = NetworkProfile(one_way_latency=2_800, jitter=1_500, bandwidth=bandwidth)
+    clients = tuple(session.ClientSpec(cid, jittery if cid in wobbly else profile, decode)
+                    for cid, decode in enumerate(decodes))
+    topology = session.SessionTopology("edge_hosted", clients, host_node=NodeSpec(1, 5_000_000_000, encode))
+    controller = session.ControllerConfig(**dict(k_down=1, k_up=1, cooldown=0) if wobbly else {})
+    settings = session.SessionSettings(sync_interval_us=sync_interval, prerender=prerender,
+                                       shared_egress=profile if shared else None, controller=controller,
+                                       ping_interval_us=20_000 if wobbly else 100_000,
+                                       bandwidth_steps=tuple(session.BandwidthStep(*step) for step in steps))
+    ladder = tuple(QualityLevel(i, 96 - 16 * i, 64 - 16 * i, rate, 0.8) for i, rate in enumerate(fps))
+    return topology, ladder, 1_000_000, settings, seed, 0
+
+
+def _window_states(args, trains):
+    """The netem state of every frame path at each window of `run_session(*args)`, with or without trains."""
+    states = []
+
+    class Reading(session._Simulation):
+        def _on_window(self, t):
+            states.append([r.path._state() for r in self.paths if r.kind == "frames"])
+            super()._on_window(t)
+
+        def _train(self, t, st):
+            return trains and super()._train(t, st)
+
+    Reading(*args).run()
+    return states
+
+
+# Each case meets one condition under which a train stops short, with the number of frames trains
+# settle.  Without that condition the run leaves the all-events reference, or a frame path's netem
+# state at a window leaves the run without trains; a sync at the next instant only runs after the
+# frame event a train pushed early, so without it trains settle more frames.  Windows are 250 ms apart.
+_TRAIN_CASES = {
+    # syncs every two frame intervals: an instant before a sync time ends a train
+    "sync-at-the-next-instant": (dict(sync_interval=33_334), 2),
+    # the frame started at 16,667 us is ready at 17,669 us, where the second sync is due and runs first
+    "sync-at-a-ready": (dict(sync_interval=17_669), 46),
+    # 647 B fragments take 1,849 us at 2.8 Mb/s, and two fill the queue: the sync at 50,005 us,
+    # due 1 us after the frames started at 50,001 us are ready, is cut
+    "sync-inside-a-shared-group": (dict(decodes=(7_000_000_000,) * 2, shared=True, mtu=700, bandwidth=2_800_000,
+                                        encode=6_144_000_000, sync_interval=50_005, queue=1_294), 90),
+    # the sync at 480,000 us arrives at 485,004 us, after the ready at 483,346 us of the last frame the
+    # train from 250,005 us could settle, so that train ends a frame earlier; the sync at 0, serialized
+    # until 4 us, keeps the first frame, ready at 3 us, out of a train
+    "sync-arriving-after-the-last-ready": (dict(latency=5_000, encode=6_144_000_000, sync_interval=60_000), 45),
+    # the step at 100 ms makes the one-fragment frame take 1 ms to serialize in place of 8 us
+    "bandwidth-step-inside-a-span": (dict(steps=((100_000, 5_000_000),)), 60),
+    # frames are ready their encode time after they start, without the render time
+    "prerender": (dict(prerender=1), 60),
+    # client 1 decodes a frame in 2,048 us, client 0 in 1 us
+    "decode-rates-on-a-shared-egress": (dict(decodes=(7_000_000_000, 3_000_000), shared=True), 120),
+    # clients 0 and 2 run at 25 fps from 250 to 500 ms while client 1 keeps 50 fps, so that from then on
+    # their frame events at an instant run in the order 0, 2, 1, and their bursts go in that order
+    "frame-event-order-on-a-shared-egress": (dict(decodes=(7_000_000_000,) * 3, shared=True, fps=(50, 25),
+                                                  wobbly=(0, 2), seed=18), 27),
+}
+
+
+@pytest.mark.parametrize("case", list(_TRAIN_CASES))
+def test_trains_match_frame_events(case, monkeypatch):
+    kwargs, settled = _TRAIN_CASES[case]
+    args = _train_case(**kwargs)
+    assert _match_events(args, monkeypatch) == settled
+    assert _window_states(args, True) == _window_states(args, False)
 
 
 # 56 B inputs take 1 us to serialize at 448 Mb/s and 2 us at 224 Mb/s
@@ -550,12 +672,12 @@ def test_inputs_arriving_as_a_frame_starts_match_input_events(monkeypatch):
     before, at and after the previous frame event, with ticks that make the
     input and frame events at one microsecond run in either order.
     """
-    for case in _TIE_CASES:
-        args = _tie_case(*case)
-        trace, log = _run_logged(lambda: session.run_session(*args), _Logged, monkeypatch)
-        ref_trace, ref_log = _run_logged(lambda: session.run_session(*args), _Events, monkeypatch)
-        assert trace == ref_trace, case
-        assert log == ref_log, case
+    settled = [_match_events(_tie_case(*case), monkeypatch) for case in _TIE_CASES]
+    assert settled == _TIE_SETTLED  # trains read the inputs of the frames they settle as frame events do
+
+
+# how many frames of each tie case trains settle: none on the lossy and jittery paths
+_TIE_SETTLED = [0] * 6 + [36, 30] + [0] * 13 + [4, 0, 20] + [0] * 12 + [90, 90, 60] + [0] * 12 + [174, 174] + [0] * 7
 
 
 # Inputs go every 10 ms.  A 56 B input takes 1 us at the paths' 448 Mb/s,
@@ -581,11 +703,7 @@ def test_inputs_sent_at_a_bandwidth_step_match_input_events(case, monkeypatch):
                                        host_node=NodeSpec(1, 5_000_000_000, 4_000_000_000))
     settings = session.SessionSettings(tick_us=10_000, controller=session.ControllerConfig(window_us=window),
                                        bandwidth_steps=tuple(session.BandwidthStep(*step) for step in steps))
-    args = topology, (QualityLevel(0, 96, 64, 120, 0.8),), 1_000_000, settings, 5, 0
-    trace, logs = _run_logged(lambda: session.run_session(*args), _Logged, monkeypatch)
-    ref_trace, ref_logs = _run_logged(lambda: session.run_session(*args), _Events, monkeypatch)
-    assert trace == ref_trace
-    assert logs == ref_logs
+    _match_events((topology, (QualityLevel(0, 96, 64, 120, 0.8),), 1_000_000, settings, 5, 0), monkeypatch)
 
 
 # 24 B probes take 1 us to serialize at 192 Mb/s, so a PONG arrives 2 * (latency + 1) after its PING is sent

@@ -15,6 +15,11 @@ In some of them (9 of the 40) every path is slow and the first level's
 frames are 51 full fragments whose last arrives exactly the reassembly
 timeout after the first, so they complete, where a last fragment one
 microsecond later would abandon them; inputs still arrive at frame events.
+`_train_document` keeps every frame path free of loss and jitter, so that
+frame trains run, with a ladder of frame rates that divide one another and
+a controller that moves at every 100 ms window that asks for it; on a shared
+link the even ids' own paths are often jittery around the RTT budget, so
+their levels, and the order of the frame events at one instant, move apart.
 
 Production and `_Events` must give the same trace and the same logs (the
 handled events, each client's presents, and the RTT samples and frame
@@ -144,6 +149,42 @@ def _tie_document(seed):
     return doc
 
 
+def _train_document(seed):
+    """A document whose frame paths are free of loss and jitter, so that trains run on them, with a
+    ladder of frame rates that divide one another and a controller that moves at every window that
+    asks for it.  On a shared egress or master uplink some clients' own paths are jittery around the
+    RTT budget, so their levels, and the order of their frame events at one instant, move apart."""
+    rng = random.Random(seed)
+    doc = _base(rng, rng.randint(2, 4))
+    if doc["topology"]["mode"] == orchestrator.EDGE_HOSTED and rng.random() < 0.7:
+        doc["shared_egress"] = dict(doc["clients"][0]["paths"].get("1", doc["clients"][0]["paths"]))
+    shared = doc.get("shared_egress") or doc["topology"].get("master_uplink")
+    for profile in _profiles(doc):
+        profile.update(one_way_latency=rng.choice((100, 2_000)), jitter=0, loss_rate=0.0, mtu=1_400,
+                       bandwidth=rng.choice((20_000_000, 700_000_000)))
+        profile.pop("queue_capacity", None)
+        if rng.random() < 0.2:
+            profile["queue_capacity"] = rng.choice((2, 3)) * 1_400
+    wobbly = shared is not None and rng.random() < 0.6  # even ids see 5.6 to 8.6 ms RTT samples
+    for entry in doc["clients"]:
+        paths = entry["paths"]
+        for profile in [paths] if "bandwidth" in paths else paths.values():
+            if wobbly and entry["id"] % 2 == 0:
+                profile.update(one_way_latency=2_800, jitter=1_500)
+        if rng.random() < 0.3:
+            entry["decode_throughput"] = rng.choice((3_072_000, 300_000_000))
+    rates = rng.choice(((50, 25), (40, 20), (100, 50, 25)))
+    scale = rng.choice((1, 1, 4))  # frames of one or two 1,400 B fragments
+    doc["ladder"] = [dict(level_index=i, width=(96 - 16 * i) * scale, height=64 - 16 * i, fps=fps, bpp=0.8)
+                     for i, fps in enumerate(rates)]
+    doc["controller"] = dict(enabled=rng.random() < 0.7, start_level=0, k_down=1, k_up=1, cooldown=0,
+                             window=100_000)
+    doc.update(ping_interval=20_000, sync_interval=rng.choice((33_334, 50_000, 990_001)),
+               prerender=rng.randint(0, 1))
+    doc["events"] = [_step(rng, doc["clients"]) for _ in range(rng.choice((0, 0, 1)))]
+    return doc
+
+
 def _outcome(cfg, cls, monkeypatch):
     """The run's trace and logs, or the failure it raised."""
     try:
@@ -152,8 +193,8 @@ def _outcome(cfg, cls, monkeypatch):
         return repr(exc)
 
 
-@pytest.mark.parametrize("make, seed", [(_document, seed) for seed in range(40)]
-                         + [(_tie_document, seed) for seed in range(40)])
+@pytest.mark.parametrize("make, seed", [(make, seed) for make in (_document, _tie_document, _train_document)
+                                        for seed in range(40)])
 def test_generated_scenario_matches_the_all_events_reference(make, seed, monkeypatch):
     cfg = orchestrator.parse_scenario(make(seed))  # a document that does not parse is a generator bug
     assert _outcome(cfg, _Logged, monkeypatch) == _outcome(cfg, _Events, monkeypatch)

@@ -214,12 +214,20 @@ def test_input_drives_motion_to_photon():
     assert min(m2p) >= 2_000 + 415 + 519 + 2_000
 
 
-def test_packet_logging_is_one_line_per_frame(caplog):
+@pytest.mark.parametrize("lossy", [True, False], ids=["lossy", "clean"])
+def test_packet_logging_is_one_line_per_frame(lossy, caplog, monkeypatch):
     """EPICSIM_LOG=packets: one line per frame sent, naming its client and outcome; a dropped
-    frame's line names the reason the trace counts it under."""
+    frame's line names the reason the trace counts it under.  On the clean path trains settle frames."""
     caplog.set_level(logging.DEBUG, logger="epicsim.session")
-    profile = NetworkProfile(one_way_latency=2_000, jitter=500, loss_rate=0.01,
-                             bandwidth=700_000_000, mtu=1400, queue_capacity=100_000)
+    trained, train = [], session._Simulation._train
+
+    def training(sim, t, st):
+        trained.append(train(sim, t, st))
+        return trained[-1]
+
+    monkeypatch.setattr(session._Simulation, "_train", training)
+    impairments = dict(jitter=500, loss_rate=0.01, queue_capacity=100_000) if lossy else {}
+    profile = NetworkProfile(one_way_latency=2_000, bandwidth=700_000_000, mtu=1400, **impairments)
     trace = run_session(_edge((ClientSpec(0, profile), ClientSpec(7, profile))), DEFAULT_LADDER, 1_000_000,
                         SessionSettings(), seed=1)
     lines = [re.fullmatch(r"t=\d+ client (\d+) frame (\d+): \d+ fragments, (\d+) dropped, (\w+) at \d+",
@@ -231,7 +239,10 @@ def test_packet_logging_is_one_line_per_frame(caplog):
     assert all((line[3] != "0") == line[4].startswith("fragment_") for line in lines)
     assert {reason: n for reason, n in outcomes.items() if reason.startswith("fragment_")} == {
         reason: n for reason, n in trace.drop_reasons.items() if reason.startswith("fragment_")}
-    assert outcomes["fragment_loss"] and outcomes["fragment_queue_full"]
+    if lossy:
+        assert outcomes["fragment_loss"] and outcomes["fragment_queue_full"] and not any(trained)
+    else:
+        assert outcomes == {"completes": trace.frames.sent} and any(trained)
 
 
 @pytest.mark.parametrize("first", [Drop.LOSS, Drop.QUEUE])
