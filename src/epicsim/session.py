@@ -31,23 +31,26 @@ bounds of `_present_by`.  Otherwise it pushes the outcome event.
 
 Such frames go in trains.  At the frame event at T of the first client on a
 path without loss or jitter, when each client on it starts a frame at T, at
-one level, with nothing pending, `trains.settle_train` settles the path's
-instants T, T + I, ... in one pass: it sends each client's frames, reads
-their inputs and presents them, and sends the syncs between them.  An instant
-is settled while each frame is presented by the rule above before the next
-instant, the group's bursts plus one sync fit the queue, the ready is before
-the next step and at no sync, the syncs due before it leave the path idle by
-then, and the next instant is not a sync time; the train then ends at the
-last ready that the last sync before it has reached.  It takes the clients
-in the push order of their frame events at T (`frame_seq`), which need not
-be client order once they have run at different frame rates: their bursts
-at each instant and their next frame events go in the order those events
-would run.  Each client's frame event for the first instant not settled,
-pushed at T, keeps its place there: a window or step there was pushed by T,
-the path's clients have no other event, other clients' events touch none of
-their state, and the last rule keeps out a sync pushed after T.  The
-clients' frame events at T return at once; a train that settles nothing
-waits for the next window.
+one level, with nothing pending, `_train` settles the path's instants T,
+T + I, ... in one pass: it sends each client's frames, reads their inputs and
+presents them, and sends the syncs between them.  An instant is settled while
+each frame is presented by the rule above before the next instant, the group's
+bursts plus one sync fit the queue, the ready is before the next step and at
+no sync, the syncs due before it leave the path idle by then, and the next
+instant is not a sync time; the train then ends at the last ready that the
+last sync before it has reached.  One instant's bursts are admitted once on a
+fresh idle `Path` and cached (`_instant`), and the syncs between readies are
+stepped in closed form.  It takes the clients in the push order of their frame
+events at T (`frame_seq`), which need not be client order once they have run
+at different frame rates: each instant's bursts and their next frame events go
+in the order those events would run.  Each client's frame event for the first
+instant not settled, pushed at T, keeps its place there: a window or step
+there was pushed by T, the path's clients have no other event, other clients'
+events touch none of their state, and the last rule keeps out a sync pushed
+after T.  That order is read: with syncs sparser than frames the sync runs
+first, and if a window set a level whose ready time is the sync interval, the
+next sync meets the frame's ready and runs first too.  The group's frame events
+at T return at once; a train that settles nothing waits for the next window.
 
 Inputs are neither records nor events.  The host reads an input for one thing:
 when a frame starts, the send time of the latest input it holds becomes the
@@ -128,12 +131,14 @@ in their own push order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 import math
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .adapt import (
     ControllerConfig,
@@ -157,7 +162,6 @@ from .model import (
 from .netem import Drop, Path
 from .render import decode_time_us, encode_time_us, render_time_us
 from .rng import derive_seed
-from .trains import FRAME_LINE, settle_train
 from .transport import (
     HEADER_LEN,
     INPUT_PAYLOAD_LEN,
@@ -169,6 +173,7 @@ from .transport import (
 from .transport import decode_message, encode_fragment  # noqa: F401  read by perfbench/tracer.py::_pristine
 
 logger = logging.getLogger("epicsim.session")
+FRAME_LINE = "t=%d client %d frame %d: %d fragments, %d dropped, %s at %d"  # a frame's EPICSIM_LOG=packets line
 
 EDGE_HOSTED = "edge_hosted"
 CLIENT_HOSTED = "client_hosted"
@@ -281,6 +286,18 @@ def check_run(ladder: tuple[QualityLevel, ...], duration_us: int, settings: Sess
         raise ValidationError(f"start_level {settings.start_level} is outside the {len(ladder)}-rung ladder")
 
 
+@functools.lru_cache(maxsize=64)
+def _instant(profile: NetworkProfile, runs: tuple[tuple[int, int], ...], n: int, sync_bytes: int):
+    """On the path idle at 0: the outcome of each of `n` clients' bursts of `runs` (None if the queue cuts one),
+    when the last one ends serializing, the bytes they queue, and how long a sync of n datagrams then takes."""
+    idle = Path(profile, 0)
+    arrivals = [idle.submit_burst(runs, 0) for _ in range(n)]
+    burst_end, burst_bytes, cut = idle.busy_until, idle.queued_bytes, idle.dropped_queue
+    idle.submit_burst(((sync_bytes, n),), burst_end)
+    ends = None if cut else tuple(frame_outcome(burst) for burst in arrivals)
+    return ends, burst_end, burst_bytes, idle.busy_until - burst_end
+
+
 class _ClientState:
     __slots__ = (
         "spec", "estimator", "controller",
@@ -335,7 +352,6 @@ class _PathRecord:
 
 class _Simulation:
     """One run of the event loop; construct, call run(), read the trace."""
-    _train = settle_train  # the frame trains (module docstring)
 
     def __init__(self, topology: SessionTopology, ladder: tuple[QualityLevel, ...],
                  duration_us: int, settings: SessionSettings, seed: int, start_time: int):
@@ -519,6 +535,66 @@ class _Simulation:
         if t <= self.end:
             self.push(t, self._on_frame, st)
             st.frame_seq = self._seq
+
+    def _train(self, t: int, st: _ClientState) -> bool:
+        """Settle the frames of the path of `st`, its first client, at t, t + I, ... as the module docstring
+        says; returns whether it settled any, and if not, tries again at the next window."""
+        path, level, settings = st.down_frames, st.controller.level, self.settings
+        # in the order of their frame events at t (module docstring), `st` first if all are at t
+        group = sorted((c for c in self.clients.values() if c.down_frames is path), key=attrgetter("frame_seq"))
+        size, _, ready, interval = self.level_costs[level]
+        st.train_from = self.next_window
+        if path.busy_until > t + ready or not all(c.next_frame == t and c.controller.level == level and not c.pending
+                                                  and c.frames.sent == c.next_frame_id for c in group):
+            return False
+        profile, n = path.profile, len(group)
+        runs = fragment_runs(size, profile.mtu)
+        ends, burst_end, burst_bytes, sync_tx = _instant(profile, runs, n, settings.sync_bytes)
+        if ends is None or not all(completed for _, completed in ends):
+            return False
+        presents = [ready + end + c.decode_us[level] for (end, _), c in zip(ends, group)]  # after the instant
+        latest = max(presents)
+        sync_bytes, every = settings.sync_bytes * n, settings.sync_interval_us
+        sync, busy, queued, arrived, reads = self.next_sync, path.busy_until, path.queued_bytes, -1, []
+        at, capacity = t, profile.queue_capacity
+        # presented at submission, ready before the next bandwidth step (whose input bound is its time, or
+        # the start + 1 for one at the start: a microsecond early but at the start)
+        while at + latest <= self._present_by(at + interval) and at + ready < self.input_bounds[-1] - 1:
+            while sync < at + ready and queued <= capacity:  # the syncs due before this ready
+                busy, queued = (busy, queued) if busy > sync else (sync, 0)
+                busy, queued, sync = busy + sync_tx, queued + sync_bytes, sync + every
+                arrived = busy + profile.one_way_latency
+            if (queued > capacity or sync == at + ready or busy > at + ready
+                    or (at + interval - self.start) % every == 0):
+                break
+            reads.append(arrived)  # the arrival of the last sync before this ready
+            busy, queued, at = at + ready + burst_end, burst_bytes, at + interval
+        k = len(reads)
+        while k and reads[k - 1] > t + (k - 1) * interval + ready:
+            k -= 1
+        if not k:
+            return False
+        st.train_from, last = t, t + (k - 1) * interval + ready
+        fragments = sum(count for _, count in runs)
+        path.skip_delivered(n * ((k - 1) * fragments + max(0, -(-(last - self.next_sync) // every))))
+        path.forget_to(last)
+        for _ in group:
+            path.submit_burst(runs, last)
+        self.trained[id(path)] = last
+        read_inputs, on_present = self._read_inputs, self._on_present
+        for at in range(t, t + k * interval, interval):
+            for c, present, (end, _) in zip(group, presents, ends):
+                fid = c.next_frame_id
+                c.next_frame_id, c.last_completed = fid + 1, fid
+                c.frames.sent += 1
+                c.pending[fid] = (at, level, read_inputs(c, at))  # presented at once: nothing reads its arrival
+                on_present(at + present, c, fid)
+                if self.log_frames:
+                    logger.debug(FRAME_LINE, at + ready, c.spec.client_id, fid, fragments, 0, "completes",
+                                 at + ready + end)
+        for c in group:
+            self._push_frame(t + k * interval, c)
+        return True
 
     def _on_ready(self, t: int, st: _ClientState, fid: int, level_idx: int, input_origin: int | None):
         size = self.level_costs[level_idx][0]

@@ -17,8 +17,7 @@ first case that exits non-zero, a signal's kill included:
 
     for case in clean impaired one-window inputs; do python tests/memory_guard.py "$case"; done
 
-It needs `epicsim` importable, as an installed package or on PYTHONPATH,
-and is not part of tier-1.
+It runs this tree's `src` and is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -28,7 +27,9 @@ import resource
 import sys
 from pathlib import Path
 
-SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "edge-nominal.json"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+SCENARIO = ROOT / "scenarios" / "edge-nominal.json"
 BOUNDS_MB = {"clean": 100, "impaired": 100, "one-window": 50, "inputs": 40}
 
 

@@ -537,24 +537,28 @@ def test_a_frame_completing_older_than_the_last_completed_leaves_pending_at_its_
 
 
 def _train_case(decodes=(7_000_000_000,), shared=False, encode=6_144_000, bandwidth=700_000_000, latency=100,
-                queue=None, mtu=1_400, sync_interval=50_000, prerender=0, steps=(), fps=(60,), wobbly=(), seed=5):
+                queue=None, mtu=1_400, sync_interval=50_000, prerender=0, steps=(), fps=(60,), wobbly=(), seed=5,
+                sizes=None, pixels=5_000_000_000, start_level=0, controller=None):
     """Clients with `decodes` rates on draw-free paths, their own or one shared egress, streaming 96x64
     frames at 60 fps, one fragment each, ready 2 us of render plus the encode time after they start.
 
-    `fps` gives one level per rate, each 16 px narrower and shorter than the one before.  The clients in
-    `wobbly` have their own paths 2.8 ms long with 1.5 ms of jitter, so their RTT samples, one per 20 ms,
-    straddle the 7 ms budget, and the controller then moves a level at every window that asks for it."""
+    `fps` gives one level per rate, each 16 px narrower and shorter than the one before unless `sizes`
+    gives each level's width and height.  The clients in `wobbly` have their own paths 2.8 ms long with
+    1.5 ms of jitter, so their RTT samples, one per 20 ms, straddle the 7 ms budget, and the controller
+    then moves a level at every window that asks for it.  `controller` overrides the controller's
+    settings, and `pixels` the node's render rate."""
     profile = NetworkProfile(one_way_latency=latency, bandwidth=bandwidth, queue_capacity=queue, mtu=mtu)
     jittery = NetworkProfile(one_way_latency=2_800, jitter=1_500, bandwidth=bandwidth)
     clients = tuple(session.ClientSpec(cid, jittery if cid in wobbly else profile, decode)
                     for cid, decode in enumerate(decodes))
-    topology = session.SessionTopology("edge_hosted", clients, host_node=NodeSpec(1, 5_000_000_000, encode))
-    controller = session.ControllerConfig(**dict(k_down=1, k_up=1, cooldown=0) if wobbly else {})
-    settings = session.SessionSettings(sync_interval_us=sync_interval, prerender=prerender,
+    topology = session.SessionTopology("edge_hosted", clients, host_node=NodeSpec(1, pixels, encode))
+    controller = session.ControllerConfig(**controller or (dict(k_down=1, k_up=1, cooldown=0) if wobbly else {}))
+    settings = session.SessionSettings(sync_interval_us=sync_interval, prerender=prerender, start_level=start_level,
                                        shared_egress=profile if shared else None, controller=controller,
                                        ping_interval_us=20_000 if wobbly else 100_000,
                                        bandwidth_steps=tuple(session.BandwidthStep(*step) for step in steps))
-    ladder = tuple(QualityLevel(i, 96 - 16 * i, 64 - 16 * i, rate, 0.8) for i, rate in enumerate(fps))
+    sizes = sizes or [(96 - 16 * i, 64 - 16 * i) for i in range(len(fps))]
+    ladder = tuple(QualityLevel(i, *size, rate, 0.8) for i, (size, rate) in enumerate(zip(sizes, fps)))
     return topology, ladder, 1_000_000, settings, seed, 0
 
 
@@ -576,8 +580,11 @@ def _window_states(args, trains):
 
 # Each case meets one condition under which a train stops short, with the number of frames trains
 # settle.  Without that condition the run leaves the all-events reference, or a frame path's netem
-# state at a window leaves the run without trains; a sync at the next instant only runs after the
-# frame event a train pushed early, so without it trains settle more frames.  Windows are 250 ms apart.
+# state at a window leaves the run without trains.  A sync at the next instant would run after the
+# frame event a train pushed early, where the events run it first when syncs are sparser than frames:
+# without that condition trains settle more frames in `sync-at-the-next-instant`, and in
+# `sync-time-after-a-level-change` a frame's burst goes ahead of the next sync, not behind it, and one
+# motion-to-photon sample reads 66,785 us in place of 66,789.  Windows are 250 ms apart unless set.
 _TRAIN_CASES = {
     # syncs every two frame intervals: an instant before a sync time ends a train
     "sync-at-the-next-instant": (dict(sync_interval=33_334), 2),
@@ -601,6 +608,13 @@ _TRAIN_CASES = {
     # their frame events at an instant run in the order 0, 2, 1, and their bursts go in that order
     "frame-event-order-on-a-shared-egress": (dict(decodes=(7_000_000_000,) * 3, shared=True, fps=(50, 25),
                                                   wobbly=(0, 2), seed=18), 27),
+    # frames at 25 fps are ready 30,001 us after they start at level 1 and 60,000 us, the sync interval,
+    # at level 0; the window at 240 ms, a sync time and an instant, moves the client to level 0.  The sync
+    # at 240 ms runs before that instant's frame event, so the next sync runs before its ready at 300 ms;
+    # a train that pushed this frame event early would run it, and so its ready, first
+    "sync-time-after-a-level-change": (dict(sizes=((120, 50), (60, 50)), fps=(25, 25), pixels=6_000_000_000,
+                                            encode=100_002, start_level=1, sync_interval=60_000,
+                                            controller=dict(k_up=1, cooldown=0, window_us=240_000)), 2),
 }
 
 
