@@ -96,7 +96,7 @@ class Path:
     __slots__ = (
         "profile", "rng", "busy_until", "queued_bytes",
         "submitted", "delivered", "dropped_loss", "dropped_queue",
-        "last_arrival", "_serializing", "_pending", "_last_submit", "_last_advance",
+        "last_arrival", "last_submit", "_serializing", "_pending", "_last_advance",
     )
 
     def __init__(self, profile: NetworkProfile, seed: int):
@@ -118,7 +118,7 @@ class Path:
         self._pending: deque[tuple[int, int, int, object]] = deque()
         # delivery time of the latest admitted datagram; later ones are clamped to it
         self.last_arrival = 0
-        self._last_submit = 0
+        self.last_submit = 0  # time of the latest submission; none may be earlier
         self._last_advance = 0
 
     def __eq__(self, other) -> bool:
@@ -133,7 +133,7 @@ class Path:
             self.submitted, self.delivered, self.dropped_loss, self.dropped_queue,
             tuple((end + i * tx, size) for end, tx, count, size in self._serializing for i in range(count)),
             tuple((at + i * step, item) for at, step, count, item in self._pending for i in range(count)),
-            self.last_arrival, self._last_submit, self._last_advance,
+            self.last_arrival, self.last_submit, self._last_advance,
         )
 
     @property
@@ -182,7 +182,7 @@ class Path:
         # a closed-form run, exact by the module docstring
         self.rng.skip(count)
         self.submitted += count
-        self._last_submit = last_submit = first + (count - 1) * step
+        self.last_submit = last_submit = first + (count - 1) * step
         self.busy_until = busy = last_submit + tx
         self.queued_bytes = size
         self._serializing.clear()  # every end so far is at most busy_until <= first
@@ -209,14 +209,14 @@ class Path:
                 total += count
             elif count:
                 raise ValidationError(f"a run of {count} datagrams: the count must be non-negative")
-        if now < self._last_submit:
+        if now < self.last_submit:
             raise ValidationError("submission time regressed")
         return total
 
     def _admit(self, runs, now: int, item=None) -> list[tuple[int | Drop, int, int]]:
         """Admit `(size, count)` runs back to back at `now`, each datagram carried as `item` or, if None, its size."""
         total = self._check(runs, now)
-        self._last_submit = now
+        self.last_submit = now
         self.submitted += total
         profile = self.profile
         bandwidth, latency, capacity = profile.bandwidth, profile.one_way_latency, profile.queue_capacity

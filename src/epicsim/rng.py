@@ -17,7 +17,7 @@ _MIX2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
-    """SplitMix64 finalizer: bijective avalanche mix of a 64-bit word."""
+    """SplitMix64 finalizer: bijective avalanche mix of a 64-bit word, or of each word of a numpy uint64 array."""
     z &= MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
@@ -77,9 +77,6 @@ class SplitMix64:
             return b""
         k = (n + 7) // 8
         idx = np.arange(1, k + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + idx * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = mix64(np.uint64(self.state) + idx * np.uint64(_GAMMA))
         self.skip(k)
         return z.astype("<u8").tobytes()[:n]

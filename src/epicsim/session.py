@@ -58,7 +58,7 @@ frame's motion-to-photon origin.  A client's inputs are sent at
 `start + k * tick` on its own `up_data` path, which carries nothing else, so
 the next k is the path's `submitted`.  Like PINGs, they go window by window:
 at the start of the run, at each controller window and at each bandwidth
-step, whichever clients it reaches, one netem series per client submits those
+step, one netem series for every client submits those
 sent by the next window and before the run's next step.  The input at
 `start` is sent before a step at `start`; an input at any later time T after
 a step at T.  The client keeps the arrival runs, each with its trip time,
@@ -156,6 +156,7 @@ from .model import (
     NodeSpec,
     QualityLevel,
     ValidationError,
+    ceil_div,
     frame_bytes,
     validate_ladder,
 )
@@ -368,10 +369,9 @@ class _Simulation:
         self._seq = 0
         self.next_window = start_time + settings.controller.window_us  # the next window event not yet handled
         self.next_sync = start_time                                     # the next state sync not yet handled
-        self.trained: dict[int, int] = {}  # per frame path: the last ready a train settled; it counted the syncs before
         self.log_frames = logger.isEnabledFor(logging.DEBUG)
 
-        nsec = -(-duration_us // 1_000_000)
+        nsec = ceil_div(duration_us, 1_000_000)
         self.trace = RunTrace(duration_us=duration_us, session_start=start_time,
                               per_second_bits={spec.client_id: [0] * nsec for spec in topology.clients})
         self.master_id = topology.master_id if topology.mode == CLIENT_HOSTED else None
@@ -443,12 +443,12 @@ class _Simulation:
 
     # -- client-side streams ----------------------------------------------
 
-    def _admit_inputs(self, st: _ClientState, t: int, horizon: int):
-        """Submit the client's inputs sent by `horizon` and before the run's next admission bound."""
+    def _admit_inputs(self, st: _ClientState, t: int):
+        """Submit the client's inputs sent by the next window and before the run's next admission bound."""
         tick, up = self.settings.tick_us, st.up_data
         up.forget_to(t)  # nothing reads a delivery
         sent = self.start + up.submitted * tick
-        count = (min(horizon, self.input_bounds[-1] - 1) - sent) // tick + 1
+        count = (min(self.next_window, self.input_bounds[-1] - 1) - sent) // tick + 1
         for at, _, n in up.submit_series(_INPUT_BYTES, sent, tick, count):
             if at.__class__ is int:  # a run's arrivals step by tick, as its sends do: one trip time
                 st.inputs.append((at, at - sent, n))
@@ -555,7 +555,7 @@ class _Simulation:
         presents = [ready + end + c.decode_us[level] for (end, _), c in zip(ends, group)]  # after the instant
         latest = max(presents)
         sync_bytes, every = settings.sync_bytes * n, settings.sync_interval_us
-        sync, busy, queued, arrived, reads = self.next_sync, path.busy_until, path.queued_bytes, -1, []
+        sync, busy, queued, arrived, k = self.next_sync, path.busy_until, path.queued_bytes, -1, 0
         at, capacity = t, profile.queue_capacity
         # presented at submission, ready before the next bandwidth step (whose input bound is its time, or
         # the start + 1 for one at the start: a microsecond early but at the start)
@@ -567,20 +567,17 @@ class _Simulation:
             if (queued > capacity or sync == at + ready or busy > at + ready
                     or (at + interval - self.start) % every == 0):
                 break
-            reads.append(arrived)  # the arrival of the last sync before this ready
+            if arrived <= at + ready:  # the last sync before this ready has reached it: the train may end here
+                k = (at - t) // interval + 1  # the instants settled so far
             busy, queued, at = at + ready + burst_end, burst_bytes, at + interval
-        k = len(reads)
-        while k and reads[k - 1] > t + (k - 1) * interval + ready:
-            k -= 1
         if not k:
             return False
         st.train_from, last = t, t + (k - 1) * interval + ready
         fragments = sum(count for _, count in runs)
-        path.skip_delivered(n * ((k - 1) * fragments + max(0, -(-(last - self.next_sync) // every))))
+        path.skip_delivered(n * ((k - 1) * fragments + max(0, ceil_div(last - self.next_sync, every))))
         path.forget_to(last)
         for _ in group:
             path.submit_burst(runs, last)
-        self.trained[id(path)] = last
         read_inputs, on_present = self._read_inputs, self._on_present
         for at in range(t, t + k * interval, interval):
             for c, present, (end, _) in zip(group, presents, ends):
@@ -640,8 +637,8 @@ class _Simulation:
 
     def _on_sync(self, t: int):
         for path, runs in self.syncs:
-            if t < self.trained.get(id(path), t):
-                continue  # counted by a train
+            if t < path.last_submit:
+                continue  # counted by a train: only a train submits to a frame path ahead of the event clock
             before = path.last_arrival
             path.submit_burst(runs, t)  # nothing reads its arrival
             if path.last_arrival != before:
@@ -681,8 +678,7 @@ class _Simulation:
             st.m2p.append(t - input_origin)
 
     def _drop_frame(self, st: _ClientState, fid: int, reason: str):
-        if st.pending.pop(fid, None) is None:
-            return  # resolved already: a receiver may report a frame once per lost fragment
+        del st.pending[fid]
         st.frames.dropped += 1
         st.window_dropped += 1
         reasons = self.trace.drop_reasons
@@ -693,9 +689,10 @@ class _Simulation:
     def _on_window(self, t: int):
         cfg, trace = self.settings.controller, self.trace
         window_index = len(trace.queue_drop_timeline)
+        self.next_window = nxt = t + cfg.window_us
         for cid, st in self.clients.items():
             self._admit_probes(st, t)
-            self._admit_inputs(st, t, t + cfg.window_us)
+            self._admit_inputs(st, t)
             self._read_pongs(st, t)
             resolved = st.window_delivered + st.window_dropped
             stats = WindowStats(
@@ -722,7 +719,6 @@ class _Simulation:
             for fid in swept:
                 self._drop_frame(st, fid, "reassembly_abandoned")
         trace.queue_drop_timeline.append(sum(r.path.dropped_queue for r in self.paths if r.kind == "frames"))
-        self.next_window = nxt = t + cfg.window_us
         if nxt <= self.end:
             self.push(nxt, self._on_window)
 
@@ -733,14 +729,14 @@ class _Simulation:
                 r.path.set_bandwidth(step.bandwidth)
         self.input_bounds.pop()
         for st in self.clients.values():
-            self._admit_inputs(st, t, self.next_window)
+            self._admit_inputs(st, t)
         logger.info("t=%d bandwidth step to %d b/s", t, step.bandwidth)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> RunTrace:
         for st in self.clients.values():
-            self._admit_inputs(st, self.start, self.next_window)
+            self._admit_inputs(st, self.start)
             self._push_frame(self.start, st)
         self.push(self.start, self._on_sync)
         self.push(self.next_window, self._on_window)

@@ -22,10 +22,10 @@ The codec and `Reassembler` are the normative format.  The UDP loopback mode
 sends bytes through the message codec only, and `Reassembler` runs only in
 the tests, demo 03 and perfbench.  The in-process simulator carries
 a frame as runs of its fragments' wire sizes (`fragment_runs`) and reads the
-frame's fate off their arrival times (`frame_outcome`); it carries a small
-message (input, probes, state sync, the deployment handshake's CONTROL) as a
-`(MsgType, session id, timestamp)` record of the message's encoded size, and
-encodes no message.  Each handshake delivery is one event that handles only
+frame's fate off their arrival times (`frame_outcome`); inputs, probes and
+state syncs ride as datagram sizes in bursts and series, and the handshake's
+CONTROL as a `(MsgType, session id, timestamp)` record of its encoded size;
+no message is encoded.  Each handshake delivery is one event that handles only
 its own message, which equals polling the path then: a path delivers in
 submission order, and a reply arrives after the message that triggered it.
 """
@@ -38,7 +38,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .model import ValidationError
+from .model import ValidationError, ceil_div
 
 MAGIC = b"EPIC"
 VERSION = 1
@@ -121,7 +121,7 @@ def _fragment_count(n_bytes: int, mtu: int) -> int:
         raise ValidationError("cannot fragment an empty payload")
     if mtu < 128:
         raise ValidationError("mtu must be at least 128 bytes")
-    count = -(-n_bytes // fragment_capacity(mtu))
+    count = ceil_div(n_bytes, fragment_capacity(mtu))
     if count > MAX_FRAGMENTS:
         raise ValidationError(f"frame needs {count} fragments, limit is {MAX_FRAGMENTS}")
     return count

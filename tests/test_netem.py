@@ -471,7 +471,7 @@ def test_series_equals_a_per_datagram_submit_loop(profile, seed, ops):
         if op == "series":
             size, step, count = arg
             first = now + dt
-            if first < loop._last_submit and count:
+            if first < loop.last_submit and count:
                 with pytest.raises(ValidationError):
                     series.submit_series(size, first, step, count)
                 with pytest.raises(ValidationError):
@@ -517,3 +517,25 @@ def test_a_series_without_the_closed_form_returns_runs_of_one(profile, busy, siz
         path.submit_burst([(1_500, 4)], 4_000)  # serialized by 8_800 us
     runs = path.submit_series(size, 5_000, step, 20)
     assert len(runs) == 20 and all(count == 1 for _, _, count in runs)
+
+
+@pytest.mark.parametrize("profile, first, closed", [
+    (_profile(), 10_000, True),
+    (_profile(), 5_000, False),               # the serializer is still busy with the burst
+    (_profile(jitter=300), 10_000, False),    # a drawing path
+])
+def test_last_submit_is_the_time_of_the_latest_submitted_datagram(profile, first, closed):
+    path = Path(profile, seed=9)
+    assert path.last_submit == 0
+    path.submit(bytes(100), 1_000)
+    assert path.last_submit == 1_000
+    path.submit_burst([(1_500, 4)], 4_000)  # serialized by 8_800 us
+    assert path.last_submit == 4_000
+    runs = path.submit_series(56, first, 8_333, 20)
+    assert (len(runs) == 1) == closed
+    last = first + 19 * 8_333
+    assert path.last_submit == last
+    path.submit_series(56, last + 1_000, 8_333, 0)
+    path.forget_to(last + 10_000)
+    path.skip_delivered(5)
+    assert path.last_submit == last

@@ -146,8 +146,12 @@ class _Events(_Logged):
             handler(t, *args)
         return self._build_trace()
 
-    def _admit_inputs(self, st, t, horizon):
+    def _admit_inputs(self, st, t):
         pass  # each "input" event submits its own
+
+    def _drop_frame(self, st, fid, reason):
+        if fid in st.pending:  # not resolved already: the receiver reports a frame once per lost fragment
+            super()._drop_frame(st, fid, reason)
 
     def _origin(self, st, t):
         return self.host_input_origin[st.spec.client_id]

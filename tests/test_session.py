@@ -266,6 +266,18 @@ def test_a_frame_with_a_loss_and_a_queue_cut_is_dropped_for_its_first_dropped_fr
     assert sim.clients[0].down_frames == loop
 
 
+def test_dropping_a_frame_that_is_not_pending_raises():
+    """A frame is resolved once: dropping one resolved already, or never sent, is a fault, not a no-op."""
+    sim = session._Simulation(_edge((ClientSpec(0, NOMINAL),)), DEFAULT_LADDER, 1_000_000, SessionSettings(), 0, 0)
+    st = sim.clients[0]
+    st.pending[0] = (0, 0, None)
+    sim._drop_frame(st, 0, "stale")
+    for fid in (0, 1):
+        with pytest.raises(KeyError):
+            sim._drop_frame(st, fid, "stale")
+    assert sim.trace.drop_reasons == {"stale": 1} and st.frames.dropped == 1
+
+
 def test_scene_complexity_floor_is_a_settings_check():
     with pytest.raises(ValidationError, match="scene_complexity"):
         SessionSettings(scene_complexity=0.05)
