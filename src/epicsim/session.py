@@ -32,8 +32,8 @@ bounds of `_present_by`.  Otherwise it pushes the outcome event.
 Such frames go in trains.  At the frame event at T of the first client on a
 path without loss or jitter, when each client on it starts a frame at T, at
 one level, with nothing pending, `_train` settles the path's instants T,
-T + I, ... in one pass: it sends each client's frames, reads their inputs and
-presents them, and sends the syncs between them.  An instant is settled while
+T + I, ... in one pass: it sends each client's frames and the syncs between
+them, and settles the frames (below).  An instant is settled while
 each frame is presented by the rule above before the next instant, the group's
 bursts plus one sync fit the queue, the ready is before the next step and at
 no sync, the syncs due before it leave the path idle by then, and the next
@@ -51,6 +51,15 @@ after T.  That order is read: with syncs sparser than frames the sync runs
 first, and if a window set a level whose ready time is the sync interval, the
 next sync meets the frame's ready and runs first too.  The group's frame events
 at T return at once; a train that settles nothing waits for the next window.
+Only the first client's frame events try a train (`_on_train_frame`).
+
+A train settles each client's k frames in closed form (`_settle`), as k frame,
+ready and present events would with nothing pending: no frame enters
+`pending`.  The frame ids, `last_completed`, `last_presented` and the sent,
+delivered and window counts move by k, the window bits by k frames' bits.
+The presents fall at `T + P + j * I`, so one division per second boundary
+splits their bits among the per-second counts, the last one taking the rest.
+`_read_inputs_along` reads their inputs in one pass, below.
 
 Inputs are neither records nor events.  The host reads an input for one thing:
 when a frame starts, the send time of the latest input it holds becomes the
@@ -64,7 +73,11 @@ sent by the next window and before the run's next step.  The input at
 a step at T.  The client keeps the arrival runs, each with its trip time,
 arrival minus send: a run's arrivals step by `tick` as its sends do.  Each
 frame event reads them in order, a run with one division, and drops what it
-has read.
+has read.  A train reads its frames' inputs at x = T, T + I, ... without
+trimming a run per frame: with `seen` the latest arrival the frame at x sees,
+x or x - 1 by the tie rule below, a run `(a, trip, count)` read in part
+gives the origin `seen - trip - (seen - a) % tick`, one modulo per frame, and
+only the run still read in part after the last frame is trimmed.
 
 The tie rule makes that read equal to an event loop in which each input is an
 event that pushes its own arrive event, and the arrive event sets the host's
@@ -77,7 +90,12 @@ ran before the frame event at `prev`.  That order is one bool per client.  It
 is true at `start`, where the run pushes the input first.  At a later frame
 event at T, the input event at T was pushed at `T - tick` and the frame event
 at `prev`: the bool is true if `T - tick < prev`, false if `T - tick > prev`,
-and keeps its value at `prev` if they are equal.
+and keeps its value at `prev` if they are equal.  Within a train `prev` is
+`x - I`, so the inputs of a run arriving at x are seen when its trip is above
+I, or equal to I with the bool true, and the bool stays fixed from the third
+frame on.  On a jittery input path several runs of one can arrive at one
+microsecond; the first of them decides for all, so the train carries a seen
+arrival at x on to the runs after it.
 
 Probes are not events either.  A client sends its PINGs at `start + k *
 ping_interval` on its `up_probe` path, and each is echoed at its arrival as
@@ -520,7 +538,7 @@ class _Simulation:
     # -- host-side frame pipeline ------------------------------------------
 
     def _on_frame(self, t: int, st: _ClientState):
-        if st.next_frame != t or st.train_from <= t and self._train(t, st):
+        if st.next_frame != t:
             return  # settled by a train
         level_idx = st.controller.level
         _, _, ready, interval = self.level_costs[level_idx]
@@ -529,11 +547,16 @@ class _Simulation:
         self.push(t + ready, self._on_ready, st, fid, level_idx, self._read_inputs(st, t))
         self._push_frame(t + interval, st)
 
+    def _on_train_frame(self, t: int, st: _ClientState):
+        """The frame event of the first client on a path without loss or jitter: a train first."""
+        if st.train_from > t or not self._train(t, st):
+            self._on_frame(t, st)
+
     def _push_frame(self, t: int, st: _ClientState):
         """Make `t` the client's next frame event, and push it if the run reaches it, keeping its push order."""
         st.next_frame = t
         if t <= self.end:
-            self.push(t, self._on_frame, st)
+            self.push(t, self._on_frame if st.train_from == math.inf else self._on_train_frame, st)
             st.frame_seq = self._seq
 
     def _train(self, t: int, st: _ClientState) -> bool:
@@ -578,20 +601,75 @@ class _Simulation:
         path.forget_to(last)
         for _ in group:
             path.submit_burst(runs, last)
-        read_inputs, on_present = self._read_inputs, self._on_present
-        for at in range(t, t + k * interval, interval):
-            for c, present, (end, _) in zip(group, presents, ends):
-                fid = c.next_frame_id
-                c.next_frame_id, c.last_completed = fid + 1, fid
-                c.frames.sent += 1
-                c.pending[fid] = (at, level, read_inputs(c, at))  # presented at once: nothing reads its arrival
-                on_present(at + present, c, fid)
-                if self.log_frames:
-                    logger.debug(FRAME_LINE, at + ready, c.spec.client_id, fid, fragments, 0, "completes",
-                                 at + ready + end)
+        for c, present in zip(group, presents):
+            self._settle(c, t, k, interval, present)
+        if self.log_frames:  # one line per frame, in the order of their readies
+            for j in range(k):
+                at = t + j * interval + ready
+                for c, (end, _) in zip(group, ends):
+                    logger.debug(FRAME_LINE, at, c.spec.client_id, c.next_frame_id - k + j, fragments, 0, "completes",
+                                 at + end)
         for c in group:
             self._push_frame(t + k * interval, c)
         return True
+
+    def _settle(self, st: _ClientState, t: int, k: int, interval: int, present: int) -> list[int | None]:
+        """Start the client's k frames at t, t + interval, ... and present each `present` after its start, as
+        its frame, ready and present events would with nothing pending; returns their input origins."""
+        fid, bits = st.next_frame_id, self.level_costs[st.controller.level][0] * 8
+        st.next_frame_id = fid + k
+        st.last_completed = st.last_presented = fid + k - 1
+        st.frames.sent += k
+        st.frames.delivered += k
+        st.window_delivered += k
+        st.window_bits += k * bits
+        buckets, first, j = st.per_second_bits, t + present, 0
+        while j < k:  # the presents in each second, the last one counting every present after it
+            second = (first + j * interval - self.start) // 1_000_000
+            if second >= len(buckets) - 1:
+                second, after = len(buckets) - 1, k
+            else:
+                after = min(k, ceil_div(self.start + (second + 1) * 1_000_000 - first, interval))
+            buckets[second] += (after - j) * bits
+            j = after
+        origins = self._read_inputs_along(st, t, k, interval)
+        st.m2p += [at - origin for at, origin in zip(range(first, first + k * interval, interval), origins)
+                   if origin is not None]
+        return origins
+
+    def _read_inputs_along(self, st: _ClientState, t: int, k: int, interval: int) -> list[int | None]:
+        """What `_read_inputs` returns at t, t + interval, ... (k frames), leaving the same state.
+
+        It steps through each run by arithmetic, and trims only the run left partly read at the end.  Frame
+        events keep `_read_inputs`: this reader costs more per call, which for one frame outweighs the trims
+        it saves."""
+        inputs, tick = st.inputs, self.settings.tick_us
+        origin, first, prev = st.input_origin, st.input_first, st.last_frame
+        origins = []
+        for x in range(t, t + k * interval, interval):
+            tied = False  # an input arriving at x is seen: so are the ones after it arriving at x
+            while inputs:
+                at, trip, count = inputs[0]
+                sent = x - trip  # of an input of this run arriving at x
+                seen = x if tied or sent < prev or sent == prev and first else x - 1  # the latest arrival seen
+                if seen < at:
+                    break
+                last = at + (count - 1) * tick
+                if seen < last:
+                    origin = seen - trip - (seen - at) % tick
+                    break
+                origin, tied = last - trip, last == x
+                inputs.popleft()
+            origins.append(origin)
+            if x - tick != prev:
+                first = x - tick < prev
+            prev = x
+        if inputs and origin is not None and origin >= inputs[0][0] - inputs[0][1]:  # the front run is partly read
+            at, trip, count = inputs[0]
+            done = (origin + trip - at) // tick + 1
+            inputs[0] = (at + done * tick, trip, count - done)
+        st.input_origin, st.input_first, st.last_frame = origin, first, prev
+        return origins
 
     def _on_ready(self, t: int, st: _ClientState, fid: int, level_idx: int, input_origin: int | None):
         size = self.level_costs[level_idx][0]

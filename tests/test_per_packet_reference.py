@@ -23,6 +23,7 @@ which a train stops short.  `tests/test_random_scenarios.py` and
 
 import heapq
 import math
+from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
 
@@ -61,7 +62,8 @@ class _Logged(session._Simulation):
     in order.  Apart from them it logs per client each frame start (time, frame id, level and
     motion-to-photon origin) and each present, since the session may settle a frame in a
     train or present it where it is submitted, and what each window reads of each client:
-    the RTT samples applied and the frames and bits counted since the last window."""
+    the RTT samples applied and the frames and bits counted since the last window.  A frame
+    event's start comes from `_read_inputs`, a train's starts and presents from `_settle`."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -84,6 +86,14 @@ class _Logged(session._Simulation):
 
     def _origin(self, st, t):
         return super()._read_inputs(st, t)
+
+    def _settle(self, st, t, k, interval, present):
+        fid, level = st.next_frame_id, st.controller.level
+        origins = super()._settle(st, t, k, interval, present)
+        for j, origin in enumerate(origins):
+            self.starts.append((st.spec.client_id, t + j * interval, fid + j, level, origin))
+            self.presents.append((st.spec.client_id, t + j * interval + present, fid + j))
+        return origins
 
     def _read_pongs(self, st, t):
         super()._read_pongs(st, t)
@@ -542,7 +552,7 @@ def test_a_frame_completing_older_than_the_last_completed_leaves_pending_at_its_
 
 def _train_case(decodes=(7_000_000_000,), shared=False, encode=6_144_000, bandwidth=700_000_000, latency=100,
                 queue=None, mtu=1_400, sync_interval=50_000, prerender=0, steps=(), fps=(60,), wobbly=(), seed=5,
-                sizes=None, pixels=5_000_000_000, start_level=0, controller=None):
+                sizes=None, pixels=5_000_000_000, start_level=0, controller=None, tick=8_333, input_latency=None):
     """Clients with `decodes` rates on draw-free paths, their own or one shared egress, streaming 96x64
     frames at 60 fps, one fragment each, ready 2 us of render plus the encode time after they start.
 
@@ -550,14 +560,17 @@ def _train_case(decodes=(7_000_000_000,), shared=False, encode=6_144_000, bandwi
     gives each level's width and height.  The clients in `wobbly` have their own paths 2.8 ms long with
     1.5 ms of jitter, so their RTT samples, one per 20 ms, straddle the 7 ms budget, and the controller
     then moves a level at every window that asks for it.  `controller` overrides the controller's
-    settings, and `pixels` the node's render rate."""
+    settings, and `pixels` the node's render rate.  Inputs go every `tick` us; `input_latency` sets the
+    latency of the clients' own paths, which carry their inputs, and their frames unless `shared`."""
     profile = NetworkProfile(one_way_latency=latency, bandwidth=bandwidth, queue_capacity=queue, mtu=mtu)
+    own = profile if input_latency is None else replace(profile, one_way_latency=input_latency)
     jittery = NetworkProfile(one_way_latency=2_800, jitter=1_500, bandwidth=bandwidth)
-    clients = tuple(session.ClientSpec(cid, jittery if cid in wobbly else profile, decode)
+    clients = tuple(session.ClientSpec(cid, jittery if cid in wobbly else own, decode)
                     for cid, decode in enumerate(decodes))
     topology = session.SessionTopology("edge_hosted", clients, host_node=NodeSpec(1, pixels, encode))
     controller = session.ControllerConfig(**controller or (dict(k_down=1, k_up=1, cooldown=0) if wobbly else {}))
     settings = session.SessionSettings(sync_interval_us=sync_interval, prerender=prerender, start_level=start_level,
+                                       tick_us=tick,
                                        shared_egress=profile if shared else None, controller=controller,
                                        ping_interval_us=20_000 if wobbly else 100_000,
                                        bandwidth_steps=tuple(session.BandwidthStep(*step) for step in steps))
@@ -619,6 +632,19 @@ _TRAIN_CASES = {
     "sync-time-after-a-level-change": (dict(sizes=((120, 50), (60, 50)), fps=(25, 25), pixels=6_000_000_000,
                                             encode=100_002, start_level=1, sync_interval=60_000,
                                             controller=dict(k_up=1, cooldown=0, window_us=240_000)), 2),
+    # inputs take 16,667 us, the frame interval, on the clients' own paths, and each frame event sees the
+    # input arriving at its microsecond, sent at the frame event before it: with inputs every 16,667 us the
+    # input event there ran first, as it did at the start
+    "tick-equal-to-the-interval": (dict(decodes=(7_000_000_000,) * 2, shared=True, tick=16_667,
+                                        input_latency=16_666), 120),
+    # the same trip with inputs every 2,381 us, a seventh of the interval: the input event at the frame
+    # event before ran after it, so the input arriving at a frame event's microsecond is not seen
+    "trip-equal-to-the-interval": (dict(decodes=(7_000_000_000,) * 2, shared=True, tick=2_381,
+                                        input_latency=16_666), 120),
+    # inputs take a tick more than the interval, so the one arriving at a frame event's microsecond was
+    # sent before the frame event before it, and is seen
+    "trip-above-the-interval": (dict(decodes=(7_000_000_000,) * 2, shared=True, tick=2_381,
+                                     input_latency=19_047), 120),
 }
 
 

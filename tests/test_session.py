@@ -2,9 +2,10 @@ import copy
 import logging
 import math
 import re
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epicsim import session
 from epicsim.kpi import FrameCounts, build_report
@@ -25,6 +26,7 @@ from epicsim.session import (
     run_session,
 )
 from epicsim.transport import fragment_runs
+from test_per_packet_reference import _train_case
 
 EDGE_NODE = NodeSpec(node_id=1, pixel_throughput=5_000_000_000, encode_throughput=4_000_000_000)
 CLEAN = NetworkProfile(one_way_latency=0, jitter=0, loss_rate=0.0, bandwidth=10**12, mtu=1400)
@@ -214,10 +216,21 @@ def test_input_drives_motion_to_photon():
     assert min(m2p) >= 2_000 + 415 + 519 + 2_000
 
 
-@pytest.mark.parametrize("lossy", [True, False], ids=["lossy", "clean"])
-def test_packet_logging_is_one_line_per_frame(lossy, caplog, monkeypatch):
+# clients on one shared egress, whose frames trains settle: 3 equal ones, two decode rates, and three
+# clients at 50 and 25 fps whose frame events at an instant run out of client order
+_SHARED_LOG_CASES = {
+    "shared-egress": dict(decodes=(7_000_000_000,) * 3, shared=True),
+    "decode-rates-on-a-shared-egress": dict(decodes=(7_000_000_000, 3_000_000), shared=True),
+    "frame-event-order-on-a-shared-egress": dict(decodes=(7_000_000_000,) * 3, shared=True, fps=(50, 25),
+                                                 wobbly=(0, 2), seed=18),
+}
+
+
+@pytest.mark.parametrize("case", ["lossy", "clean", *_SHARED_LOG_CASES])
+def test_packet_logging_is_one_line_per_frame(case, caplog, monkeypatch):
     """EPICSIM_LOG=packets: one line per frame sent, naming its client and outcome; a dropped
-    frame's line names the reason the trace counts it under.  On the clean path trains settle frames."""
+    frame's line names the reason the trace counts it under.  On the clean paths trains settle frames,
+    and on a shared egress they log the lines that frame events log, in the same order."""
     caplog.set_level(logging.DEBUG, logger="epicsim.session")
     trained, train = [], session._Simulation._train
 
@@ -226,23 +239,33 @@ def test_packet_logging_is_one_line_per_frame(lossy, caplog, monkeypatch):
         return trained[-1]
 
     monkeypatch.setattr(session._Simulation, "_train", training)
-    impairments = dict(jitter=500, loss_rate=0.01, queue_capacity=100_000) if lossy else {}
-    profile = NetworkProfile(one_way_latency=2_000, bandwidth=700_000_000, mtu=1400, **impairments)
-    trace = run_session(_edge((ClientSpec(0, profile), ClientSpec(7, profile))), DEFAULT_LADDER, 1_000_000,
-                        SessionSettings(), seed=1)
-    lines = [re.fullmatch(r"t=\d+ client (\d+) frame (\d+): \d+ fragments, (\d+) dropped, (\w+) at \d+",
-                          r.getMessage()) for r in caplog.records if r.levelno == logging.DEBUG]
-    frames = {cid: [int(line[2]) for line in lines if int(line[1]) == cid] for cid in (0, 7)}
+    if case in _SHARED_LOG_CASES:
+        args = _train_case(**_SHARED_LOG_CASES[case])
+    else:
+        impairments = dict(jitter=500, loss_rate=0.01, queue_capacity=100_000) if case == "lossy" else {}
+        profile = NetworkProfile(one_way_latency=2_000, bandwidth=700_000_000, mtu=1400, **impairments)
+        args = (_edge((ClientSpec(0, profile), ClientSpec(7, profile))), DEFAULT_LADDER, 1_000_000,
+                SessionSettings(), 1)
+    trace = run_session(*args)
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    lines = [re.fullmatch(r"t=\d+ client (\d+) frame (\d+): \d+ fragments, (\d+) dropped, (\w+) at \d+", message)
+             for message in messages]
+    frames = {cid: [int(line[2]) for line in lines if int(line[1]) == cid] for cid in trace.per_client_frames}
     assert frames == {cid: list(range(counts.sent)) for cid, counts in trace.per_client_frames.items()}
     outcomes = Counter(line[4] for line in lines)
     assert set(outcomes) <= {"completes", "reassembly_abandoned", "fragment_loss", "fragment_queue_full"}
     assert all((line[3] != "0") == line[4].startswith("fragment_") for line in lines)
     assert {reason: n for reason, n in outcomes.items() if reason.startswith("fragment_")} == {
         reason: n for reason, n in trace.drop_reasons.items() if reason.startswith("fragment_")}
-    if lossy:
+    if case == "lossy":
         assert outcomes["fragment_loss"] and outcomes["fragment_queue_full"] and not any(trained)
     else:
         assert outcomes == {"completes": trace.frames.sent} and any(trained)
+    if case in _SHARED_LOG_CASES:
+        caplog.clear()
+        monkeypatch.setattr(session._Simulation, "_train", lambda sim, t, st: False)
+        assert run_session(*args) == trace
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == messages
 
 
 @pytest.mark.parametrize("first", [Drop.LOSS, Drop.QUEUE])
@@ -319,3 +342,51 @@ def test_probe_state_after_each_window_is_the_probes_in_flight(profile):
     assert len(checked) == 2_000_000 // window
     assert len(trace.rtt_samples[0]) > 0.8 * 2_000_000 // interval
     assert sim.clients[0].up_data.submitted == (sim.end - sim.start) // tick + 1
+
+
+@st.composite
+def _input_reads(draw):
+    """A client's input state before k frame events at t, t + interval, ... and those frames.
+
+    The admitted runs are in send order, each a run of one or arriving tick apart, with arrivals that never
+    fall: a run of one may arrive with the input before it, as on a jittery path.  Most arrivals fall on a
+    frame event's microsecond or next to it, with trip times below, at and above the interval."""
+    tick = draw(st.integers(100, 130))
+    interval = draw(st.one_of(st.just(tick), st.sampled_from([2 * tick, 3 * tick, 2 * tick + 1]),
+                              st.integers(100, 400)))
+    k, prev = draw(st.integers(1, 12)), draw(st.integers(0, 400))
+    t = prev + draw(st.sampled_from([0, interval, tick, 1, 257]))
+    trips = [interval - 1, interval, interval + 1, 2 * interval, tick, 1]
+    runs, last_sent, floor = [], -10**6, -10**6
+    for _ in range(draw(st.integers(0, 6))):
+        arrival = t + draw(st.integers(-1, k)) * interval + draw(st.sampled_from([0, 0, -1, 1]))
+        sent = max(arrival - draw(st.one_of(st.sampled_from(trips), st.integers(1, 3 * interval))),
+                   last_sent + draw(st.sampled_from([1, tick, 2 * tick])))  # sends rise, losing some inputs
+        arrival, count = max(arrival, sent + 1), draw(st.integers(1, 8))
+        if arrival < floor:  # held back to the arrival before it: a run of one
+            arrival, count = floor, 1
+        runs.append((arrival, arrival - sent, count))
+        last_sent, floor = sent + (count - 1) * tick, arrival + (count - 1) * tick
+    origin = draw(st.one_of(st.none(), st.integers(1, 4 * tick).map(lambda back: runs[0][0] - runs[0][1] - back
+                                                                     if runs else back)))
+    return tick, interval, t, k, runs, origin, draw(st.booleans()), prev
+
+
+@given(_input_reads())
+@settings(max_examples=500, deadline=None)
+def test_inputs_read_along_a_train_equal_a_read_per_frame(reads):
+    """`_read_inputs_along` returns the origins of one `_read_inputs` per frame event, and leaves the
+    same inputs, latest origin, tie bool and last frame event."""
+    tick, interval, t, k, runs, origin, first, prev = reads
+    sim = session._Simulation(_edge((ClientSpec(0, NOMINAL),)), DEFAULT_LADDER, 1_000_000,
+                              SessionSettings(tick_us=tick), 0, 0)
+    state = sim.clients[0]
+    ends = []
+    for along in (False, True):
+        state.inputs, state.input_origin, state.input_first, state.last_frame = deque(runs), origin, first, prev
+        if along:
+            origins = sim._read_inputs_along(state, t, k, interval)
+        else:
+            origins = [sim._read_inputs(state, t + j * interval) for j in range(k)]
+        ends.append((origins, list(state.inputs), state.input_origin, state.input_first, state.last_frame))
+    assert ends[1] == ends[0]
