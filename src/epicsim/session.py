@@ -26,32 +26,72 @@ its client's only pending frame (no other outcome or present of the client
 acts before P), every frame the client has started is ready and P is before
 the client's next frame event (no ready of the client comes before P), P is
 before the next window not yet handled (no window reads or sweeps before
-P), and P is not after the end (the present event would run), the three
-bounds of `_present_by`.  Otherwise it pushes the outcome event.
+P), and P is not after the end (the present event would run).  Otherwise
+it pushes the outcome event.
 
 Such frames go in trains.  At the frame event at T of the first client on a
 path without loss or jitter, when each client on it starts a frame at T, at
-one level, with nothing pending, `_train` settles the path's instants T,
-T + I, ... in one pass: it sends each client's frames and the syncs between
-them, and settles the frames (below).  An instant is settled while
-each frame is presented by the rule above before the next instant, the group's
-bursts plus one sync fit the queue, the ready is before the next step and at
-no sync, the syncs due before it leave the path idle by then, and the next
-instant is not a sync time; the train then ends at the last ready that the
-last sync before it has reached.  One instant's bursts are admitted once on a
-fresh idle `Path` and cached (`_instant`), and the syncs between readies are
-stepped in closed form.  It takes the clients in the push order of their frame
-events at T (`frame_seq`), which need not be client order once they have run
-at different frame rates: each instant's bursts and their next frame events go
+one level, with every frame it started ready, `_train` settles the path's
+instants T, T + I, ... in one pass: it sends each client's frames and the
+syncs between them, and settles the frames (below).  An instant is settled
+while each frame is presented before the next window not yet handled and by
+the end, the group's bursts plus one sync fit the queue, the ready is before
+the next step and at no sync, the syncs due before it leave the path idle by
+then, and the next instant is not a sync time; the train then ends at the
+last ready that the last sync before it has reached.  A frame may be
+presented after its client's next frame starts: on a shared path the last
+burst of an instant can arrive after the next instant begins.  The frames a
+client has pending at T are taken over when, taken in the order they were
+submitted, each is newer than the last completed frame (its outcome event
+has not run) and older than the next one (its outcome finds no newer frame
+completed), and is presented, at the time `_on_ready` kept for it, before
+the next one and before the client's first present here (it is not stale).
+The train presents them by `_on_present`, and their outcome events find
+them gone from `pending` and return.  Otherwise no train runs.  One
+instant's bursts are admitted once on a fresh idle `Path` and cached
+(`_instant`), and the syncs between readies are stepped in closed form.  It
+takes the clients in the push order of their frame events at T
+(`frame_seq`), which need not be client order once they have run at
+different frame rates: each instant's bursts and their next frame events go
 in the order those events would run.  Each client's frame event for the first
 instant not settled, pushed at T, keeps its place there: a window or step
-there was pushed by T, the path's clients have no other event, other clients'
-events touch none of their state, and the last rule keeps out a sync pushed
-after T.  That order is read: with syncs sparser than frames the sync runs
-first, and if a window set a level whose ready time is the sync interval, the
-next sync meets the frame's ready and runs first too.  The group's frame events
-at T return at once; a train that settles nothing waits for the next window.
-Only the first client's frame events try a train (`_on_train_frame`).
+there was pushed by T, the path's clients have no other event but outcomes
+that return at once, other clients' events touch none of their state, and
+the last rule keeps out a sync pushed after T.  That order is read: with
+syncs sparser than frames the sync runs first, and if a window set a level
+whose ready time is the sync interval, the next sync meets the frame's ready
+and runs first too.  The group's frame events at T return at once; a train
+that settles nothing waits for the next window.  Only the first client's
+frame events try a train (`_on_train_frame`).
+
+Presenting a frame after its client's next frame starts is exact because
+only four things read `pending`, `last_completed` and `last_presented`
+between a frame's start and its present, and each gives the train's answer:
+
+- `_on_ready`'s present-at-submission test only picks between presenting a
+  frame at its submission and pushing its outcome, which present it at the
+  same P.  The first frame after a train takes the events' branch: if a
+  train's frame is still pending at its ready in the events, that frame is
+  presented after the ready, and the new frame, at the same level (the
+  presents come before the next window) and in the same place on a path at
+  least as busy, is presented as long after its start, so after its next
+  frame starts, and both push its outcome.  The train leaves nothing
+  pending there, but the new frame fails the same bound; only a bandwidth
+  step between can make it complete sooner, and then it is presented after
+  the pending frame, at the P its outcome would give.
+- `_on_outcome`'s older-frame rule: a draw-free path delivers in submission
+  order, and the train's frames, like the pending ones it takes over, were
+  submitted in frame order, so none finds a newer frame completed.
+- `_on_present`'s stale check: a train's frames of one client share a level
+  and a place in each instant, so their presents rise with their ids, and
+  the pending frames taken over are presented before them, in frame order.
+- The window sweep: every present is before the next window.
+
+Netem counts each burst but the last instant's as delivered at once
+(`Path.skip_delivered`), though one may arrive after the train's last
+ready.  It arrives at least one interval before the next window, so in the
+events a ready of the path forgets it before then, and the path's state at
+each window is the same.
 
 A train settles each client's k frames in closed form (`_settle`), as k frame,
 ready and present events would with nothing pending: no frame enters
@@ -335,9 +375,9 @@ class _ClientState:
         self.estimator = RttEstimator()
         self.controller = ControllerState(level=start_level)
         self.last_completed = -1
-        # each frame sent and not yet delivered or dropped:
-        # fid -> (first fragment arrival, level index, motion-to-photon origin)
-        self.pending: dict[int, tuple[int, int, int | None]] = {}
+        # each frame sent and not yet delivered or dropped: fid -> (first fragment arrival,
+        # level index, motion-to-photon origin, present time, or math.inf if it never completes)
+        self.pending: dict[int, tuple[int, int, int | None, float]] = {}
         self.never_resolved = 0  # frames out of pending that never resolve: in flight
         self.last_presented = -1
         self.next_frame_id = 0
@@ -567,7 +607,7 @@ class _Simulation:
         group = sorted((c for c in self.clients.values() if c.down_frames is path), key=attrgetter("frame_seq"))
         size, _, ready, interval = self.level_costs[level]
         st.train_from = self.next_window
-        if path.busy_until > t + ready or not all(c.next_frame == t and c.controller.level == level and not c.pending
+        if path.busy_until > t + ready or not all(c.next_frame == t and c.controller.level == level
                                                   and c.frames.sent == c.next_frame_id for c in group):
             return False
         profile, n = path.profile, len(group)
@@ -576,13 +616,22 @@ class _Simulation:
         if ends is None or not all(completed for _, completed in ends):
             return False
         presents = [ready + end + c.decode_us[level] for (end, _), c in zip(ends, group)]  # after the instant
+        crossing = []  # pending frames whose outcome events have not run, to present ahead of the train's
+        for c, present in zip(group, presents):
+            newer, before = c.next_frame_id, t + present  # the client's first frame here, and its present
+            for fid, (_, _, _, shown) in reversed(c.pending.items()):  # in submission order, the latest first
+                if not c.last_completed < fid < newer or shown >= before:
+                    return False
+                crossing.append((shown, c, fid))
+                newer, before = fid, shown
         latest = max(presents)
         sync_bytes, every = settings.sync_bytes * n, settings.sync_interval_us
         sync, busy, queued, arrived, k = self.next_sync, path.busy_until, path.queued_bytes, -1, 0
         at, capacity = t, profile.queue_capacity
-        # presented at submission, ready before the next bandwidth step (whose input bound is its time, or
-        # the start + 1 for one at the start: a microsecond early but at the start)
-        while at + latest <= self._present_by(at + interval) and at + ready < self.input_bounds[-1] - 1:
+        # presented before the next window and by the end, ready before the next bandwidth step (whose input
+        # bound is its time, or the start + 1 for one at the start: a microsecond early but at the start)
+        stop = min(self.next_window - 1 - latest, self.end - latest, self.input_bounds[-1] - 2 - ready)
+        while at <= stop:
             while sync < at + ready and queued <= capacity:  # the syncs due before this ready
                 busy, queued = (busy, queued) if busy > sync else (sync, 0)
                 busy, queued, sync = busy + sync_tx, queued + sync_bytes, sync + every
@@ -601,6 +650,8 @@ class _Simulation:
         path.forget_to(last)
         for _ in group:
             path.submit_burst(runs, last)
+        for shown, c, fid in reversed(crossing):  # their outcome events then find them presented
+            self._on_present(shown, c, fid)
         for c, present in zip(group, presents):
             self._settle(c, t, k, interval, present)
         if self.log_frames:  # one line per frame, in the order of their readies
@@ -681,18 +732,18 @@ class _Simulation:
         lost, cut = path.dropped_loss - lost, path.dropped_queue - cut
         self._seq += 1
         seq = self._seq
-        st.pending[fid] = (arrivals[0][0], level_idx, input_origin)
         st.frames.sent += 1
         if lost or cut:  # the first dropped fragment names the reason
             outcome, end = "fragment_" + next(at.value for at, _, _ in arrivals if isinstance(at, Drop)), t
+            st.pending[fid] = (arrivals[0][0], level_idx, input_origin, math.inf)
             self._drop_frame(st, fid, outcome)
         else:
             end, completed = frame_outcome(arrivals)
             outcome = "completes" if completed else "reassembly_abandoned"
-            present = end + st.decode_us[level_idx]
-            if (completed and fid > st.last_completed and len(st.pending) == 1
-                    and st.frames.sent == st.next_frame_id
-                    and present <= self._present_by(st.next_frame)):
+            present = end + st.decode_us[level_idx] if completed else math.inf
+            st.pending[fid] = (arrivals[0][0], level_idx, input_origin, present)
+            if (fid > st.last_completed and len(st.pending) == 1 and st.frames.sent == st.next_frame_id
+                    and present <= min(st.next_frame - 1, self.next_window - 1, self.end)):
                 st.last_completed = fid  # no event sees the frame before its present (module docstring)
                 self._on_present(present, st, fid)
             else:
@@ -707,11 +758,6 @@ class _Simulation:
         if self.log_frames:
             logger.debug(FRAME_LINE, t, st.spec.client_id, fid, sum(run[2] for run in arrivals), lost + cut,
                          outcome, end)
-
-    def _present_by(self, next_frame: int) -> int:
-        """The latest present of a frame presented where it is submitted (module docstring), when its
-        client's next frame starts at `next_frame`: before it, before the next window, not after the end."""
-        return min(next_frame - 1, self.next_window - 1, self.end)
 
     def _on_sync(self, t: int):
         for path, runs in self.syncs:
@@ -744,7 +790,7 @@ class _Simulation:
         if fid <= st.last_presented:
             self._drop_frame(st, fid, "stale")
             return
-        _, level_idx, input_origin = st.pending.pop(fid)
+        _, level_idx, input_origin, _ = st.pending.pop(fid)
         bits = self.level_costs[level_idx][0] * 8
         st.last_presented = fid
         st.frames.delivered += 1
@@ -792,7 +838,7 @@ class _Simulation:
             st.window_bits = 0
             # a frame at or below last_completed awaits its present event, or its outcome
             # event, which counts it as never resolved
-            swept = [fid for fid, (first, _, _) in st.pending.items()
+            swept = [fid for fid, (first, *_) in st.pending.items()
                      if fid > st.last_completed and t - first > REASSEMBLY_TIMEOUT_US]
             for fid in swept:
                 self._drop_frame(st, fid, "reassembly_abandoned")

@@ -199,7 +199,7 @@ class _Events(_Logged):
 
     def _on_ready(self, t, st, fid, level_idx, input_origin):
         path = st.down_frames
-        st.pending[fid] = (math.inf, level_idx, input_origin)  # the Reassembler sweeps
+        st.pending[fid] = (math.inf, level_idx, input_origin, None)  # the Reassembler sweeps
         st.frames.sent += 1
         for frag in fragment(fid, bytes(frame_bytes(self.ladder[level_idx])), path.profile.mtu):
             dropped = self._submit(path, encode_fragment(st.spec.client_id, 0, t, frag), t)
@@ -514,7 +514,7 @@ _SUBMISSION_CASES = {
 
 # how many frames of each case trains settle: the frames that meet the case's condition take `_on_ready`
 _SUBMISSION_SETTLED = {"abandoned-by-its-own-fragment": 0, "older-than-the-last-completed": 6,
-                       "newer-frame-not-yet-ready": 12, "newer-frame-presented-first": 16, "present-at-a-window": 56,
+                       "newer-frame-not-yet-ready": 25, "newer-frame-presented-first": 29, "present-at-a-window": 56,
                        "present-after-the-end": 60}
 
 
@@ -645,6 +645,37 @@ _TRAIN_CASES = {
     # sent before the frame event before it, and is seen
     "trip-above-the-interval": (dict(decodes=(7_000_000_000,) * 2, shared=True, tick=2_381,
                                      input_latency=19_047), 120),
+    # nine 1080p clients on the shipped shared egress's 1 Gb/s, MTU 9,000 link: the path is idle 14,994 us
+    # after each ready, but the last client's frame is presented 18,225 us after it starts, 1,558 us into
+    # its next interval, so every train after the first takes over that client's frame still pending
+    "nine-clients-on-a-shared-egress": (dict(decodes=(7_000_000_000,) * 9, shared=True, bandwidth=1_000_000_000,
+                                             mtu=9_000, latency=2_000, encode=4_000_000_000,
+                                             sizes=((1920, 1080),)), 504),
+    # a 12.3 ms decode of the 96x64 level, 1.5 ms of the 32x24 one, and a 12 ms RTT that moves the client
+    # down at the window at 500 ms: the train at 250,005 us presents frame 14, pending at the same level,
+    # at 263,924 us, before its own first present; the one at 500,010 us finds the level-0 frame 29
+    # presented at 513,929 us, after its first level-1 present at 509,085 us, which makes frame 29 stale
+    "pending-frame-at-another-level": (dict(sizes=((96, 64), (32, 24)), fps=(60, 60), encode=500_000,
+                                            decodes=(500_000,), latency=6_000), 43),
+    # a 20.5 ms decode: each frame's outcome runs before the next frame starts and pushes its present
+    # after it, so the frame pending at each window's train, such as frame 14 presented at 254,928 us
+    # when the train at 250,005 us is tried, is left to its present event and no train follows the first
+    "pending-frame-with-its-present-pushed": (dict(decodes=(300_000,)), 14),
+    # level 0 is ready 32 ms after a frame starts and level 1 1.3 ms, on a 16 ms shared link, and the window
+    # at 23,334 us moves the client down: frame 1, started at 16,667 us, is submitted after frame 2, started
+    # at 33,334 us.  At the train at 50,001 us both are pending, and frame 1 would be presented before the
+    # train's first present, but its outcome comes after frame 2 completes, so it never completes
+    "pending-frames-submitted-out-of-order": (dict(sizes=((160, 120), (32, 24)), fps=(60, 60), encode=600_000,
+                                                   decodes=(25_000_000,), latency=16_000, shared=True,
+                                                   input_latency=4_000, controller=dict(k_down=1, k_up=1, cooldown=0,
+                                                                                       window_us=23_334)), 7),
+    # the same with level 0 ready 16.6 ms after a frame starts and decoded in 9.6 ms, level 1 in 0.4 ms, on a
+    # 17 ms link: frames 1 and 2 are pending at the train at 50,001 us in frame order, but frame 2 is
+    # presented at 51,384 us, before frame 1 at 59,846 us, which makes frame 1 stale
+    "pending-frames-presented-out-of-order": (dict(sizes=((160, 120), (32, 24)), fps=(60, 60), encode=1_160_000,
+                                                   decodes=(2_000_000,), latency=17_000, shared=True,
+                                                   input_latency=4_000, controller=dict(k_down=1, k_up=1, cooldown=0,
+                                                                                       window_us=23_334)), 7),
 }
 
 
@@ -720,8 +751,15 @@ def test_inputs_arriving_as_a_frame_starts_match_input_events(monkeypatch):
     assert settled == _TIE_SETTLED  # trains read the inputs of the frames they settle as frame events do
 
 
-# how many frames of each tie case trains settle: none on the lossy and jittery paths
-_TIE_SETTLED = [0] * 6 + [36, 30] + [0] * 13 + [4, 0, 20] + [0] * 12 + [90, 90, 60] + [0] * 12 + [174, 174] + [0] * 7
+# how many frames of each tie case trains settle, one row per rate: none on the lossy and jittery paths
+_TIE_SETTLED = [30, 10, 25, 24, 8, 20,
+                36, 30, 0, 30, 25, 0, 30, 25, 0,
+                4, 0, 0, 4, 0, 0,
+                4, 0, 20, 4, 0, 20, 4, 0, 20,
+                84, 112, 84, 78, 104, 78,
+                90, 90, 60, 84, 84, 56, 84, 84, 56,
+                174, 172, 173, 168, 166, 167,
+                174, 174, 0, 174, 173, 0, 168, 168, 0]
 
 
 # Inputs go every 10 ms.  A 56 B input takes 1 us at the paths' 448 Mb/s,

@@ -19,7 +19,9 @@ microsecond later would abandon them; inputs still arrive at frame events.
 frame trains run, with a ladder of frame rates that divide one another and
 a controller that moves at every 100 ms window that asks for it; on a shared
 link the even ids' own paths are often jittery around the RTT budget, so
-their levels, and the order of the frame events at one instant, move apart.
+their levels, and the order of the frame events at one instant, move apart,
+and in some documents the shared link is 12 or 30 ms long, so that frames
+arrive, and are presented, after their clients' next frames start.
 
 Production and `_Events` must give the same trace and the same logs (the
 handled events, each client's presents, and the RTT samples and frame
@@ -153,7 +155,8 @@ def _train_document(seed):
     """A document whose frame paths are free of loss and jitter, so that trains run on them, with a
     ladder of frame rates that divide one another and a controller that moves at every window that
     asks for it.  On a shared egress or master uplink some clients' own paths are jittery around the
-    RTT budget, so their levels, and the order of their frame events at one instant, move apart."""
+    RTT budget, so their levels, and the order of their frame events at one instant, move apart, and
+    the shared link may be longer than a frame interval, so that presents lag their next frames."""
     rng = random.Random(seed)
     doc = _base(rng, rng.randint(2, 4))
     if doc["topology"]["mode"] == orchestrator.EDGE_HOSTED and rng.random() < 0.7:
@@ -182,6 +185,8 @@ def _train_document(seed):
     doc.update(ping_interval=20_000, sync_interval=rng.choice((33_334, 50_000, 990_001)),
                prerender=rng.randint(0, 1))
     doc["events"] = [_step(rng, doc["clients"]) for _ in range(rng.choice((0, 0, 1)))]
+    if shared is not None and rng.random() < 0.3:  # frames arrive after their clients' next frames start
+        shared["one_way_latency"] = rng.choice((12_000, 30_000))
     return doc
 
 

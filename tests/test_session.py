@@ -293,7 +293,7 @@ def test_dropping_a_frame_that_is_not_pending_raises():
     """A frame is resolved once: dropping one resolved already, or never sent, is a fault, not a no-op."""
     sim = session._Simulation(_edge((ClientSpec(0, NOMINAL),)), DEFAULT_LADDER, 1_000_000, SessionSettings(), 0, 0)
     st = sim.clients[0]
-    st.pending[0] = (0, 0, None)
+    st.pending[0] = (0, 0, None, None)
     sim._drop_frame(st, 0, "stale")
     for fid in (0, 1):
         with pytest.raises(KeyError):
