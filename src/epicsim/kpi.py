@@ -58,7 +58,8 @@ class RunTrace:
     bucketed per simulated second per client.  queue_drop_timeline holds the
     cumulative queue-drop counter over all frame-carrying paths, sampled per
     controller window, which is what the stress search's congestion test
-    inspects.
+    inspects.  drop_reasons counts the dropped frames by reason, its keys in
+    sorted order.
     """
 
     duration_us: int

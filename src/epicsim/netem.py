@@ -27,10 +27,11 @@ the same state as one `submit` per datagram.  `Path.advance_to` pops and
 lists what has arrived; `Path.forget_to` pops and counts it, for a caller
 that never reads its deliveries; `Path.skip_delivered` counts datagrams as
 submitted and delivered without admitting them, for a caller that knows that
-none is drawn on or cut and that all arrive by its next `forget_to` (a frame
-train).  No code in `src` calls `advance_to`: a run reads each delivery time
-off its submission, and only the tests, their reference oracles and the
-benchmark's tracer and micro cases poll a path.
+none is drawn on or cut, that each has left the serializer by the next
+admission, and that each arrives before anything reads `delivered` or the
+arrivals (a frame train).  No code in `src` calls `advance_to`: a run reads
+each delivery time off its submission, and only the tests, their reference
+oracles and the benchmark's tracer and micro cases poll a path.
 
 In-flight datagrams are kept as runs.  `_serializing` holds runs
 `(first_end, tx, count, size)`: `count` datagrams of `size` bytes whose
@@ -194,7 +195,9 @@ class Path:
 
     def skip_delivered(self, count: int) -> None:
         """Count `count` datagrams as submitted and delivered and skip their draws, changing nothing else: on a
-        path without loss or jitter, what admitting them uncut and a `forget_to` past their arrivals leave there."""
+        path without loss or jitter, what admitting them uncut leaves once they have left the serializer and a
+        `forget_to` has counted them.  The caller knows that each leaves the serializer by the next admission
+        and arrives before anything reads `delivered` or the arrivals; its next `forget_to` need not pass them."""
         self.rng.skip(count)
         self.submitted += count
         self.delivered += count

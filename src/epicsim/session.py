@@ -33,36 +33,62 @@ Such frames go in trains.  At the frame event at T of the first client on a
 path without loss or jitter, when each client on it starts a frame at T, at
 one level, with every frame it started ready, `_train` settles the path's
 instants T, T + I, ... in one pass: it sends each client's frames and the
-syncs between them, and settles the frames (below).  An instant is settled
-while each frame is presented before the next window not yet handled and by
-the end, the group's bursts plus one sync fit the queue, the ready is before
-the next step and at no sync, the syncs due before it leave the path idle by
-then, and the next instant is not a sync time; the train then ends at the
-last ready that the last sync before it has reached.  A frame may be
+syncs between them, and settles the frames (below).  A frame may be
 presented after its client's next frame starts: on a shared path the last
-burst of an instant can arrive after the next instant begins.  The frames a
-client has pending at T are taken over when, taken in the order they were
-submitted, each is newer than the last completed frame (its outcome event
-has not run) and older than the next one (its outcome finds no newer frame
-completed), and is presented, at the time `_on_ready` kept for it, before
-the next one and before the client's first present here (it is not stale).
-The train presents them by `_on_present`, and their outcome events find
-them gone from `pending` and return.  Otherwise no train runs.  One
-instant's bursts are admitted once on a fresh idle `Path` and cached
-(`_instant`), and the syncs between readies are stepped in closed form.  It
-takes the clients in the push order of their frame events at T
-(`frame_seq`), which need not be client order once they have run at
-different frame rates: each instant's bursts and their next frame events go
-in the order those events would run.  Each client's frame event for the first
-instant not settled, pushed at T, keeps its place there: a window or step
-there was pushed by T, the path's clients have no other event but outcomes
-that return at once, other clients' events touch none of their state, and
-the last rule keeps out a sync pushed after T.  That order is read: with
-syncs sparser than frames the sync runs first, and if a window set a level
-whose ready time is the sync interval, the next sync meets the frame's ready
-and runs first too.  The group's frame events at T return at once; a train
-that settles nothing waits for the next window.  Only the first client's
-frame events try a train (`_on_train_frame`).
+burst of an instant can arrive after the next instant begins.  In the idle
+form each ready finds the path idle, so one instant's bursts are admitted
+once on a fresh idle `Path` and cached (`_instant`), and the syncs between
+readies are stepped in closed form.  An instant is settled while each frame
+is presented before the next window not yet handled and by the end, the
+group's bursts plus one sync fit the queue, the ready is before the next
+step and at no sync, the syncs due before it leave the path idle by then,
+and the next instant is not a sync time; the train then ends at the last
+ready that the last sync before it has reached.  A ready that finds the path
+busy, a sync that would overflow its queue, or an `_instant` that cuts a
+burst or abandons a frame makes it the busy form (`_admit_busy`): each
+instant's syncs and bursts go to the path for real, in the order of their
+events, and each frame's fate is read off its arrivals.  A cut burst drops
+its frame at its ready (`fragment_queue_full`), an abandoned one at its late
+fragment (`reassembly_abandoned`); a completed one is presented one decode
+time after its last arrival.  No admission is undone, so an instant is
+admitted only while this bound puts its frames before the next window not
+yet handled and by the end: its bursts start serializing by the later of
+its ready and the busy time the syncs due before it leave, end within n
+bursts' serialization time, or a full queue's of their fragments, which
+caps a cut one, arrive a latency later, and take the largest decode time.
+The idle form's other rules hold: the ready is before the next step and at
+no sync, and the next instant is not a sync time.  The train ends at a
+ready, so each sync it admitted is earlier than `Path.last_submit`, and
+`_on_sync` skips it.
+
+The frames a client has pending at T are taken over when, taken in the order
+they were submitted, each is newer than the last presented frame and older
+than the next one (its outcome finds no newer frame completed), and is
+presented, at the time `_on_ready` kept for it, before the next one and
+before the client's first present here (it is not stale), or in the busy
+form before a bound below it: after the later of its ready and the path's
+busy time, its burst's serialization time (a full queue's if less: a burst
+that completes fits the queue), a latency and its decode time, so that it
+is before the next window too when the first instant is admitted.  A
+pending frame whose outcome has not run never completes if a newer one has;
+that one was submitted before it, so it is pending ahead of it out of frame
+order, or presented, and the rule refuses both.  The train presents the
+frames it takes over by `_on_present`, and their outcome events, or the
+present events of those whose outcomes have run, find them gone from
+`pending` and return.  Otherwise no train runs.  A train takes the clients
+in the push order of their frame events at T (`frame_seq`), which need not
+be client order once they have run at different frame rates: each instant's
+bursts and their next frame events go in the order those events would
+run.  Each client's frame event for the first instant not settled, pushed at
+T, keeps its place there: a window or step there was pushed by T, the path's
+clients have no other event but outcomes and presents that return at once,
+other clients' events touch none of their state, and the last rule keeps out
+a sync pushed after T.  That order is read: with syncs sparser than frames
+the sync runs first, and if a window set a level whose ready time is the
+sync interval, the next sync meets the frame's ready and runs first
+too.  The group's frame events at T return at once; a train that settles
+nothing waits for the next window.  Only the first client's frame events try
+a train (`_on_train_frame`).
 
 Presenting a frame after its client's next frame starts is exact because
 only four things read `pending`, `last_completed` and `last_presented`
@@ -70,36 +96,48 @@ between a frame's start and its present, and each gives the train's answer:
 
 - `_on_ready`'s present-at-submission test only picks between presenting a
   frame at its submission and pushing its outcome, which present it at the
-  same P.  The first frame after a train takes the events' branch: if a
-  train's frame is still pending at its ready in the events, that frame is
+  same P.  After an idle train the first frame takes the events' branch: if
+  a train's frame is still pending at its ready in the events, that frame is
   presented after the ready, and the new frame, at the same level (the
   presents come before the next window) and in the same place on a path at
   least as busy, is presented as long after its start, so after its next
   frame starts, and both push its outcome.  The train leaves nothing
   pending there, but the new frame fails the same bound; only a bandwidth
   step between can make it complete sooner, and then it is presented after
-  the pending frame, at the P its outcome would give.
+  the pending frame, at the P its outcome would give.  After a busy train,
+  whose path may drain, the first frame may take the other branch; then the
+  train's frames, which arrive before it, are presented before P in the
+  events too, so by P the counts and samples are the same.
 - `_on_outcome`'s older-frame rule: a draw-free path delivers in submission
   order, and the train's frames, like the pending ones it takes over, were
   submitted in frame order, so none finds a newer frame completed.
-- `_on_present`'s stale check: a train's frames of one client share a level
-  and a place in each instant, so their presents rise with their ids, and
-  the pending frames taken over are presented before them, in frame order.
-- The window sweep: every present is before the next window.
+- `_on_present`'s stale check: a train's frames of one client share a level,
+  so a decode time, and each arrives after the one before it, so their
+  presents rise with their ids, and the pending frames taken over are
+  presented before them, in frame order.
+- The window sweep: every frame resolves before the next window.
 
-Netem counts each burst but the last instant's as delivered at once
-(`Path.skip_delivered`), though one may arrive after the train's last
+In the idle form netem counts each burst but the last instant's as delivered
+at once (`Path.skip_delivered`), though one may arrive after the train's last
 ready.  It arrives at least one interval before the next window, so in the
 events a ready of the path forgets it before then, and the path's state at
-each window is the same.
+each window is the same.  The busy form makes the calls the events make, in
+their order: each sync's `submit_burst` at its time, and at each ready a
+`forget_to` and the group's `submit_burst`s.  No other event touches the
+path between the train's first ready and its last, since bandwidth steps
+come after them, so its state at the last ready, and at each window, is the
+events'.
 
 A train settles each client's k frames in closed form (`_settle`), as k frame,
-ready and present events would with nothing pending: no frame enters
-`pending`.  The frame ids, `last_completed`, `last_presented` and the sent,
-delivered and window counts move by k, the window bits by k frames' bits.
-The presents fall at `T + P + j * I`, so one division per second boundary
+ready, outcome and present events would with nothing pending: no frame enters
+`pending`.  The frame ids and the sent count move by k.  In the idle form
+every frame is presented: `last_completed`, `last_presented` and the
+delivered and window counts move by k, the window bits by k frames' bits,
+and the presents fall at `T + P + j * I`, so one division per second boundary
 splits their bits among the per-second counts, the last one taking the rest.
-`_read_inputs_along` reads their inputs in one pass, below.
+In the busy form each frame is presented or dropped at its own time, and the
+counts move frame by frame.  `_read_inputs_along` reads their inputs in one
+pass, below.
 
 Inputs are neither records nor events.  The host reads an input for one thing:
 when a frame starts, the send time of the latest input it holds becomes the
@@ -242,6 +280,7 @@ DEVICE_NODE = NodeSpec(node_id=-1, pixel_throughput=200_000_000,
 DECODE_THROUGHPUT = 7_000_000_000  # a client's decode rate in pixels/second, unless set
 
 _INPUT_BYTES = HEADER_LEN + INPUT_PAYLOAD_LEN  # wire size of an INPUT message
+_FRAGMENT_DROPS = {Drop.LOSS: "fragment_loss", Drop.QUEUE: "fragment_queue_full"}  # by a frame's first dropped fragment
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,13 +387,13 @@ def check_run(ladder: tuple[QualityLevel, ...], duration_us: int, settings: Sess
 @functools.lru_cache(maxsize=64)
 def _instant(profile: NetworkProfile, runs: tuple[tuple[int, int], ...], n: int, sync_bytes: int):
     """On the path idle at 0: the outcome of each of `n` clients' bursts of `runs` (None if the queue cuts one),
-    when the last one ends serializing, the bytes they queue, and how long a sync of n datagrams then takes."""
+    the bytes they take, and how long one of them and a sync of n datagrams take to serialize."""
     idle = Path(profile, 0)
     arrivals = [idle.submit_burst(runs, 0) for _ in range(n)]
-    burst_end, burst_bytes, cut = idle.busy_until, idle.queued_bytes, idle.dropped_queue
-    idle.submit_burst(((sync_bytes, n),), burst_end)
-    ends = None if cut else tuple(frame_outcome(burst) for burst in arrivals)
-    return ends, burst_end, burst_bytes, idle.busy_until - burst_end
+    ends = None if idle.dropped_queue else tuple(frame_outcome(burst) for burst in arrivals)
+    burst_tx = sum(count * ceil_div(size * 8_000_000, profile.bandwidth) for size, count in runs)
+    sync_tx = n * ceil_div(sync_bytes * 8_000_000, profile.bandwidth)
+    return ends, n * sum(size * count for size, count in runs), burst_tx, sync_tx
 
 
 class _ClientState:
@@ -607,54 +646,73 @@ class _Simulation:
         group = sorted((c for c in self.clients.values() if c.down_frames is path), key=attrgetter("frame_seq"))
         size, _, ready, interval = self.level_costs[level]
         st.train_from = self.next_window
-        if path.busy_until > t + ready or not all(c.next_frame == t and c.controller.level == level
-                                                  and c.frames.sent == c.next_frame_id for c in group):
+        if not all(c.next_frame == t and c.controller.level == level and c.frames.sent == c.next_frame_id
+                   for c in group):
             return False
-        profile, n = path.profile, len(group)
+        profile, n, every = path.profile, len(group), settings.sync_interval_us
         runs = fragment_runs(size, profile.mtu)
-        ends, burst_end, burst_bytes, sync_tx = _instant(profile, runs, n, settings.sync_bytes)
-        if ends is None or not all(completed for _, completed in ends):
-            return False
-        presents = [ready + end + c.decode_us[level] for (end, _), c in zip(ends, group)]  # after the instant
-        crossing = []  # pending frames whose outcome events have not run, to present ahead of the train's
-        for c, present in zip(group, presents):
-            newer, before = c.next_frame_id, t + present  # the client's first frame here, and its present
+        ends, burst_bytes, burst_tx, sync_tx = _instant(profile, runs, n, settings.sync_bytes)
+        # the idle form, unless a ready finds the path busy or a sync its queue full (module docstring)
+        k, idle = 0, ends is not None and all(completed for _, completed in ends)
+        if idle:
+            presents = [ready + end + c.decode_us[level] for (end, _), c in zip(ends, group)]  # after the instant
+            latest, sync_bytes = max(presents), settings.sync_bytes * n
+            sync, busy, queued, arrived = self.next_sync, path.busy_until, path.queued_bytes, -1
+            at, capacity = t, profile.queue_capacity
+            # presented before the next window and by the end, ready before the next bandwidth step (whose input
+            # bound is its time, or the start + 1 for one at the start: a microsecond early but at the start)
+            stop = min(self.next_window - 1 - latest, self.end - latest, self.input_bounds[-1] - 2 - ready)
+            while at <= stop:
+                while sync < at + ready and queued <= capacity:  # the syncs due before this ready
+                    busy, queued = (busy, queued) if busy > sync else (sync, 0)
+                    busy, queued, sync = busy + sync_tx, queued + sync_bytes, sync + every
+                    arrived = busy + profile.one_way_latency
+                if queued > capacity or busy > at + ready:
+                    idle = False
+                    break
+                if sync == at + ready or (at + interval - self.start) % every == 0:
+                    break
+                if arrived <= at + ready:  # the last sync before this ready has reached it: the train may end here
+                    k = (at - t) // interval + 1  # the instants settled so far
+                busy, queued, at = at + ready + n * burst_tx, burst_bytes, at + interval
+            if idle and not k:
+                return False
+        if not idle:
+            # a queue full of these fragments serializes within drain, so a cut instant ends by then, and a
+            # burst that completes fits the queue
+            drain = max(ceil_div(profile.queue_capacity * ceil_div(size * 8_000_000, profile.bandwidth), size)
+                        for size, _ in runs)
+            decodes = [c.decode_us[level] for c in group]
+            lead = min(n * burst_tx, drain) + profile.one_way_latency + max(decodes)  # after the bursts can start
+            # below each client's first present here: its burst starts at its ready or behind what the path holds
+            begin = max(t + ready, path.busy_until) - t + min(burst_tx, drain) + profile.one_way_latency
+            presents = [begin + decode for decode in decodes]
+        crossing = []  # pending frames, to present ahead of the train's
+        for c, first in zip(group, presents):  # each client's first present here, or a bound below it
+            newer, before = c.next_frame_id, t + first  # the client's first frame here, and its present
             for fid, (_, _, _, shown) in reversed(c.pending.items()):  # in submission order, the latest first
-                if not c.last_completed < fid < newer or shown >= before:
+                if not c.last_presented < fid < newer or shown >= before:
                     return False
                 crossing.append((shown, c, fid))
                 newer, before = fid, shown
-        latest = max(presents)
-        sync_bytes, every = settings.sync_bytes * n, settings.sync_interval_us
-        sync, busy, queued, arrived, k = self.next_sync, path.busy_until, path.queued_bytes, -1, 0
-        at, capacity = t, profile.queue_capacity
-        # presented before the next window and by the end, ready before the next bandwidth step (whose input
-        # bound is its time, or the start + 1 for one at the start: a microsecond early but at the start)
-        stop = min(self.next_window - 1 - latest, self.end - latest, self.input_bounds[-1] - 2 - ready)
-        while at <= stop:
-            while sync < at + ready and queued <= capacity:  # the syncs due before this ready
-                busy, queued = (busy, queued) if busy > sync else (sync, 0)
-                busy, queued, sync = busy + sync_tx, queued + sync_bytes, sync + every
-                arrived = busy + profile.one_way_latency
-            if (queued > capacity or sync == at + ready or busy > at + ready
-                    or (at + interval - self.start) % every == 0):
-                break
-            if arrived <= at + ready:  # the last sync before this ready has reached it: the train may end here
-                k = (at - t) // interval + 1  # the instants settled so far
-            busy, queued, at = at + ready + burst_end, burst_bytes, at + interval
-        if not k:
-            return False
-        st.train_from, last = t, t + (k - 1) * interval + ready
         fragments = sum(count for _, count in runs)
-        path.skip_delivered(n * ((k - 1) * fragments + max(0, ceil_div(last - self.next_sync, every))))
-        path.forget_to(last)
-        for _ in group:
-            path.submit_burst(runs, last)
-        for shown, c, fid in reversed(crossing):  # their outcome events then find them presented
+        if idle:
+            last = t + (k - 1) * interval + ready
+            path.skip_delivered(n * ((k - 1) * fragments + max(0, ceil_div(last - self.next_sync, every))))
+            path.forget_to(last)
+            for _ in group:
+                path.submit_burst(runs, last)
+        else:
+            presents = self._admit_busy(t, group, runs, fragments, lead, sync_tx)
+            k = len(presents[0])
+            if not k:
+                return False
+        st.train_from = t
+        for shown, c, fid in reversed(crossing):  # their outcome or present events then find them presented
             self._on_present(shown, c, fid)
         for c, present in zip(group, presents):
             self._settle(c, t, k, interval, present)
-        if self.log_frames:  # one line per frame, in the order of their readies
+        if self.log_frames and idle:  # one line per frame, in the order of their readies
             for j in range(k):
                 at = t + j * interval + ready
                 for c, (end, _) in zip(group, ends):
@@ -664,28 +722,80 @@ class _Simulation:
             self._push_frame(t + k * interval, c)
         return True
 
-    def _settle(self, st: _ClientState, t: int, k: int, interval: int, present: int) -> list[int | None]:
-        """Start the client's k frames at t, t + interval, ... and present each `present` after its start, as
-        its frame, ready and present events would with nothing pending; returns their input origins."""
-        fid, bits = st.next_frame_id, self.level_costs[st.controller.level][0] * 8
-        st.next_frame_id = fid + k
-        st.last_completed = st.last_presented = fid + k - 1
-        st.frames.sent += k
-        st.frames.delivered += k
-        st.window_delivered += k
-        st.window_bits += k * bits
-        buckets, first, j = st.per_second_bits, t + present, 0
-        while j < k:  # the presents in each second, the last one counting every present after it
-            second = (first + j * interval - self.start) // 1_000_000
-            if second >= len(buckets) - 1:
-                second, after = len(buckets) - 1, k
-            else:
-                after = min(k, ceil_div(self.start + (second + 1) * 1_000_000 - first, interval))
-            buckets[second] += (after - j) * bits
-            j = after
+    def _admit_busy(self, t: int, group: list[_ClientState], runs, fragments: int, lead: int,
+                    sync_tx: int) -> list[list[tuple[int, str | None]]]:
+        """Admit the group's instants at t, t + I, ... and the syncs between them to their path, as their sync and
+        ready events would, while each instant's frames resolve by `lead` after its bursts can start, before the
+        next window and by the end; returns each client's frames' fates, as `_settle` takes them."""
+        st, settings = group[0], self.settings
+        path, level, n, every = st.down_frames, st.controller.level, len(group), settings.sync_interval_us
+        _, _, ready, interval = self.level_costs[level]
+        fates, limit, sync, at = [[] for _ in group], min(self.next_window - 1, self.end), self.next_sync, t
+        while at <= self.input_bounds[-1] - 2 - ready and (at + interval - self.start) % every:
+            ready_at, busy, due = at + ready, path.busy_until, sync
+            while due < ready_at:  # the syncs due before this ready, each ending by busy at the latest
+                busy, due = max(busy, due) + sync_tx, due + every
+            if due == ready_at or max(busy, ready_at) + lead > limit:
+                break
+            while sync < ready_at:
+                path.submit_burst(((settings.sync_bytes, n),), sync)
+                sync += every
+            path.forget_to(ready_at)
+            for c, fate in zip(group, fates):
+                cut = path.dropped_queue
+                arrivals = path.submit_burst(runs, ready_at)
+                cut = path.dropped_queue - cut
+                if cut:  # the path is draw-free: only the queue drops
+                    end, reason = ready_at, _FRAGMENT_DROPS[Drop.QUEUE]
+                else:
+                    end, completed = frame_outcome(arrivals)
+                    reason = None if completed else "reassembly_abandoned"
+                fate.append((end + c.decode_us[level] if reason is None else end, reason))
+                if self.log_frames:
+                    logger.debug(FRAME_LINE, ready_at, c.spec.client_id, c.next_frame_id + len(fate) - 1, fragments,
+                                 cut, reason or "completes", end)
+            at += interval
+        return fates
+
+    def _settle(self, st: _ClientState, t: int, k: int, interval: int, present) -> list[int | None]:
+        """Start the client's k frames at t, t + interval, ... and resolve them as their frame, ready, outcome and
+        present events would with nothing pending; returns their input origins.  `present` is how long after its
+        start each frame is presented, or each frame's fate: (its present time, None), or (when it is dropped,
+        the reason)."""
+        fid, bits, buckets = st.next_frame_id, self.level_costs[st.controller.level][0] * 8, st.per_second_bits
         origins = self._read_inputs_along(st, t, k, interval)
-        st.m2p += [at - origin for at, origin in zip(range(first, first + k * interval, interval), origins)
-                   if origin is not None]
+        if present.__class__ is int:
+            delivered = k
+            st.last_completed = st.last_presented = fid + k - 1
+            first, j = t + present, 0
+            while j < k:  # the presents in each second, the last one counting every present after it
+                second = (first + j * interval - self.start) // 1_000_000
+                if second >= len(buckets) - 1:
+                    second, after = len(buckets) - 1, k
+                else:
+                    after = min(k, ceil_div(self.start + (second + 1) * 1_000_000 - first, interval))
+                buckets[second] += (after - j) * bits
+                j = after
+            st.m2p += [at - origin for at, origin in zip(range(first, first + k * interval, interval), origins)
+                       if origin is not None]
+        else:
+            delivered, reasons = 0, self.trace.drop_reasons
+            for j, ((at, reason), origin) in enumerate(zip(present, origins)):
+                if reason:
+                    reasons[reason] = reasons.get(reason, 0) + 1
+                    continue
+                delivered += 1
+                st.last_completed = st.last_presented = fid + j
+                buckets[min((at - self.start) // 1_000_000, len(buckets) - 1)] += bits
+                if origin is not None:
+                    st.m2p.append(at - origin)
+        st.next_frame_id = fid + k
+        st.frames.sent += k
+        st.frames.delivered += delivered
+        st.frames.dropped += k - delivered
+        st.window_delivered += delivered
+        st.window_dropped += k - delivered
+        st.window_bits += delivered * bits
         return origins
 
     def _read_inputs_along(self, st: _ClientState, t: int, k: int, interval: int) -> list[int | None]:
@@ -733,8 +843,11 @@ class _Simulation:
         self._seq += 1
         seq = self._seq
         st.frames.sent += 1
-        if lost or cut:  # the first dropped fragment names the reason
-            outcome, end = "fragment_" + next(at.value for at, _, _ in arrivals if isinstance(at, Drop)), t
+        if lost or cut:
+            for at, _, _ in arrivals:  # the first dropped fragment names the reason
+                if at.__class__ is Drop:
+                    break
+            outcome, end = _FRAGMENT_DROPS[at], t
             st.pending[fid] = (arrivals[0][0], level_idx, input_origin, math.inf)
             self._drop_frame(st, fid, outcome)
         else:
@@ -787,6 +900,8 @@ class _Simulation:
             self._drop_frame(st, fid, "reassembly_abandoned")
 
     def _on_present(self, t: int, st: _ClientState, fid: int):
+        if fid not in st.pending:
+            return  # presented by a train
         if fid <= st.last_presented:
             self._drop_frame(st, fid, "stale")
             return
@@ -903,6 +1018,7 @@ class _Simulation:
             totals.delivered += frames.delivered
             totals.dropped += frames.dropped
         trace.frames = totals
+        trace.drop_reasons = dict(sorted(trace.drop_reasons.items()))
         for r in self.paths:
             p = r.path
             trace.path_counters[r.name] = (p.submitted, p.delivered, p.dropped_loss, p.dropped_queue)

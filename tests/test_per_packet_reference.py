@@ -9,7 +9,7 @@ train, each state sync as one burst per frame path, each client's inputs as
 series, window by window, that a frame reads when it starts, and its PINGs
 and PONGs as series, window by window, whose samples each window reads with
 a cursor.  Both must give the same trace, handle the same state syncs,
-windows and bandwidth steps in the same order, start and present each
+windows and bandwidth steps in the same order, start, present and drop each
 client's frames at the same times in the same order, and have applied the
 same RTT samples and counted the same frames when each window reads
 them.  That includes jittery paths where a whole frame arrives at the clamped
@@ -17,8 +17,9 @@ arrival of an earlier packet, inputs and PONGs that arrive at the exact
 microsecond of a frame or window event, inputs sent at the microsecond of a
 bandwidth step, and one case for each condition under which the session does
 not present a frame where it is submitted, and one for each condition under
-which a train stops short.  `tests/test_random_scenarios.py` and
-`tests/events_equivalence.py` compare them on generated scenarios as well.
+which a train stops short or admits its instants as their events would.
+`tests/test_random_scenarios.py` and `tests/events_equivalence.py` compare
+them on generated scenarios as well.
 """
 
 import heapq
@@ -58,12 +59,14 @@ def _kind(handler):
 
 
 class _Logged(session._Simulation):
-    """Logs every state sync, window and bandwidth step event handled and every frame drop,
-    in order.  Apart from them it logs per client each frame start (time, frame id, level and
-    motion-to-photon origin) and each present, since the session may settle a frame in a
-    train or present it where it is submitted, and what each window reads of each client:
-    the RTT samples applied and the frames and bits counted since the last window.  A frame
-    event's start comes from `_read_inputs`, a train's starts and presents from `_settle`."""
+    """Logs every state sync, window and bandwidth step event handled, in order.  Apart from them
+    it logs per client each frame start (time, frame id, level and motion-to-photon origin), each
+    present and each drop with its time, since the session may settle a frame in a train or present
+    it where it is submitted, and what each window reads of each client: the RTT samples applied and
+    the frames and bits counted since the last window.  A frame event's start comes from
+    `_read_inputs`, a train's starts, presents and drops from `_settle`, with a cut frame dropped at
+    its ready and an abandoned one at its late fragment; a present event logs only a frame still
+    pending, since a train may have presented it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -71,6 +74,8 @@ class _Logged(session._Simulation):
         self.presents = []
         self.window_samples = []
         self.starts = []
+        self.drops = []
+        self.now = self.start  # the time of the event being handled
         self.settled = 0  # frames settled by trains
 
     def _train(self, t, st):
@@ -88,11 +93,15 @@ class _Logged(session._Simulation):
         return super()._read_inputs(st, t)
 
     def _settle(self, st, t, k, interval, present):
-        fid, level = st.next_frame_id, st.controller.level
+        fid, level, cid = st.next_frame_id, st.controller.level, st.spec.client_id
         origins = super()._settle(st, t, k, interval, present)
-        for j, origin in enumerate(origins):
-            self.starts.append((st.spec.client_id, t + j * interval, fid + j, level, origin))
-            self.presents.append((st.spec.client_id, t + j * interval + present, fid + j))
+        fates = [(t + j * interval + present, None) for j in range(k)] if present.__class__ is int else present
+        for j, (origin, (at, reason)) in enumerate(zip(origins, fates)):
+            self.starts.append((cid, t + j * interval, fid + j, level, origin))
+            if reason:
+                self.drops.append((cid, at, fid + j, reason))
+            else:
+                self.presents.append((cid, at, fid + j))
         return origins
 
     def _read_pongs(self, st, t):
@@ -103,24 +112,27 @@ class _Logged(session._Simulation):
 
     def _drop_frame(self, st, fid, reason):
         if fid in st.pending:
-            self.log.append(("drop", st.spec.client_id, fid, reason))
+            self.drops.append((st.spec.client_id, self.now, fid, reason))
         super()._drop_frame(st, fid, reason)
 
     def _on_present(self, t, st, fid):
-        self.presents.append((st.spec.client_id, t, fid))
+        if fid in st.pending:  # not presented by a train already
+            self.presents.append((st.spec.client_id, t, fid))
         super()._on_present(t, st, fid)
 
     def handled(self, t, handler, args):
         # production has no event per message, and none for a frame a train settles
+        self.now = t
         kind = _kind(handler)
         if kind in ("sync", "window", "bwstep"):
             self.log.append((t, kind, *args))
 
     def logs(self):
-        """The handled-event log, each client's presents in order, the window reads, and each client's
-        frame starts in order."""
+        """The handled-event log, each client's presents in order, the window reads, each client's
+        frame starts in order, and each client's drops in order of their times."""
         by_client = itemgetter(0)
-        return self.log, sorted(self.presents, key=by_client), self.window_samples, sorted(self.starts, key=by_client)
+        return (self.log, sorted(self.presents, key=by_client), self.window_samples,
+                sorted(self.starts, key=by_client), sorted(self.drops))
 
 
 class _Events(_Logged):
@@ -513,8 +525,8 @@ _SUBMISSION_CASES = {
 
 
 # how many frames of each case trains settle: the frames that meet the case's condition take `_on_ready`
-_SUBMISSION_SETTLED = {"abandoned-by-its-own-fragment": 0, "older-than-the-last-completed": 6,
-                       "newer-frame-not-yet-ready": 25, "newer-frame-presented-first": 29, "present-at-a-window": 56,
+_SUBMISSION_SETTLED = {"abandoned-by-its-own-fragment": 0, "older-than-the-last-completed": 18,
+                       "newer-frame-not-yet-ready": 25, "newer-frame-presented-first": 41, "present-at-a-window": 56,
                        "present-after-the-end": 60}
 
 
@@ -595,7 +607,8 @@ def _window_states(args, trains):
     return states
 
 
-# Each case meets one condition under which a train stops short, with the number of frames trains
+# Each case meets one condition under which a train stops short, or admits its instants to netem as
+# their events would (a path busy at a ready, a cut or an abandonment), with the number of frames trains
 # settle.  Without that condition the run leaves the all-events reference, or a frame path's netem
 # state at a window leaves the run without trains.  A sync at the next instant would run after the
 # frame event a train pushed early, where the events run it first when syncs are sparser than frames:
@@ -608,13 +621,13 @@ _TRAIN_CASES = {
     # the frame started at 16,667 us is ready at 17,669 us, where the second sync is due and runs first
     "sync-at-a-ready": (dict(sync_interval=17_669), 46),
     # 647 B fragments take 1,849 us at 2.8 Mb/s, and two fill the queue: the sync at 50,005 us,
-    # due 1 us after the frames started at 50,001 us are ready, is cut
+    # due 1 us after the frames started at 50,001 us are ready, is cut, so each train admits its instants
     "sync-inside-a-shared-group": (dict(decodes=(7_000_000_000,) * 2, shared=True, mtu=700, bandwidth=2_800_000,
-                                        encode=6_144_000_000, sync_interval=50_005, queue=1_294), 90),
+                                        encode=6_144_000_000, sync_interval=50_005, queue=1_294), 120),
     # the sync at 480,000 us arrives at 485,004 us, after the ready at 483,346 us of the last frame the
     # train from 250,005 us could settle, so that train ends a frame earlier; the sync at 0, serialized
-    # until 4 us, keeps the first frame, ready at 3 us, out of a train
-    "sync-arriving-after-the-last-ready": (dict(latency=5_000, encode=6_144_000_000, sync_interval=60_000), 45),
+    # until 4 us, makes the first frame's ready at 3 us find the path busy, so the train at 0 admits its instants
+    "sync-arriving-after-the-last-ready": (dict(latency=5_000, encode=6_144_000_000, sync_interval=60_000), 60),
     # the step at 100 ms makes the one-fragment frame take 1 ms to serialize in place of 8 us
     "bandwidth-step-inside-a-span": (dict(steps=((100_000, 5_000_000),)), 60),
     # frames are ready their encode time after they start, without the render time
@@ -658,9 +671,9 @@ _TRAIN_CASES = {
     "pending-frame-at-another-level": (dict(sizes=((96, 64), (32, 24)), fps=(60, 60), encode=500_000,
                                             decodes=(500_000,), latency=6_000), 43),
     # a 20.5 ms decode: each frame's outcome runs before the next frame starts and pushes its present
-    # after it, so the frame pending at each window's train, such as frame 14 presented at 254,928 us
-    # when the train at 250,005 us is tried, is left to its present event and no train follows the first
-    "pending-frame-with-its-present-pushed": (dict(decodes=(300_000,)), 14),
+    # after it, so each window's train, such as the one at 250,005 us, takes over a frame whose present
+    # event is pushed, here frame 14 presented at 254,928 us, and that event then finds it presented
+    "pending-frame-with-its-present-pushed": (dict(decodes=(300_000,)), 56),
     # level 0 is ready 32 ms after a frame starts and level 1 1.3 ms, on a 16 ms shared link, and the window
     # at 23,334 us moves the client down: frame 1, started at 16,667 us, is submitted after frame 2, started
     # at 33,334 us.  At the train at 50,001 us both are pending, and frame 1 would be presented before the
@@ -676,6 +689,40 @@ _TRAIN_CASES = {
                                                    decodes=(2_000_000,), latency=17_000, shared=True,
                                                    input_latency=4_000, controller=dict(k_down=1, k_up=1, cooldown=0,
                                                                                        window_us=23_334)), 7),
+    # `pending-frame-at-another-level` on a 1 Mb/s path: frame 29 still serializes at the first ready of the
+    # train at 500,010 us, so the train takes the busy form, and frame 29, presented at 519,097 us, comes after
+    # the bound below the train's first present, and after that present, frame 30's at 511,457 us
+    "pending-frame-at-another-level-on-a-busy-path": (dict(sizes=((96, 64), (32, 24)), fps=(60, 60), encode=500_000,
+                                                           decodes=(500_000,), latency=6_000, bandwidth=1_000_000),
+                                                      41),
+    # level 0 is ready 40,002 us after a frame starts and level 1 5,002 us, on a 10 ms path, and the window at
+    # 30 ms moves the client down: frame 3, started at 50,001 us, is presented before frame 1, started at
+    # 16,667 us, arrives at 66,677 us.  At the train at 66,668 us frame 1 is pending, its outcome yet to run,
+    # but older than the presented frame 3, so it never completes, where a train taking it over would
+    # present it as stale
+    "pending-frame-that-never-completes": (dict(sizes=((96, 64), (32, 24)), fps=(60, 60), encode=153_600,
+                                                latency=10_000, controller=dict(k_down=1, k_up=1, cooldown=0,
+                                                                                window_us=30_000)), 30),
+    # ten clients as nine: the egress drains only 7 us per instant before syncs, so trains admit their
+    # instants, and 53 of the 56 readies they admit find it busy
+    "ten-clients-on-a-shared-egress": (dict(decodes=(7_000_000_000,) * 10, shared=True, bandwidth=1_000_000_000,
+                                            mtu=9_000, latency=2_000, encode=4_000_000_000, sizes=((1920, 1080),)),
+                                       560),
+    # eleven: an instant's bursts take 18,326 us, more than the interval, so the backlog grows until the
+    # queue cuts frames, 73 of the 616 that trains settle
+    "eleven-clients-on-a-shared-egress": (dict(decodes=(7_000_000_000,) * 11, shared=True, bandwidth=1_000_000_000,
+                                               mtu=9_000, latency=2_000, encode=4_000_000_000,
+                                               sizes=((1920, 1080),)), 616),
+    # one client's 320x240 frames, six fragments, take 20,996 us at 3 Mb/s, more than the interval,
+    # behind a 30,000 B queue on its own path: trains settle 43 frames, and the queue cuts 32 of them
+    "cuts-on-a-clients-own-path": (dict(sizes=((320, 240),), bandwidth=3_000_000, queue=30_000,
+                                        encode=4_000_000_000), 43),
+    # 800x800 frames at 4 fps, 47 fragments 5,600 us apart at 2 Mb/s, each abandoned at its own late
+    # fragment after the next frame's ready, which finds the path busy; a 1 s window lets one train
+    # settle three, and syncs every 60 ms keep its next instants off sync times
+    "abandoned-in-a-busy-train": (dict(sizes=((800, 800),), fps=(4,), bandwidth=2_000_000, queue=2_000_000,
+                                       encode=4_000_000_000, sync_interval=60_000,
+                                       controller=dict(window_us=1_000_000)), 3),
 }
 
 
@@ -752,14 +799,14 @@ def test_inputs_arriving_as_a_frame_starts_match_input_events(monkeypatch):
 
 
 # how many frames of each tie case trains settle, one row per rate: none on the lossy and jittery paths
-_TIE_SETTLED = [30, 10, 25, 24, 8, 20,
-                36, 30, 0, 30, 25, 0, 30, 25, 0,
-                4, 0, 0, 4, 0, 0,
-                4, 0, 20, 4, 0, 20, 4, 0, 20,
-                84, 112, 84, 78, 104, 78,
-                90, 90, 60, 84, 84, 56, 84, 84, 56,
-                174, 172, 173, 168, 166, 167,
-                174, 174, 0, 174, 173, 0, 168, 168, 0]
+_TIE_SETTLED = [40, 30, 40, 32, 24, 32,
+                48, 48, 0, 40, 40, 0, 40, 40, 0,
+                20, 0, 0, 20, 0, 0,
+                20, 0, 20, 20, 0, 20, 20, 0, 20,
+                112, 112, 112, 104, 104, 104,
+                120, 120, 90, 112, 112, 84, 112, 112, 84,
+                198, 172, 197, 192, 166, 191,
+                198, 198, 0, 198, 197, 0, 192, 192, 0]
 
 
 # Inputs go every 10 ms.  A 56 B input takes 1 us at the paths' 448 Mb/s,

@@ -216,13 +216,16 @@ def test_input_drives_motion_to_photon():
     assert min(m2p) >= 2_000 + 415 + 519 + 2_000
 
 
-# clients on one shared egress, whose frames trains settle: 3 equal ones, two decode rates, and three
-# clients at 50 and 25 fps whose frame events at an instant run out of client order
+# clients on one shared egress, whose frames trains settle: 3 equal ones, two decode rates, three
+# clients at 50 and 25 fps whose frame events at an instant run out of client order, and ten 1080p
+# clients whose trains admit their instants to a path busy at nearly every ready
 _SHARED_LOG_CASES = {
     "shared-egress": dict(decodes=(7_000_000_000,) * 3, shared=True),
     "decode-rates-on-a-shared-egress": dict(decodes=(7_000_000_000, 3_000_000), shared=True),
     "frame-event-order-on-a-shared-egress": dict(decodes=(7_000_000_000,) * 3, shared=True, fps=(50, 25),
                                                  wobbly=(0, 2), seed=18),
+    "ten-clients-on-a-shared-egress": dict(decodes=(7_000_000_000,) * 10, shared=True, bandwidth=1_000_000_000,
+                                           mtu=9_000, latency=2_000, encode=4_000_000_000, sizes=((1920, 1080),)),
 }
 
 
