@@ -10,6 +10,7 @@ rung at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import MIN_INTERVAL_US, QualityLevel, ValidationError, bitrate
@@ -35,6 +36,10 @@ class ControllerConfig:
             raise ValidationError("window_us must be positive")
         if self.window_us < MIN_INTERVAL_US:
             raise ValidationError(f"window_us must be at least {MIN_INTERVAL_US} us, not {self.window_us}")
+        for name in ("loss_threshold", "throughput_factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, not {value}")
 
 
 @dataclass(frozen=True, slots=True)

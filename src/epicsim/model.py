@@ -189,10 +189,12 @@ class PowerProfile:
     battery_capacity: float = 7.6
 
     def __post_init__(self):
-        if min(self.p_idle, self.p_render_local, self.p_radio, self.p_decode) < 0:
-            raise ValidationError("power terms must be non-negative")
-        if self.battery_capacity <= 0:
-            raise ValidationError("battery_capacity must be positive")
+        for name in ("p_idle", "p_render_local", "p_radio", "p_decode"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{name} must be finite and non-negative, not {value}")
+        if not 0 < self.battery_capacity < math.inf:
+            raise ValidationError(f"battery_capacity must be finite and positive, not {self.battery_capacity}")
 
 
 @dataclass(frozen=True, slots=True)

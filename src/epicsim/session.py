@@ -17,8 +17,8 @@ generated.
 A frame is presented where it is submitted when no event could see the
 difference.  Its outcome event would set `last_completed` at its last
 arrival and push its present event for P, one decode time later; the
-present moves it from `pending` to the delivered, window and per-second
-counts and `m2p`.  Only the client's own readies, outcomes and presents, the
+present moves it from `pending` to the delivered, bit and per-second counts
+and `m2p`.  Only the client's own readies, outcomes and presents, the
 windows and the end of the run read that state.  So `_on_ready` sets
 `last_completed` and presents the frame at P at once when its burst
 completes it, it is newer than the last completed frame (so not stale) and
@@ -88,7 +88,7 @@ the sync runs first, and if a window set a level whose ready time is the
 sync interval, the next sync meets the frame's ready and runs first
 too.  The group's frame events at T return at once; a train that settles
 nothing waits for the next window.  Only the first client's frame events try
-a train (`_on_train_frame`).
+a train (`train_from`).
 
 Presenting a frame after its client's next frame starts is exact because
 only four things read `pending`, `last_completed` and `last_presented`
@@ -132,8 +132,8 @@ A train settles each client's k frames in closed form (`_settle`), as k frame,
 ready, outcome and present events would with nothing pending: no frame enters
 `pending`.  The frame ids and the sent count move by k.  In the idle form
 every frame is presented: `last_completed`, `last_presented` and the
-delivered and window counts move by k, the window bits by k frames' bits,
-and the presents fall at `T + P + j * I`, so one division per second boundary
+delivered count move by k, the delivered bits by k frames' bits, and the
+presents fall at `T + P + j * I`, so one division per second boundary
 splits their bits among the per-second counts, the last one taking the rest.
 In the busy form each frame is presented or dropped at its own time, and the
 counts move frame by frame.  `_read_inputs_along` reads their inputs in one
@@ -212,7 +212,8 @@ latest-wins presentation), or when reassembly abandons it; otherwise it is
 delivered at presentation time.  A frame whose outcome comes after a newer
 frame has completed never completes: its outcome moves it to the client's
 count of frames that never resolve.  That count and the frames left in the
-map at the end are in flight.
+map at the end are in flight.  A window reads these counts since the last
+one against the marks it set there.
 
 The receiver keeps the rules of `transport.Reassembler`: a frame pending more
 than the reassembly timeout after its first fragment is abandoned by its own
@@ -376,31 +377,34 @@ class SessionSettings:
 
 def check_run(ladder: tuple[QualityLevel, ...], duration_us: int, settings: SessionSettings) -> None:
     """Raise ValidationError unless a run of `duration_us` on the valid `ladder`
-    can start: at least 1 s of simulated time and `settings.start_level` on it.
+    can start: from 1 s to one day of simulated time, and `settings.start_level` on it.
     A message starts with the name it is about, so a caller can add its key."""
     if duration_us < 1_000_000:
         raise ValidationError(f"duration_us must be at least 1000000 (1 s of simulated time), not {duration_us}")
+    if duration_us > 86_400_000_000:
+        raise ValidationError(f"duration_us must be at most 86400000000 (one day of simulated time), not {duration_us}")
     if not 0 <= settings.start_level < len(ladder):
         raise ValidationError(f"start_level {settings.start_level} is outside the {len(ladder)}-rung ladder")
 
 
 @functools.lru_cache(maxsize=64)
 def _instant(profile: NetworkProfile, runs: tuple[tuple[int, int], ...], n: int, sync_bytes: int):
-    """On the path idle at 0: the outcome of each of `n` clients' bursts of `runs` (None if the queue cuts one),
-    the bytes they take, and how long one of them and a sync of n datagrams take to serialize."""
+    """On the path idle at 0: when each of `n` clients' bursts of `runs` completes its frame (None if one is cut
+    or abandoned), the bytes they take, and how long one of them and a sync of n datagrams take to serialize."""
     idle = Path(profile, 0)
     arrivals = [idle.submit_burst(runs, 0) for _ in range(n)]
-    ends = None if idle.dropped_queue else tuple(frame_outcome(burst) for burst in arrivals)
+    outcomes = () if idle.dropped_queue else map(frame_outcome, arrivals)
+    ends = tuple(end for end, completed in outcomes if completed)
     burst_tx = sum(count * ceil_div(size * 8_000_000, profile.bandwidth) for size, count in runs)
     sync_tx = n * ceil_div(sync_bytes * 8_000_000, profile.bandwidth)
-    return ends, n * sum(size * count for size, count in runs), burst_tx, sync_tx
+    return ends if len(ends) == n else None, n * sum(size * count for size, count in runs), burst_tx, sync_tx
 
 
 class _ClientState:
     __slots__ = (
         "spec", "estimator", "controller",
         "last_completed", "pending", "last_presented", "next_frame_id",
-        "frames", "window_delivered", "window_dropped", "window_bits",
+        "frames", "delivered_bits", "window_mark",
         "m2p", "rtt",
         "inputs", "input_origin", "input_first", "last_frame", "next_frame",
         "decode_us", "pongs", "ping_group", "never_resolved",
@@ -421,9 +425,8 @@ class _ClientState:
         self.last_presented = -1
         self.next_frame_id = 0
         self.frames = FrameCounts()
-        self.window_delivered = 0
-        self.window_dropped = 0
-        self.window_bits = 0
+        self.delivered_bits = 0               # the bits of the frames delivered
+        self.window_mark = (0, 0, 0)          # frames delivered and dropped, and bits, at the last window
         self.m2p: list[int] = []
         self.rtt: list[int] = []
         # the input stream (module docstring): runs (arrival, trip, count) of the admitted
@@ -617,7 +620,7 @@ class _Simulation:
     # -- host-side frame pipeline ------------------------------------------
 
     def _on_frame(self, t: int, st: _ClientState):
-        if st.next_frame != t:
+        if st.next_frame != t or st.train_from <= t and self._train(t, st):
             return  # settled by a train
         level_idx = st.controller.level
         _, _, ready, interval = self.level_costs[level_idx]
@@ -626,16 +629,11 @@ class _Simulation:
         self.push(t + ready, self._on_ready, st, fid, level_idx, self._read_inputs(st, t))
         self._push_frame(t + interval, st)
 
-    def _on_train_frame(self, t: int, st: _ClientState):
-        """The frame event of the first client on a path without loss or jitter: a train first."""
-        if st.train_from > t or not self._train(t, st):
-            self._on_frame(t, st)
-
     def _push_frame(self, t: int, st: _ClientState):
         """Make `t` the client's next frame event, and push it if the run reaches it, keeping its push order."""
         st.next_frame = t
         if t <= self.end:
-            self.push(t, self._on_frame if st.train_from == math.inf else self._on_train_frame, st)
+            self.push(t, self._on_frame, st)
             st.frame_seq = self._seq
 
     def _train(self, t: int, st: _ClientState) -> bool:
@@ -653,9 +651,9 @@ class _Simulation:
         runs = fragment_runs(size, profile.mtu)
         ends, burst_bytes, burst_tx, sync_tx = _instant(profile, runs, n, settings.sync_bytes)
         # the idle form, unless a ready finds the path busy or a sync its queue full (module docstring)
-        k, idle = 0, ends is not None and all(completed for _, completed in ends)
+        k, idle = 0, ends is not None
         if idle:
-            presents = [ready + end + c.decode_us[level] for (end, _), c in zip(ends, group)]  # after the instant
+            presents = [ready + end + c.decode_us[level] for end, c in zip(ends, group)]  # after the instant
             latest, sync_bytes = max(presents), settings.sync_bytes * n
             sync, busy, queued, arrived = self.next_sync, path.busy_until, path.queued_bytes, -1
             at, capacity = t, profile.queue_capacity
@@ -715,7 +713,7 @@ class _Simulation:
         if self.log_frames and idle:  # one line per frame, in the order of their readies
             for j in range(k):
                 at = t + j * interval + ready
-                for c, (end, _) in zip(group, ends):
+                for c, end in zip(group, ends):
                     logger.debug(FRAME_LINE, at, c.spec.client_id, c.next_frame_id - k + j, fragments, 0, "completes",
                                  at + end)
         for c in group:
@@ -793,9 +791,7 @@ class _Simulation:
         st.frames.sent += k
         st.frames.delivered += delivered
         st.frames.dropped += k - delivered
-        st.window_delivered += delivered
-        st.window_dropped += k - delivered
-        st.window_bits += delivered * bits
+        st.delivered_bits += delivered * bits
         return origins
 
     def _read_inputs_along(self, st: _ClientState, t: int, k: int, interval: int) -> list[int | None]:
@@ -865,7 +861,7 @@ class _Simulation:
                 # may take one order at one instant: the handlers compare equal, and
                 # seq, the first argument, runs them in their push order
                 order = self.arrival_seq[id(path)] if end == before else seq
-                heapq.heappush(self.heap, (end, order, self._on_outcome, (seq, st, fid, level_idx, completed)))
+                heapq.heappush(self.heap, (end, order, self._on_outcome, (seq, st, fid)))
         if path.last_arrival != before:
             self.arrival_seq[id(path)] = seq
         if self.log_frames:
@@ -887,15 +883,16 @@ class _Simulation:
 
     # -- arrivals ------------------------------------------------------------
 
-    def _on_outcome(self, t: int, _seq: int, st: _ClientState, fid: int, level_idx: int, completed: bool):
+    def _on_outcome(self, t: int, _seq: int, st: _ClientState, fid: int):
         if fid not in st.pending:
             return  # swept by a window
+        present = st.pending[fid][3]  # t + the decode time, unless it never completes
         if fid <= st.last_completed:  # older than a completed frame: never completes, stays in flight
             del st.pending[fid]
             st.never_resolved += 1
-        elif completed:
+        elif present < math.inf:
             st.last_completed = fid
-            self.push(t + st.decode_us[level_idx], self._on_present, st, fid)
+            self.push(present, self._on_present, st, fid)
         else:
             self._drop_frame(st, fid, "reassembly_abandoned")
 
@@ -909,8 +906,7 @@ class _Simulation:
         bits = self.level_costs[level_idx][0] * 8
         st.last_presented = fid
         st.frames.delivered += 1
-        st.window_delivered += 1
-        st.window_bits += bits
+        st.delivered_bits += bits
         buckets = st.per_second_bits
         buckets[min((t - self.start) // 1_000_000, len(buckets) - 1)] += bits
         if input_origin is not None:
@@ -919,7 +915,6 @@ class _Simulation:
     def _drop_frame(self, st: _ClientState, fid: int, reason: str):
         del st.pending[fid]
         st.frames.dropped += 1
-        st.window_dropped += 1
         reasons = self.trace.drop_reasons
         reasons[reason] = reasons.get(reason, 0) + 1
 
@@ -933,11 +928,12 @@ class _Simulation:
             self._admit_probes(st, t)
             self._admit_inputs(st, t)
             self._read_pongs(st, t)
-            resolved = st.window_delivered + st.window_dropped
+            frames, (delivered, dropped, bits) = st.frames, st.window_mark  # the counts at the last window
+            resolved = frames.delivered - delivered + frames.dropped - dropped
             stats = WindowStats(
                 srtt=st.estimator.srtt or 0,
-                frame_loss_rate=st.window_dropped / resolved if resolved else 0.0,
-                delivered_throughput=st.window_bits * 1_000_000 // cfg.window_us,
+                frame_loss_rate=(frames.dropped - dropped) / resolved if resolved else 0.0,
+                delivered_throughput=(st.delivered_bits - bits) * 1_000_000 // cfg.window_us,
                 current_level=st.controller.level,
             )
             bottleneck = detect_bottleneck(stats, self.ladder, cfg)
@@ -948,9 +944,7 @@ class _Simulation:
                     causes = bottleneck_causes(stats, self.ladder, cfg) if new > old else ("recovered",)
                     trace.level_changes.append(LevelChange(cid, window_index, t, old, new, causes))
                     logger.info("t=%d client %d level %d -> %d (%s)", t, cid, old, new, ",".join(causes))
-            st.window_delivered = 0
-            st.window_dropped = 0
-            st.window_bits = 0
+            st.window_mark = (frames.delivered, frames.dropped, st.delivered_bits)
             # a frame at or below last_completed awaits its present event, or its outcome
             # event, which counts it as never resolved
             swept = [fid for fid, (first, *_) in st.pending.items()

@@ -131,6 +131,15 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
     # a session check names the key its field came from
     ({"duration": 5}, "(scenario.duration)"),
     ({"controller": {"start_level": 9}}, "(controller.start_level)"),
+    ({"duration": 10**30}, "(scenario.duration)"),
+    # a power term, the battery capacity and the controller's thresholds are finite
+    ({"clients": [{"id": 0, "paths": _MINI_PATH, "power": {"p_idle": float("nan")}}]}, "(clients[0].power.p_idle)"),
+    ({"clients": [{"id": 0, "paths": _MINI_PATH, "power": {"p_decode": float("inf")}}]},
+     "(clients[0].power.p_decode)"),
+    ({"clients": [{"id": 0, "paths": _MINI_PATH, "power": {"battery_capacity": float("inf")}}]},
+     "(clients[0].power.battery_capacity)"),
+    ({"controller": {"loss_threshold": float("nan")}}, "(controller.loss_threshold)"),
+    ({"controller": {"throughput_factor": float("-inf")}}, "(controller.throughput_factor)"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)

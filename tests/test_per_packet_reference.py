@@ -107,8 +107,9 @@ class _Logged(session._Simulation):
     def _read_pongs(self, st, t):
         super()._read_pongs(st, t)
         if t <= self.end:  # not the run's final read
-            self.window_samples.append((t, st.spec.client_id, len(st.rtt),
-                                        st.window_delivered, st.window_dropped, st.window_bits))
+            delivered, dropped, bits = st.window_mark
+            self.window_samples.append((t, st.spec.client_id, len(st.rtt), st.frames.delivered - delivered,
+                                        st.frames.dropped - dropped, st.delivered_bits - bits))
 
     def _drop_frame(self, st, fid, reason):
         if fid in st.pending:
@@ -548,9 +549,9 @@ def test_a_frame_completing_older_than_the_last_completed_leaves_pending_at_its_
             super().__init__(*args, **kwargs)
             sims.append(self)
 
-        def _on_outcome(self, t, seq, st, fid, level_idx, completed):
+        def _on_outcome(self, t, seq, st, fid):
             outcomes.add(fid)
-            super()._on_outcome(t, seq, st, fid, level_idx, completed)
+            super()._on_outcome(t, seq, st, fid)
 
     args = _submission_case(**_SUBMISSION_CASES["older-than-the-last-completed"])
     trace, logs = _run_logged(lambda: session.run_session(*args), Counting, monkeypatch)
@@ -726,10 +727,15 @@ _TRAIN_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_TRAIN_CASES))
-def test_trains_match_frame_events(case, monkeypatch):
+# each case as trains run it, and with every train in the busy form, which settles the same frames
+@pytest.mark.parametrize("case, busy", [pytest.param(case, busy, id=case + "-busy" * busy)
+                                        for busy in (False, True) for case in _TRAIN_CASES])
+def test_trains_match_frame_events(case, busy, monkeypatch):
     kwargs, settled = _TRAIN_CASES[case]
     args = _train_case(**kwargs)
+    if busy:  # `_instant` without its ends
+        idle = session._instant
+        monkeypatch.setattr(session, "_instant", lambda *args: (None, *idle(*args)[1:]))
     assert _match_events(args, monkeypatch) == settled
     assert _window_states(args, True) == _window_states(args, False)
 
