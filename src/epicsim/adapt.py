@@ -36,10 +36,12 @@ class ControllerConfig:
             raise ValidationError("window_us must be positive")
         if self.window_us < MIN_INTERVAL_US:
             raise ValidationError(f"window_us must be at least {MIN_INTERVAL_US} us, not {self.window_us}")
-        for name in ("loss_threshold", "throughput_factor"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, not {value}")
+        if self.rtt_budget < 1:
+            raise ValidationError(f"rtt_budget must be at least 1 us, not {self.rtt_budget}")
+        if not 0.0 <= self.loss_threshold <= 1.0:  # NaN fails it too
+            raise ValidationError(f"loss_threshold must be within [0, 1], not {self.loss_threshold}")
+        if not 0.0 <= self.throughput_factor < math.inf:
+            raise ValidationError(f"throughput_factor must be finite and non-negative, not {self.throughput_factor}")
 
 
 @dataclass(frozen=True, slots=True)

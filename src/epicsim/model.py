@@ -132,8 +132,9 @@ class NetworkProfile:
             raise ValidationError("bandwidth must be positive")
         if self.mtu < 128:
             raise ValidationError("mtu must be at least 128 bytes")
-        if self.one_way_latency < 0 or self.jitter < 0:
-            raise ValidationError("latency and jitter must be non-negative")
+        for name in ("one_way_latency", "jitter"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be non-negative, not {getattr(self, name)}")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValidationError("loss_rate must be within [0, 1]")
         if self.queue_capacity is None:
@@ -152,8 +153,9 @@ class NodeSpec:
     max_sessions: int = 16
 
     def __post_init__(self):
-        if self.pixel_throughput <= 0 or self.encode_throughput <= 0:
-            raise ValidationError("node throughputs must be positive")
+        for name in ("pixel_throughput", "encode_throughput"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive, not {getattr(self, name)}")
         if self.max_sessions < 1:
             raise ValidationError("max_sessions must be at least 1")
 

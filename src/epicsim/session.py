@@ -10,30 +10,16 @@ No message is encoded, and none is an event.  A state sync is a datagram of
 its wire size, sent to each frame path as one burst with one datagram per
 client on it; nothing reads its arrival.  A frame is carried as runs of its
 fragments' wire sizes, submitted to its path as one burst, and resolved by
-one outcome event, or where it is submitted: the frame's completion or
-abandonment, computed from the fragments' arrival times.  No frame bytes are
-generated.
+one outcome event: the frame's completion or abandonment, computed from the
+fragments' arrival times.  A completed frame's outcome pushes its present
+event, one decode time later.  No frame bytes are generated.
 
-A frame is presented where it is submitted when no event could see the
-difference.  Its outcome event would set `last_completed` at its last
-arrival and push its present event for P, one decode time later; the
-present moves it from `pending` to the delivered, bit and per-second counts
-and `m2p`.  Only the client's own readies, outcomes and presents, the
-windows and the end of the run read that state.  So `_on_ready` sets
-`last_completed` and presents the frame at P at once when its burst
-completes it, it is newer than the last completed frame (so not stale) and
-its client's only pending frame (no other outcome or present of the client
-acts before P), every frame the client has started is ready and P is before
-the client's next frame event (no ready of the client comes before P), P is
-before the next window not yet handled (no window reads or sweeps before
-P), and P is not after the end (the present event would run).  Otherwise
-it pushes the outcome event.
-
-Such frames go in trains.  At the frame event at T of the first client on a
-path without loss or jitter, when each client on it starts a frame at T, at
-one level, with every frame it started ready, `_train` settles the path's
-instants T, T + I, ... in one pass: it sends each client's frames and the
-syncs between them, and settles the frames (below).  A frame may be
+Only trains resolve frames ahead of their events.  At the frame event at T
+of the first client on a path without loss or jitter, when each client on
+it starts a frame at T, at one level, with every frame it started ready,
+`_train` settles the path's instants T, T + I, ... in one pass: it sends
+each client's frames and the syncs between them, and settles the frames
+(below), taking over the frames the clients have pending.  A frame may be
 presented after its client's next frame starts: on a shared path the last
 burst of an instant can arrive after the next instant begins.  In the idle
 form each ready finds the path idle, so one instant's bursts are admitted
@@ -91,23 +77,9 @@ nothing waits for the next window.  Only the first client's frame events try
 a train (`train_from`).
 
 Presenting a frame after its client's next frame starts is exact because
-only four things read `pending`, `last_completed` and `last_presented`
+only three things read `pending`, `last_completed` and `last_presented`
 between a frame's start and its present, and each gives the train's answer:
 
-- `_on_ready`'s present-at-submission test only picks between presenting a
-  frame at its submission and pushing its outcome, which present it at the
-  same P.  After an idle train the first frame takes the events' branch: if
-  a train's frame is still pending at its ready in the events, that frame is
-  presented after the ready, and the new frame, at the same level (the
-  presents come before the next window) and in the same place on a path at
-  least as busy, is presented as long after its start, so after its next
-  frame starts, and both push its outcome.  The train leaves nothing
-  pending there, but the new frame fails the same bound; only a bandwidth
-  step between can make it complete sooner, and then it is presented after
-  the pending frame, at the P its outcome would give.  After a busy train,
-  whose path may drain, the first frame may take the other branch; then the
-  train's frames, which arrive before it, are presented before P in the
-  events too, so by P the counts and samples are the same.
 - `_on_outcome`'s older-frame rule: a draw-free path delivers in submission
   order, and the train's frames, like the pending ones it takes over, were
   submitted in frame order, so none finds a newer frame completed.
@@ -851,17 +823,12 @@ class _Simulation:
             outcome = "completes" if completed else "reassembly_abandoned"
             present = end + st.decode_us[level_idx] if completed else math.inf
             st.pending[fid] = (arrivals[0][0], level_idx, input_origin, present)
-            if (fid > st.last_completed and len(st.pending) == 1 and st.frames.sent == st.next_frame_id
-                    and present <= min(st.next_frame - 1, self.next_window - 1, self.end)):
-                st.last_completed = fid  # no event sees the frame before its present (module docstring)
-                self._on_present(present, st, fid)
-            else:
-                # a whole frame arriving at the instant of an earlier packet is
-                # seen with that packet; the tie-break keeps path order.  Two outcomes
-                # may take one order at one instant: the handlers compare equal, and
-                # seq, the first argument, runs them in their push order
-                order = self.arrival_seq[id(path)] if end == before else seq
-                heapq.heappush(self.heap, (end, order, self._on_outcome, (seq, st, fid)))
+            # a whole frame arriving at the instant of an earlier packet is
+            # seen with that packet; the tie-break keeps path order.  Two outcomes
+            # may take one order at one instant: the handlers compare equal, and
+            # seq, the first argument, runs them in their push order
+            order = self.arrival_seq[id(path)] if end == before else seq
+            heapq.heappush(self.heap, (end, order, self._on_outcome, (seq, st, fid)))
         if path.last_arrival != before:
             self.arrival_seq[id(path)] = seq
         if self.log_frames:

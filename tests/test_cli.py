@@ -140,6 +140,20 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
      "(clients[0].power.battery_capacity)"),
     ({"controller": {"loss_threshold": float("nan")}}, "(controller.loss_threshold)"),
     ({"controller": {"throughput_factor": float("-inf")}}, "(controller.throughput_factor)"),
+    # the controller's thresholds are bounded: a negative one makes every window a bottleneck
+    ({"controller": {"rtt_budget": -5}}, "(controller.rtt_budget)"),
+    ({"controller": {"rtt_budget": 0}}, "(controller.rtt_budget)"),
+    ({"controller": {"loss_threshold": -1.0}}, "(controller.loss_threshold)"),
+    ({"controller": {"loss_threshold": 1.5}}, "(controller.loss_threshold)"),
+    ({"controller": {"throughput_factor": -3.0}}, "(controller.throughput_factor)"),
+    # a path's latency and jitter, and a node's throughputs, each name their key
+    ({"clients": [{"id": 0, "paths": {"1": dict(_MINI_PATH, one_way_latency=-1)}}]},
+     "(clients[0].paths.1.one_way_latency)"),
+    ({"clients": [{"id": 0, "paths": {"1": dict(_MINI_PATH, jitter=-1)}}]}, "(clients[0].paths.1.jitter)"),
+    ({"nodes": [{"node_id": 1, "pixel_throughput": 0, "encode_throughput": 4_000_000_000}]},
+     "(nodes[0].pixel_throughput)"),
+    ({"nodes": [{"node_id": 1, "pixel_throughput": 5_000_000_000, "encode_throughput": -1}]},
+     "(nodes[0].encode_throughput)"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)

@@ -275,9 +275,11 @@ def test_every_emptied_container_mutant_that_validates_runs():
     ({"controller": {"window": 99}}, "controller: window_us must be at least 100 us, not 99 (controller.window)"),
     ({"clients": [{"id": -1, "paths": {"one_way_latency": 2_000, "bandwidth": 700_000_000}}]},
      "clients[0]: client_id must fit in 32 bits, not -1 (clients[0].id)"),
-    # a message that starts with no field keeps its form
     ({"nodes": [{"node_id": 1, "pixel_throughput": 0, "encode_throughput": 1}]},
-     "nodes[0]: node throughputs must be positive"),
+     "nodes[0]: pixel_throughput must be positive, not 0 (nodes[0].pixel_throughput)"),
+    # a message that starts with no field keeps its form
+    ({"ladder": [{"level_index": 0, "width": 0, "height": 1, "fps": 60, "bpp": 0.8}]},
+     "ladder[0]: resolution must be at least 1x1"),
 ])
 def test_a_type_message_that_starts_with_a_field_ends_with_its_key_path(overrides, message):
     with pytest.raises(ValidationError) as info:

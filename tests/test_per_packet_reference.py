@@ -3,10 +3,10 @@
 `_Events` runs the seed's event loop on today's types: every input and PING
 is an event, and every fragment, input, PING, PONG and state sync is its own
 encoded submission with its own "arrive" event.  The production session
-carries a frame as a burst of sizes, presented where it is submitted or
-resolved by one outcome event, or settled with the frames after it in a
-train, each state sync as one burst per frame path, each client's inputs as
-series, window by window, that a frame reads when it starts, and its PINGs
+carries a frame as a burst of sizes resolved by one outcome event and its
+present event, or settled with the frames after it in a train, each state
+sync as one burst per frame path, each client's inputs as series, window by
+window, that a frame reads when it starts, and its PINGs
 and PONGs as series, window by window, whose samples each window reads with
 a cursor.  Both must give the same trace, handle the same state syncs,
 windows and bandwidth steps in the same order, start, present and drop each
@@ -15,9 +15,10 @@ same RTT samples and counted the same frames when each window reads
 them.  That includes jittery paths where a whole frame arrives at the clamped
 arrival of an earlier packet, inputs and PONGs that arrive at the exact
 microsecond of a frame or window event, inputs sent at the microsecond of a
-bandwidth step, and one case for each condition under which the session does
-not present a frame where it is submitted, and one for each condition under
-which a train stops short or admits its instants as their events would.
+bandwidth step, frames whose outcome or present event meets a late fragment,
+a newer frame, a window or the end of the run, and one case for each
+condition under which a train stops short or admits its instants as their
+events would.
 `tests/test_random_scenarios.py` and `tests/events_equivalence.py` compare
 them on generated scenarios as well.
 """
@@ -61,9 +62,9 @@ def _kind(handler):
 class _Logged(session._Simulation):
     """Logs every state sync, window and bandwidth step event handled, in order.  Apart from them
     it logs per client each frame start (time, frame id, level and motion-to-photon origin), each
-    present and each drop with its time, since the session may settle a frame in a train or present
-    it where it is submitted, and what each window reads of each client: the RTT samples applied and
-    the frames and bits counted since the last window.  A frame event's start comes from
+    present and each drop with its time, since the session may settle a frame in a train, and what
+    each window reads of each client: the RTT samples applied and the frames and bits counted since
+    the last window.  A frame event's start comes from
     `_read_inputs`, a train's starts, presents and drops from `_settle`, with a cut frame dropped at
     its ready and an abandoned one at its late fragment; a present event logs only a frame still
     pending, since a train may have presented it."""
@@ -491,9 +492,10 @@ def _submission_case(levels=((96, 64, 60), (64, 48, 60)), latency=100, bandwidth
     return topology, ladder, duration, settings, 5, 0
 
 
-# Each case meets one condition under which `_on_ready` pushes an outcome
-# event for a frame that would otherwise be presented where it is submitted;
-# without that condition the run leaves the reference.  Levels downgrade at
+# Each case resolves a frame through its outcome and present events at an
+# edge where they meet a late fragment, a newer frame of the client, a window
+# or the end of the run, and trains settle the frames away from it (the
+# `_SUBMISSION_SETTLED` counts).  Levels downgrade at
 # a window: after two windows whose srtt exceeds the 7 ms budget, or with
 # `k_down=1` after the first, short of throughput.
 _SUBMISSION_CASES = {
@@ -538,11 +540,10 @@ def test_frames_presented_where_they_are_submitted_match_frame_events(case, monk
 
 def test_a_frame_completing_older_than_the_last_completed_leaves_pending_at_its_outcome(monkeypatch):
     """In `older-than-the-last-completed` the last level-0 frame completes after the first level-1
-    frame.  Its outcome event takes it out of `pending`, still in flight, so the later frames are
-    presented where they are submitted, by `_on_ready` or a train: of the 15 frames readied after the
-    downgrade, only the last three level-0 frames and the first level-1 frame, readied before that
-    outcome, take an outcome event."""
-    sims, outcomes = [], set()
+    frame.  Its outcome event takes it out of `pending`, still in flight.  Of the 15 frames readied
+    after the downgrade, the nine readied before the next window take an outcome event, and that
+    window's train settles the other six."""
+    sims, outcomes, settled = [], set(), set()
 
     class Counting(_Logged):
         def __init__(self, *args, **kwargs):
@@ -553,14 +554,19 @@ def test_a_frame_completing_older_than_the_last_completed_leaves_pending_at_its_
             outcomes.add(fid)
             super()._on_outcome(t, seq, st, fid)
 
+        def _settle(self, st, t, k, interval, present):
+            settled.update(range(st.next_frame_id, st.next_frame_id + k))
+            return super()._settle(st, t, k, interval, present)
+
     args = _submission_case(**_SUBMISSION_CASES["older-than-the-last-completed"])
     trace, logs = _run_logged(lambda: session.run_session(*args), Counting, monkeypatch)
     costs = sims[-1].level_costs  # the third is the time from a frame's start to its ready
     readied = {fid: t + costs[level][2] for _, t, fid, level, _ in logs[3]}
     downgrade = trace.level_changes[0].time
-    after = [fid for fid, t in readied.items() if t > downgrade]
+    after = sorted(fid for fid, t in readied.items() if t > downgrade)
     assert trace.frames.in_flight == 1 and len(after) == 15
-    assert sorted(outcomes.intersection(after)) == sorted(after)[:4]
+    assert after[:9] == list(range(27, 36)) and sorted(outcomes.intersection(after)) == after[:9]
+    assert sorted(settled.intersection(after)) == after[9:]
 
 
 def _train_case(decodes=(7_000_000_000,), shared=False, encode=6_144_000, bandwidth=700_000_000, latency=100,

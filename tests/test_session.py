@@ -3,11 +3,12 @@ import logging
 import math
 import re
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epicsim import session
+from epicsim import orchestrator, session
 from epicsim.kpi import FrameCounts, build_report
 from epicsim.model import (
     DEFAULT_LADDER,
@@ -269,6 +270,37 @@ def test_packet_logging_is_one_line_per_frame(case, caplog, monkeypatch):
         monkeypatch.setattr(session._Simulation, "_train", lambda sim, t, st: False)
         assert run_session(*args) == trace
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == messages
+
+
+# frames settled by trains, and frames started, by the event loop's clients of each scenario's runs: the
+# benchmark's three workloads, the shared egress through its load and stress searches
+_TRAIN_SETTLED = {"edge-nominal": (600, 600), "master-server": (39, 897), "shared-egress": (11_520, 11_880)}
+
+
+@pytest.mark.parametrize("name", list(_TRAIN_SETTLED))
+def test_trains_settle_the_benchmark_scenarios_frames(name, monkeypatch):
+    """The frames that trains settle, counted exactly: one that falls back to its events costs heap
+    events, and no report shows it."""
+    counts, settle, run = [0, 0], session._Simulation._settle, session._Simulation.run
+
+    def settling(sim, st, t, k, interval, present):
+        counts[0] += k
+        return settle(sim, st, t, k, interval, present)
+
+    def running(sim):
+        trace = run(sim)
+        counts[1] += sum(st.frames.sent for st in sim.clients.values())
+        return trace
+
+    monkeypatch.setattr(session._Simulation, "_settle", settling)
+    monkeypatch.setattr(session._Simulation, "run", running)
+    cfg = orchestrator.load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"))
+    if name == "shared-egress":
+        orchestrator.load_search(cfg, 7_000, 0.02, 16)
+        orchestrator.stress_search(cfg, 16)
+    else:
+        orchestrator.run_scenario(cfg)
+    assert tuple(counts) == _TRAIN_SETTLED[name]
 
 
 @pytest.mark.parametrize("first", [Drop.LOSS, Drop.QUEUE])
