@@ -78,8 +78,8 @@ class QualityLevel:
 
 
 def bitrate(level: QualityLevel) -> int:
-    """Demanded stream rate in bits/s: width * height * bpp * fps, floored."""
-    return int(level.width * level.height * level.bpp * level.fps)
+    """Demanded stream rate in bits/s: width * height * bpp * fps, floored (bpp is a positive Fraction)."""
+    return level.width * level.height * level.fps * level.bpp.numerator // level.bpp.denominator
 
 
 def frame_bytes(level: QualityLevel) -> int:

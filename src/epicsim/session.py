@@ -115,19 +115,23 @@ Inputs are neither records nor events.  The host reads an input for one thing:
 when a frame starts, the send time of the latest input it holds becomes the
 frame's motion-to-photon origin.  A client's inputs are sent at
 `start + k * tick` on its own `up_data` path, which carries nothing else, so
-the next k is the path's `submitted`.  Like PINGs, they go window by window:
-at the start of the run, at each controller window and at each bandwidth
-step, one netem series for every client submits those
-sent by the next window and before the run's next step.  The input at
-`start` is sent before a step at `start`; an input at any later time T after
-a step at T.  The client keeps the arrival runs, each with its trip time,
-arrival minus send: a run's arrivals step by `tick` as its sends do.  Each
-frame event reads them in order, a run with one division, and drops what it
-has read.  A train reads its frames' inputs at x = T, T + I, ... without
-trimming a run per frame: with `seen` the latest arrival the frame at x sees,
-x or x - 1 by the tie rule below, a run `(a, trip, count)` read in part
-gives the origin `seen - trip - (seen - a) % tick`, one modulo per frame, and
-only the run still read in part after the last frame is trimmed.
+the next k is the path's `submitted`.  Like PINGs, they go a block at a
+time: at the start of the run, at each controller window and at each
+bandwidth step, unless a client's inputs sent by the next window are
+submitted, one netem series submits those sent by the later of the next
+window and `_BLOCK` inputs on, and before the run's next step.  However the
+series are cut, the path takes its draws in submission order, and no series
+crosses a step: the input at `start` is sent before a step at `start`; an
+input at any later time T after a step at T.  Each frame reads only the
+inputs arrived by its time, so how far ahead they are admitted changes
+nothing it reads.  The client keeps the arrival runs, each with its trip
+time, arrival minus send: a run's arrivals step by `tick` as its sends do.
+Each frame event reads them in order, a run with one division, and drops
+what it has read.  A train reads its frames' inputs at x = T, T + I, ...
+without trimming a run per frame: with `seen` the latest arrival the frame
+at x sees, x or x - 1 by the tie rule below, a run `(a, trip, count)` read
+in part gives the origin `seen - trip - (seen - a) % tick`, one modulo per
+frame, and only the run still read in part after the last frame is trimmed.
 
 The tie rule makes that read equal to an event loop in which each input is an
 event that pushes its own arrive event, and the arrive event sets the host's
@@ -152,10 +156,13 @@ ping_interval` on its `up_probe` path, and each is echoed at its arrival as
 a PONG on its `down_probe` path.  These paths, built from the client's
 profile, carry nothing else and never take a bandwidth step: a measurement
 slice on which probes meet propagation and their own serialization, not the
-frame bursts.  So each controller window at W, one every w us, submits the
-PINGs sent by W as a series (the end of the run, those sent by the end);
-each PING arrival run is echoed as one PONG series.  The window applies the
-samples of the PONGs arriving before W and keeps the rest.  The PONGs
+frame bursts.  So each controller window at W, one every w us, unless the
+PINGs sent by W are submitted, submits as a series those sent by the later
+of W and `_BLOCK` PINGs on, and by the end (the end of the run, those sent
+by the end); each PING arrival run is echoed as one PONG series.  A client
+so holds the PONGs and inputs in flight or due by the next window, and at
+most a block more.  The window applies the samples of the PONGs arriving
+before W and keeps the rest, whatever was admitted after them.  The PONGs
 arriving at W are applied as in an event loop in which each PING and each
 delivery is an event: if the first one's arrive event, pushed by its PING's
 arrive event at P, was pushed before this window, pushed by the one at
@@ -253,6 +260,7 @@ DEVICE_NODE = NodeSpec(node_id=-1, pixel_throughput=200_000_000,
 DECODE_THROUGHPUT = 7_000_000_000  # a client's decode rate in pixels/second, unless set
 
 _INPUT_BYTES = HEADER_LEN + INPUT_PAYLOAD_LEN  # wire size of an INPUT message
+_BLOCK = 1024  # each admission of a client's inputs or PINGs reaches at least this many datagrams ahead
 _FRAGMENT_DROPS = {Drop.LOSS: "fragment_loss", Drop.QUEUE: "fragment_queue_full"}  # by a frame's first dropped fragment
 
 
@@ -516,11 +524,14 @@ class _Simulation:
     # -- client-side streams ----------------------------------------------
 
     def _admit_inputs(self, st: _ClientState, t: int):
-        """Submit the client's inputs sent by the next window and before the run's next admission bound."""
-        tick, up = self.settings.tick_us, st.up_data
-        up.forget_to(t)  # nothing reads a delivery
+        """Unless the inputs sent by the next window are admitted, submit those sent by the later of the next window
+        and `_BLOCK` inputs on, and before the run's next admission bound."""
+        tick, up, bound = self.settings.tick_us, st.up_data, self.input_bounds[-1] - 1
         sent = self.start + up.submitted * tick
-        count = (min(self.next_window, self.input_bounds[-1] - 1) - sent) // tick + 1
+        if sent > min(self.next_window, bound):
+            return
+        up.forget_to(t)  # nothing reads a delivery
+        count = (min(max(self.next_window, sent + (_BLOCK - 1) * tick), bound) - sent) // tick + 1
         for at, _, n in up.submit_series(_INPUT_BYTES, sent, tick, count):
             if at.__class__ is int:  # a run's arrivals step by tick, as its sends do: one trip time
                 st.inputs.append((at, at - sent, n))
@@ -553,10 +564,14 @@ class _Simulation:
         return st.input_origin
 
     def _admit_probes(self, st: _ClientState, t: int):
-        """Submit the client's PINGs sent by `t`, and echo each arrival run, cut at the end, as one PONG series."""
+        """Unless the PINGs sent by `t` are admitted, submit those sent by the later of `t` and `_BLOCK` PINGs on,
+        and by the end, and echo each arrival run, cut at the end, as one PONG series."""
         interval, end = self.settings.ping_interval_us, self.end
         sent = self.start + st.up_probe.submitted * interval
-        for at, _, n in st.up_probe.submit_series(HEADER_LEN, sent, interval, (t - sent) // interval + 1):
+        if sent > t:
+            return
+        count = (min(end, max(t, sent + (_BLOCK - 1) * interval)) - sent) // interval + 1
+        for at, _, n in st.up_probe.submit_series(HEADER_LEN, sent, interval, count):
             if at.__class__ is int and at <= end:
                 # PING k of the run is sent at sent + k * interval and arrives at at + k * interval, after
                 # the one before it but for k = 0, which may arrive with the previous run's last PING

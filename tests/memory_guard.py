@@ -11,11 +11,15 @@ one case, so that each case has a fresh process of its own, since
 - one-window: jitter and loss and one 60 s controller window, at most 50 MB;
 - inputs: jitter and loss, two clients and an input every 100 us, at most 40 MB.
 
-Exits 0 when the peak is within its bound, and 1 when it is not.  CI runs
-every case with a shell loop under `bash -e`, which fails the step at the
-first case that exits non-zero, a signal's kill included:
+It prints the case's peak and its bound, and exits 0 when the peak is
+within the bound, and 1 when it is not.  CI runs every case with a shell
+loop under `bash -e` and `pipefail`, which fails the step at the first case
+that exits non-zero, a signal's kill included, and appends each printed
+line to the job summary:
 
-    for case in clean impaired one-window inputs; do python tests/memory_guard.py "$case"; done
+    for case in clean impaired one-window inputs; do
+        python tests/memory_guard.py "$case" | tee -a "$GITHUB_STEP_SUMMARY"
+    done
 
 It runs this tree's `src` and is not part of tier-1.
 """
@@ -44,7 +48,7 @@ def _document(case: str) -> dict:
                 path.update(jitter=300, loss_rate=0.005)
     if case == "one-window":  # no window forgets a frame path's arrivals; each frame must
         doc["controller"]["window"] = 60_000_000
-    if case == "inputs":  # each client keeps the inputs of about one window, not the run's
+    if case == "inputs":  # each client keeps the inputs of about one window and a block more, not the run's
         doc.update(tick=100, clients=[dict(doc["clients"][0], id=i) for i in range(2)])
     return doc
 
@@ -55,7 +59,7 @@ def main(case: str) -> int:
 
     orchestrator.run_scenario(orchestrator.parse_scenario(_document(case)))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6  # ru_maxrss is in KiB
-    print(f"{case}: peak RSS {peak_mb:.1f} MB")
+    print(f"{case}: peak RSS {peak_mb:.1f} MB, bound {BOUNDS_MB[case]} MB")
     if peak_mb > BOUNDS_MB[case]:
         print(f"{case}: peak RSS {peak_mb:.1f} MB exceeds {BOUNDS_MB[case]} MB", file=sys.stderr)
         return 1

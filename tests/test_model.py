@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from epicsim.model import (
     DEFAULT_LADDER,
@@ -9,6 +10,7 @@ from epicsim.model import (
     NodeSpec,
     QualityLevel,
     ValidationError,
+    as_bpp,
     bitrate,
     frame_bytes,
     validate_ladder,
@@ -18,6 +20,22 @@ from epicsim.model import (
 def test_bitrate_top_and_bottom_levels():
     assert bitrate(DEFAULT_LADDER[0]) == 99_532_800
     assert bitrate(DEFAULT_LADDER[4]) == 5_529_600
+
+
+# a bpp as a scenario may give it: an exact fraction, whose denominator need not divide the pixel count, a
+# float or a decimal string, each normalized by `as_bpp`
+_BPP = st.one_of(
+    st.fractions(min_value=Fraction(1, 10**6), max_value=64, max_denominator=10**6),
+    st.floats(min_value=1e-6, max_value=64, allow_nan=False, allow_infinity=False),
+    st.decimals(min_value="0.000001", max_value=64, places=6).map(str),
+)
+
+
+@given(width=st.integers(1, 8192), height=st.integers(1, 8192), fps=st.integers(1, 1_000), bpp=_BPP)
+def test_bitrate_floors_the_exact_product(width, height, fps, bpp):
+    level = QualityLevel(0, width, height, fps, bpp)
+    assert level.bpp == as_bpp(bpp)
+    assert bitrate(level) == int(width * height * as_bpp(bpp) * fps)
 
 
 def test_frame_bytes_examples():

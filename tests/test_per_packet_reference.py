@@ -5,11 +5,11 @@ is an event, and every fragment, input, PING, PONG and state sync is its own
 encoded submission with its own "arrive" event.  The production session
 carries a frame as a burst of sizes resolved by one outcome event and its
 present event, or settled with the frames after it in a train, each state
-sync as one burst per frame path, each client's inputs as series, window by
-window, that a frame reads when it starts, and its PINGs
-and PONGs as series, window by window, whose samples each window reads with
-a cursor.  Both must give the same trace, handle the same state syncs,
-windows and bandwidth steps in the same order, start, present and drop each
+sync as one burst per frame path, each client's inputs as series, a block
+at a time, that a frame reads when it starts, and its PINGs and PONGs as
+series, a block at a time, whose samples each window reads with a cursor.
+Both must give the same trace, handle the same state syncs, windows and
+bandwidth steps in the same order, start, present and drop each
 client's frames at the same times in the same order, and have applied the
 same RTT samples and counted the same frames when each window reads
 them.  That includes jittery paths where a whole frame arrives at the clamped
@@ -481,7 +481,7 @@ def test_outcomes_taking_one_place_in_push_order_run_in_their_own():
     assert sim.logs()[1] == [(0, present, 0), (0, present, 1)]
 
 
-def _submission_case(levels=((96, 64, 60), (64, 48, 60)), latency=100, bandwidth=700_000_000, queue=None,
+def _resolution_case(levels=((96, 64, 60), (64, 48, 60)), latency=100, bandwidth=700_000_000, queue=None,
                      encode=4_000_000_000, decode=7_000_000_000, duration=1_000_000, window=250_000, k_down=2):
     """One client on a draw-free path; each level is `(width, height, fps)`."""
     profile = NetworkProfile(one_way_latency=latency, bandwidth=bandwidth, queue_capacity=queue)
@@ -495,10 +495,10 @@ def _submission_case(levels=((96, 64, 60), (64, 48, 60)), latency=100, bandwidth
 # Each case resolves a frame through its outcome and present events at an
 # edge where they meet a late fragment, a newer frame of the client, a window
 # or the end of the run, and trains settle the frames away from it (the
-# `_SUBMISSION_SETTLED` counts).  Levels downgrade at
+# `_RESOLUTION_SETTLED` counts).  Levels downgrade at
 # a window: after two windows whose srtt exceeds the 7 ms budget, or with
 # `k_down=1` after the first, short of throughput.
-_SUBMISSION_CASES = {
+_RESOLUTION_CASES = {
     # the burst completes the frame: 800x800 frames at 2 fps are 47 fragments,
     # 5.6 ms apart at 2 Mb/s, so each is abandoned by its own late fragment
     "abandoned-by-its-own-fragment": dict(levels=((800, 800, 2), (64, 48, 2)), bandwidth=2_000_000,
@@ -528,14 +528,14 @@ _SUBMISSION_CASES = {
 
 
 # how many frames of each case trains settle: the frames that meet the case's condition take `_on_ready`
-_SUBMISSION_SETTLED = {"abandoned-by-its-own-fragment": 0, "older-than-the-last-completed": 18,
+_RESOLUTION_SETTLED = {"abandoned-by-its-own-fragment": 0, "older-than-the-last-completed": 18,
                        "newer-frame-not-yet-ready": 25, "newer-frame-presented-first": 41, "present-at-a-window": 56,
                        "present-after-the-end": 60}
 
 
-@pytest.mark.parametrize("case", list(_SUBMISSION_CASES))
-def test_frames_presented_where_they_are_submitted_match_frame_events(case, monkeypatch):
-    assert _match_events(_submission_case(**_SUBMISSION_CASES[case]), monkeypatch) == _SUBMISSION_SETTLED[case]
+@pytest.mark.parametrize("case", list(_RESOLUTION_CASES))
+def test_frames_resolving_by_their_outcome_and_present_events_match_frame_events(case, monkeypatch):
+    assert _match_events(_resolution_case(**_RESOLUTION_CASES[case]), monkeypatch) == _RESOLUTION_SETTLED[case]
 
 
 def test_a_frame_completing_older_than_the_last_completed_leaves_pending_at_its_outcome(monkeypatch):
@@ -558,7 +558,7 @@ def test_a_frame_completing_older_than_the_last_completed_leaves_pending_at_its_
             settled.update(range(st.next_frame_id, st.next_frame_id + k))
             return super()._settle(st, t, k, interval, present)
 
-    args = _submission_case(**_SUBMISSION_CASES["older-than-the-last-completed"])
+    args = _resolution_case(**_RESOLUTION_CASES["older-than-the-last-completed"])
     trace, logs = _run_logged(lambda: session.run_session(*args), Counting, monkeypatch)
     costs = sims[-1].level_costs  # the third is the time from a frame's start to its ready
     readied = {fid: t + costs[level][2] for _, t, fid, level, _ in logs[3]}
@@ -927,26 +927,29 @@ def test_a_pong_group_is_ordered_by_the_first_ping_of_its_arrival(monkeypatch):
     PONG of the one sent at `sent` is delayed to 2,000 us, the next window's
     microsecond; the rest are clamped to it.  The first PONG arriving at
     2,000 us belongs to the PING sent at 1,000 us = P - w, or to the one
-    sent at 1,100 us, which the window at 1,500 us submits apart from the
-    two before it, but the arrive event that submitted it was pushed at
-    900 us, before the window at 1,500 us, so the window at 2,000 us sees
-    the group.
+    sent at 1,100 us, which a window-by-window admission (a `_BLOCK` of 1)
+    submits at the window at 1,500 us apart from the two before it, but the
+    arrive event that submitted it was pushed at 900 us, before the window at
+    1,500 us, so the window at 2,000 us sees the group.  Each case runs with
+    that admission and with the block one.
     """
     profile = NetworkProfile(one_way_latency=0, jitter=600, bandwidth=_PONG_BANDWIDTH)
     topology = session.SessionTopology("edge_hosted", (session.ClientSpec(0, profile),),
                                        host_node=NodeSpec(1, 5_000_000_000, 4_000_000_000))
     settings = session.SessionSettings(ping_interval_us=100, controller=session.ControllerConfig(window_us=500))
     args = topology, (QualityLevel(0, 96, 64, 24, 0.8),), 1_000_000, settings, 5, 0
-    for pong, sent in ((10, 1_000), (11, 1_100)):
-        runs = []
-        for cls in (_Logged, _Events):
-            class Scripted(cls):
-                def __init__(self, *args, **kwargs):
-                    super().__init__(*args, **kwargs)
-                    self.clients[0].up_probe.rng = _ScriptedJitter({9: 599})
-                    # PONG 9, the first submitted at 1,500 us, ends its 1 us serialization at 1,501 us
-                    self.clients[0].down_probe.rng = _ScriptedJitter({pong: 2_000 - (1_500 + pong - 8)})
-            runs.append(_run_reading_srtt(args, Scripted, monkeypatch))
-        assert runs[0] == runs[1], sent
-        reads = runs[0][2]
-        assert reads.index(("sample", 2_000 - sent)) < [i for i, read in enumerate(reads) if read[0] == "srtt"][3]
+    for block in (1, session._BLOCK):
+        monkeypatch.setattr(session, "_BLOCK", block)
+        for pong, sent in ((10, 1_000), (11, 1_100)):
+            runs = []
+            for cls in (_Logged, _Events):
+                class Scripted(cls):
+                    def __init__(self, *args, **kwargs):
+                        super().__init__(*args, **kwargs)
+                        self.clients[0].up_probe.rng = _ScriptedJitter({9: 599})
+                        # PONG 9, the first submitted at 1,500 us, ends its 1 us serialization at 1,501 us
+                        self.clients[0].down_probe.rng = _ScriptedJitter({pong: 2_000 - (1_500 + pong - 8)})
+                runs.append(_run_reading_srtt(args, Scripted, monkeypatch))
+            assert runs[0] == runs[1], (block, sent)
+            reads = runs[0][2]
+            assert reads.index(("sample", 2_000 - sent)) < [i for i, read in enumerate(reads) if read[0] == "srtt"][3]

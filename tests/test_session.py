@@ -3,12 +3,12 @@ import logging
 import math
 import re
 from collections import Counter, deque
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epicsim import orchestrator, session
+from capture_goldens import apply_overrides
+from epicsim import netem, orchestrator, session
 from epicsim.kpi import FrameCounts, build_report
 from epicsim.model import (
     DEFAULT_LADDER,
@@ -27,7 +27,8 @@ from epicsim.session import (
     run_session,
 )
 from epicsim.transport import fragment_runs
-from test_per_packet_reference import _train_case
+from test_per_packet_reference import SCENARIOS, _train_case
+from test_random_scenarios import _document, _tie_document, _train_document
 
 EDGE_NODE = NodeSpec(node_id=1, pixel_throughput=5_000_000_000, encode_throughput=4_000_000_000)
 CLEAN = NetworkProfile(one_way_latency=0, jitter=0, loss_rate=0.0, bandwidth=10**12, mtu=1400)
@@ -294,13 +295,93 @@ def test_trains_settle_the_benchmark_scenarios_frames(name, monkeypatch):
 
     monkeypatch.setattr(session._Simulation, "_settle", settling)
     monkeypatch.setattr(session._Simulation, "run", running)
-    cfg = orchestrator.load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"))
+    _run_benchmark_scenario(name)
+    assert tuple(counts) == _TRAIN_SETTLED[name]
+
+
+def _run_benchmark_scenario(name):
+    """Run a shipped scenario as its benchmark workload does: the shared egress through its load and stress
+    searches, the others once."""
+    cfg = orchestrator.load_scenario(str(SCENARIOS / f"{name}.json"))
     if name == "shared-egress":
         orchestrator.load_search(cfg, 7_000, 0.02, 16)
         orchestrator.stress_search(cfg, 16)
     else:
         orchestrator.run_scenario(cfg)
-    assert tuple(counts) == _TRAIN_SETTLED[name]
+
+
+# `Path.submit_series` calls on the input, PING and PONG paths, summed over each scenario's runs as
+# `_TRAIN_SETTLED` sums its frames: an admission reaches `session._BLOCK` datagrams ahead, so a client's
+# first one covers a run of 8.5 s of inputs at the default tick and its PINGs for 102 s
+_ADMISSIONS = {"edge-nominal": (2, 1, 1), "master-server": (3, 3, 3), "shared-egress": (132, 132, 132)}
+
+
+@pytest.mark.parametrize("name", list(_ADMISSIONS))
+def test_inputs_and_probes_are_admitted_a_block_at_a_time(name, monkeypatch):
+    """Counted exactly, by the name of the path each series goes to: another count, or a series on a frame
+    path, is a change in the admission policy, which no report shows."""
+    counts, kinds = Counter(), {}
+    series, run = netem.Path.submit_series, session._Simulation.run
+
+    def submitting(path, *args):
+        counts[kinds[id(path)]] += 1
+        return series(path, *args)
+
+    def running(sim):
+        kinds.update((id(r.path), r.name.partition("[")[0]) for r in sim.paths)
+        try:
+            return run(sim)
+        finally:
+            kinds.clear()
+
+    monkeypatch.setattr(netem.Path, "submit_series", submitting)
+    monkeypatch.setattr(session._Simulation, "run", running)
+    _run_benchmark_scenario(name)
+    up_data, up_probe, down_probe = _ADMISSIONS[name]
+    assert counts == Counter(up_data=up_data, up_probe=up_probe, down_probe=down_probe)
+
+
+def _block_documents():
+    """(id, scenario document) pairs on which to compare the admission policies: the shipped scenarios, edge-nominal
+    with impaired paths, PINGs and inputs sparser than the windows or very dense, and a bandwidth step between
+    windows that cuts each client's first block of inputs, then the generated documents of the all-events tests."""
+    shipped = {path.stem: orchestrator.load_scenario(str(path)).raw for path in sorted(SCENARIOS.glob("*.json"))}
+    nominal = shipped["edge-nominal"]
+    variants = {
+        "impaired": {"paths": {"jitter": 300, "loss_rate": 0.005}},
+        "pings-sparser-than-windows": {"doc": {"ping_interval": 300_000}},
+        "pings-every-100us": {"doc": {"ping_interval": 100}},
+        "inputs-sparser-than-windows": {"doc": {"tick": 300_000}},
+        "step-between-windows": {"doc": {"events": [{"time": 3_100_000, "bandwidth": 30_000_000}]}},
+    }
+    yield from shipped.items()
+    for name, overrides in variants.items():
+        yield f"edge-nominal-{name}", apply_overrides(nominal, overrides)
+    for make in (_document, _tie_document, _train_document):
+        for seed in range(40):
+            yield f"{make.__name__.strip('_')}-{seed}", make(seed)
+
+
+def _block_outcome(cfg, block, monkeypatch):
+    """The run's trace and report bytes with `session._BLOCK` set to `block`, or the failure it raised."""
+    monkeypatch.setattr(session, "_BLOCK", block)
+    try:
+        result = orchestrator.run_scenario(cfg)
+    except orchestrator.NoPong as exc:
+        return repr(exc)
+    return result.trace, orchestrator.report_to_json(result.report)
+
+
+_BLOCK_DOCUMENTS = dict(_block_documents())
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_DOCUMENTS))
+def test_admitting_a_block_ahead_matches_admitting_window_by_window(name, monkeypatch):
+    """A `_BLOCK` of 1 admits each client's PINGs and inputs window by window, as far as the window needs: the same
+    trace and report bytes as admitting them a block ahead."""
+    cfg = orchestrator.parse_scenario(_BLOCK_DOCUMENTS[name])
+    ahead = _block_outcome(cfg, session._BLOCK, monkeypatch)
+    assert _block_outcome(cfg, 1, monkeypatch) == ahead
 
 
 @pytest.mark.parametrize("first", [Drop.LOSS, Drop.QUEUE])
@@ -348,8 +429,11 @@ def test_settings_reject_a_negative_sync_and_a_non_finite_complexity(field):
         SessionSettings(**field)
 
 
-@pytest.mark.parametrize("profile", [NOMINAL, NetworkProfile(one_way_latency=2_000, jitter=3_000, loss_rate=0.05,
-                                                             bandwidth=700_000_000, mtu=1400)])
+_PROBE_PROFILES = [NOMINAL, NetworkProfile(one_way_latency=2_000, jitter=3_000, loss_rate=0.05,
+                                          bandwidth=700_000_000, mtu=1400)]
+
+
+@pytest.mark.parametrize("profile", _PROBE_PROFILES)
 def test_probe_state_after_each_window_is_the_probes_in_flight(profile):
     """Each window submits the PINGs sent by then, and keeps only the PONGs it has not yet applied;
     it submits the inputs sent by the next window, and keeps only the inputs the host has not read."""
@@ -377,6 +461,47 @@ def test_probe_state_after_each_window_is_the_probes_in_flight(profile):
     assert len(checked) == 2_000_000 // window
     assert len(trace.rtt_samples[0]) > 0.8 * 2_000_000 // interval
     assert sim.clients[0].up_data.submitted == (sim.end - sim.start) // tick + 1
+
+
+@pytest.mark.parametrize("profile", _PROBE_PROFILES)
+def test_probe_state_after_each_window_is_at_most_a_block_ahead(profile):
+    """With a PING and an input every 1 ms a block reaches past the window, unlike every 100 us above: each window
+    has submitted the PINGs sent by then and the inputs sent by the next window, rounded up to whole blocks and cut
+    at the end.  A client holds the PONGs and inputs that the test above bounds and those admitted ahead of the
+    window; a path forgets its deliveries only when it admits, so it holds at most a block more in flight."""
+    interval = tick = 1_000
+    window, block, total = 250_000, session._BLOCK, 3_000_000 // interval + 1  # a whole second block, a cut third
+    assert (block - 1) * interval > window
+    one_way = profile.one_way_latency + profile.jitter + 1  # the longest, with 1 us for a 24 B probe or 56 B input
+    frame_interval = max(level.frame_interval for level in DEFAULT_LADDER)  # since the last frame read its inputs
+    checked = []
+
+    def blocks(count):
+        return min(-(-count // block) * block, total)
+
+    class Checked(session._Simulation):
+        def _on_window(self, t):
+            super()._on_window(t)
+            for st in self.clients.values():
+                pings = (t - self.start) // interval + 1
+                inputs = (min(self.next_window, self.end) - self.start) // tick + 1
+                assert st.up_probe.submitted == blocks(pings)
+                assert st.up_data.submitted == blocks(inputs)
+                assert all(t <= at for at, *_ in st.pongs)
+                assert len(st.pongs) <= 2 * one_way // interval + 1 + st.up_probe.submitted - pings
+                assert sum(run[2] for run in st.inputs) <= ((window + frame_interval + one_way) // tick + 1
+                                                           + st.up_data.submitted - inputs)
+                assert st.up_probe.in_flight <= one_way // interval + block
+                assert st.down_probe.in_flight <= 2 * one_way // interval + block
+                assert st.up_data.in_flight <= (window + one_way) // tick + block
+            checked.append(t)
+
+    sim = Checked(_edge((ClientSpec(0, profile),)), DEFAULT_LADDER, 3_000_000,
+                  SessionSettings(tick_us=tick, ping_interval_us=interval), 3, 0)
+    trace = sim.run()
+    assert len(checked) == 3_000_000 // window
+    assert len(trace.rtt_samples[0]) > 0.8 * 3_000_000 // interval
+    assert sim.clients[0].up_data.submitted == total
 
 
 @st.composite
