@@ -21,60 +21,64 @@ it starts a frame at T, at one level, with every frame it started ready,
 each client's frames and the syncs between them, and settles the frames
 (below), taking over the frames the clients have pending.  A frame may be
 presented after its client's next frame starts: on a shared path the last
-burst of an instant can arrive after the next instant begins.  In the idle
-form each ready finds the path idle, so one instant's bursts are admitted
-once on a fresh idle `Path` and cached (`_instant`), and the syncs between
-readies are stepped in closed form.  An instant is settled while each frame
-is presented before the next window not yet handled and by the end, the
-group's bursts plus one sync fit the queue, the ready is before the next
-step and at no sync, the syncs due before it leave the path idle by then,
-and the next instant is not a sync time; the train then ends at the last
-ready that the last sync before it has reached.  A ready that finds the path
-busy, a sync that would overflow its queue, or an `_instant` that cuts a
-burst or abandons a frame makes it the busy form (`_admit_busy`): each
-instant's syncs and bursts go to the path for real, in the order of their
-events, and each frame's fate is read off its arrivals.  A cut burst drops
-its frame at its ready (`fragment_queue_full`), an abandoned one at its late
-fragment (`reassembly_abandoned`); a completed one is presented one decode
-time after its last arrival.  No admission is undone, so an instant is
-admitted only while this bound puts its frames before the next window not
-yet handled and by the end: its bursts start serializing by the later of
-its ready and the busy time the syncs due before it leave, end within n
-bursts' serialization time, or a full queue's of their fragments, which
-caps a cut one, arrive a latency later, and take the largest decode time.
-The idle form's other rules hold: the ready is before the next step and at
-no sync, and the next instant is not a sync time.  The train ends at a
-ready, so each sync it admitted is earlier than `Path.last_submit`, and
-`_on_sync` skips it.
+burst of an instant can arrive after the next instant begins.
+
+Each instant's ready is before the next step and at no sync, and the next
+instant is not a sync time.  The syncs due before the ready are stepped in
+closed form, the queue bounded by every byte admitted since the path was
+last idle.  An instant is counted by arithmetic when they fit the queue and
+leave the path idle by the ready, and its frames complete, presented before
+the next window not yet handled and by the end: one instant's bursts are
+admitted once on a fresh idle `Path` and cached (`_instant`).  Otherwise it
+is admitted for real, by its events' calls in their order (each sync's
+`submit_burst` at its time, and at the ready a `forget_to` and the group's
+`submit_burst`s), and each frame's fate is read off its arrivals: a cut
+burst drops its frame at its ready (`fragment_queue_full`), an abandoned one
+at its late fragment (`reassembly_abandoned`), and a completed one is
+presented one decode time after its last arrival.  No admission is undone,
+so an instant is admitted only while this bound, never below the counted
+presents, puts its frames before the next window and by the end: its bursts
+start serializing by the later of its ready and the busy time its syncs
+leave, end within n bursts' serialization time, or a full queue's of their
+fragments, which caps a cut one, arrive a latency later, and take the
+largest decode time.  Before it, and at the end, the train flushes the run
+of counted instants: netem counts them and their syncs as delivered at once
+(`Path.skip_delivered`) up to the last one that the last sync skipped has
+reached by its ready, which is admitted, as are the run's later instants.  A
+skipped burst may arrive after that ready, but at least one interval before
+the next window, so in the events a ready of the path forgets it before
+then.  No other event touches the path between the train's first ready and
+its last, since bandwidth steps come after them, so its state at each window
+is the events'.  The train ends at a ready, so each sync it sent or skipped
+is earlier than `Path.last_submit`, and `_on_sync` skips it.
 
 The frames a client has pending at T are taken over when, taken in the order
 they were submitted, each is newer than the last presented frame and older
 than the next one (its outcome finds no newer frame completed), and is
 presented, at the time `_on_ready` kept for it, before the next one and
-before the client's first present here (it is not stale), or in the busy
-form before a bound below it: after the later of its ready and the path's
-busy time, its burst's serialization time (a full queue's if less: a burst
-that completes fits the queue), a latency and its decode time, so that it
-is before the next window too when the first instant is admitted.  A
-pending frame whose outcome has not run never completes if a newer one has;
-that one was submitted before it, so it is pending ahead of it out of frame
-order, or presented, and the rule refuses both.  The train presents the
-frames it takes over by `_on_present`, and their outcome events, or the
-present events of those whose outcomes have run, find them gone from
-`pending` and return.  Otherwise no train runs.  A train takes the clients
-in the push order of their frame events at T (`frame_seq`), which need not
-be client order once they have run at different frame rates: each instant's
-bursts and their next frame events go in the order those events would
-run.  Each client's frame event for the first instant not settled, pushed at
-T, keeps its place there: a window or step there was pushed by T, the path's
-clients have no other event but outcomes and presents that return at once,
-other clients' events touch none of their state, and the last rule keeps out
-a sync pushed after T.  That order is read: with syncs sparser than frames
-the sync runs first, and if a window set a level whose ready time is the
-sync interval, the next sync meets the frame's ready and runs first
-too.  The group's frame events at T return at once; a train that settles
-nothing waits for the next window.  Only the first client's frame events try
-a train (`train_from`).
+before the larger of two bounds below the client's first present here (it is
+not stale): its counted present where `_instant` gives one, and the later of
+its ready and the path's busy time, its burst's serialization time (a full
+queue's if less: a burst that completes fits the queue), a latency and its
+decode time, so that it is before the next window too.  A pending frame
+whose outcome has not run never completes if a newer one has; that one was
+submitted before it, so it is pending ahead of it out of frame order, or
+presented, and the rule refuses both.  The train presents the frames it
+takes over by `_on_present`, and their outcome events, or the present events
+of those whose outcomes have run, find them gone from `pending` and return.
+Otherwise no train runs.  A train takes the clients in the push order of
+their frame events at T (`frame_seq`), which need not be client order once
+they have run at different frame rates: each instant's bursts and their next
+frame events go in the order those events would run.  Each client's frame
+event for the first instant not settled, pushed at T, keeps its place there:
+a window or step there was pushed by T, the path's clients have no other
+event but outcomes and presents that return at once, other clients' events
+touch none of their state, and the sync-time rule keeps out a sync pushed
+after T.  That order is read: with syncs sparser than frames the sync runs
+first, and if a window set a level whose ready time is the sync interval,
+the next sync meets the frame's ready and runs first too.  The group's frame
+events at T return at once; a train that settles nothing waits for the next
+window.  Only the first client's frame events try a train (`train_from`).
 
 Presenting a frame after its client's next frame starts is exact because
 only three things read `pending`, `last_completed` and `last_presented`
@@ -89,27 +93,16 @@ between a frame's start and its present, and each gives the train's answer:
   presented before them, in frame order.
 - The window sweep: every frame resolves before the next window.
 
-In the idle form netem counts each burst but the last instant's as delivered
-at once (`Path.skip_delivered`), though one may arrive after the train's last
-ready.  It arrives at least one interval before the next window, so in the
-events a ready of the path forgets it before then, and the path's state at
-each window is the same.  The busy form makes the calls the events make, in
-their order: each sync's `submit_burst` at its time, and at each ready a
-`forget_to` and the group's `submit_burst`s.  No other event touches the
-path between the train's first ready and its last, since bandwidth steps
-come after them, so its state at the last ready, and at each window, is the
-events'.
-
-A train settles each client's k frames in closed form (`_settle`), as k frame,
-ready, outcome and present events would with nothing pending: no frame enters
-`pending`.  The frame ids and the sent count move by k.  In the idle form
-every frame is presented: `last_completed`, `last_presented` and the
-delivered count move by k, the delivered bits by k frames' bits, and the
-presents fall at `T + P + j * I`, so one division per second boundary
-splits their bits among the per-second counts, the last one taking the rest.
-In the busy form each frame is presented or dropped at its own time, and the
-counts move frame by frame.  `_read_inputs_along` reads their inputs in one
-pass, below.
+A train settles each client's frames in closed form (`_settle`), once per
+run of instants of one form, as their frame, ready, outcome and present
+events would with nothing pending: no frame enters `pending`.  The frame ids
+and the sent count move by the run's k.  Of a counted run every frame is
+presented: `last_completed`, `last_presented` and the delivered count move
+by k, the delivered bits by k frames' bits, and the presents fall at
+`T + P + j * I`, so one division per second boundary splits their bits among
+the per-second counts, the last one taking the rest.  Of an admitted run each
+frame is presented or dropped at its own time, and the counts move frame by
+frame.  `_read_inputs_along` reads their inputs in one pass, below.
 
 Inputs are neither records nor events.  The host reads an input for one thing:
 when a frame starts, the send time of the latest input it holds becomes the
@@ -370,14 +363,18 @@ def check_run(ladder: tuple[QualityLevel, ...], duration_us: int, settings: Sess
 @functools.lru_cache(maxsize=64)
 def _instant(profile: NetworkProfile, runs: tuple[tuple[int, int], ...], n: int, sync_bytes: int):
     """On the path idle at 0: when each of `n` clients' bursts of `runs` completes its frame (None if one is cut
-    or abandoned), the bytes they take, and how long one of them and a sync of n datagrams take to serialize."""
+    or abandoned), the bytes they take, how long they and a sync of n datagrams take to serialize, and by when
+    after they can start the first burst, and all n, have arrived or been cut (within a full queue's drain)."""
     idle = Path(profile, 0)
     arrivals = [idle.submit_burst(runs, 0) for _ in range(n)]
     outcomes = () if idle.dropped_queue else map(frame_outcome, arrivals)
     ends = tuple(end for end, completed in outcomes if completed)
-    burst_tx = sum(count * ceil_div(size * 8_000_000, profile.bandwidth) for size, count in runs)
+    txs = [(size, count, ceil_div(size * 8_000_000, profile.bandwidth)) for size, count in runs]
+    burst_tx = sum(count * tx for _, count, tx in txs)
+    drain = max(ceil_div(profile.queue_capacity * tx, size) for size, _, tx in txs)
+    reach = tuple(min(burst_tx * k, drain) + profile.one_way_latency for k in (1, n))
     sync_tx = n * ceil_div(sync_bytes * 8_000_000, profile.bandwidth)
-    return ends if len(ends) == n else None, n * sum(size * count for size, count in runs), burst_tx, sync_tx
+    return ends if len(ends) == n else None, n * sum(size * count for size, count in runs), n * burst_tx, sync_tx, reach
 
 
 class _ClientState:
@@ -634,113 +631,96 @@ class _Simulation:
         if not all(c.next_frame == t and c.controller.level == level and c.frames.sent == c.next_frame_id
                    for c in group):
             return False
-        profile, n, every = path.profile, len(group), settings.sync_interval_us
+        profile, n, every, sync_bytes = path.profile, len(group), settings.sync_interval_us, settings.sync_bytes
         runs = fragment_runs(size, profile.mtu)
-        ends, burst_bytes, burst_tx, sync_tx = _instant(profile, runs, n, settings.sync_bytes)
-        # the idle form, unless a ready finds the path busy or a sync its queue full (module docstring)
-        k, idle = 0, ends is not None
-        if idle:
-            presents = [ready + end + c.decode_us[level] for end, c in zip(ends, group)]  # after the instant
-            latest, sync_bytes = max(presents), settings.sync_bytes * n
-            sync, busy, queued, arrived = self.next_sync, path.busy_until, path.queued_bytes, -1
-            at, capacity = t, profile.queue_capacity
-            # presented before the next window and by the end, ready before the next bandwidth step (whose input
-            # bound is its time, or the start + 1 for one at the start: a microsecond early but at the start)
-            stop = min(self.next_window - 1 - latest, self.end - latest, self.input_bounds[-1] - 2 - ready)
-            while at <= stop:
-                while sync < at + ready and queued <= capacity:  # the syncs due before this ready
-                    busy, queued = (busy, queued) if busy > sync else (sync, 0)
-                    busy, queued, sync = busy + sync_tx, queued + sync_bytes, sync + every
-                    arrived = busy + profile.one_way_latency
-                if queued > capacity or busy > at + ready:
-                    idle = False
-                    break
-                if sync == at + ready or (at + interval - self.start) % every == 0:
-                    break
-                if arrived <= at + ready:  # the last sync before this ready has reached it: the train may end here
-                    k = (at - t) // interval + 1  # the instants settled so far
-                busy, queued, at = at + ready + n * burst_tx, burst_bytes, at + interval
-            if idle and not k:
-                return False
-        if not idle:
-            # a queue full of these fragments serializes within drain, so a cut instant ends by then, and a
-            # burst that completes fits the queue
-            drain = max(ceil_div(profile.queue_capacity * ceil_div(size * 8_000_000, profile.bandwidth), size)
-                        for size, _ in runs)
-            decodes = [c.decode_us[level] for c in group]
-            lead = min(n * burst_tx, drain) + profile.one_way_latency + max(decodes)  # after the bursts can start
-            # below each client's first present here: its burst starts at its ready or behind what the path holds
-            begin = max(t + ready, path.busy_until) - t + min(burst_tx, drain) + profile.one_way_latency
-            presents = [begin + decode for decode in decodes]
+        ends, burst_bytes, bursts_tx, sync_tx, (reach_one, reach_all) = _instant(profile, runs, n, sync_bytes)
+        limit = min(self.next_window - 1, self.end)
+        # each counted frame's present after its start; past `stop` an instant's ready is at or after the next step
+        # (its input bound, or the start + 1 for one at the start), or its presents, counted or bound, past the limit
+        offsets = ends and [ready + end + c.decode_us[level] for end, c in zip(ends, group)]
+        stop = min(self.input_bounds[-1] - 2 - ready, limit - (max(offsets) if ends else ready))
+        firsts = offsets or [0] * n  # each client's first present here if counted, or a bound below it
+        if not ends or path.busy_until > t + ready:  # admitted, or behind what the path holds: the larger bound
+            begin = max(t + ready, path.busy_until) - t + reach_one
+            firsts = [max(first, begin + c.decode_us[level]) for first, c in zip(firsts, group)]
         crossing = []  # pending frames, to present ahead of the train's
-        for c, first in zip(group, presents):  # each client's first present here, or a bound below it
+        for c, first in zip(group, firsts):
             newer, before = c.next_frame_id, t + first  # the client's first frame here, and its present
             for fid, (_, _, _, shown) in reversed(c.pending.items()):  # in submission order, the latest first
                 if not c.last_presented < fid < newer or shown >= before:
                     return False
                 crossing.append((shown, c, fid))
                 newer, before = fid, shown
-        fragments = sum(count for _, count in runs)
-        if idle:
-            last = t + (k - 1) * interval + ready
-            path.skip_delivered(n * ((k - 1) * fragments + max(0, ceil_div(last - self.next_sync, every))))
-            path.forget_to(last)
-            for _ in group:
-                path.submit_burst(runs, last)
-        else:
-            presents = self._admit_busy(t, group, runs, fragments, lead, sync_tx)
-            k = len(presents[0])
-            if not k:
-                return False
+        fragments, start, latency = sum(count for _, count in runs), self.start, profile.one_way_latency
+        sync = skip = self.next_sync  # the next sync to step, and the next one neither sent nor skipped
+        busy, queued, arrived, capacity = path.busy_until, path.queued_bytes, -1, profile.queue_capacity
+        # the counted run's first instant, and its last that the last sync skipped before it has reached
+        at, run, reached, segments, fates, bound = t, t, t - interval, [], None, 0
+        while True:  # each instant counted, or admitted after the counted run before it is flushed
+            ready_at, go = at + ready, at <= stop and (at + interval - start) % every
+            if go:
+                while sync < ready_at:  # the syncs due before this ready, in closed form
+                    busy, queued = (busy, queued) if busy > sync else (sync, 0)
+                    busy, queued, sync = busy + sync_tx, queued + sync_bytes, sync + every
+                    arrived = busy + latency
+                if sync != ready_at and ends and queued <= capacity and busy <= ready_at:  # counted
+                    if arrived <= ready_at:
+                        reached = at
+                    busy, queued, at = ready_at + bursts_tx, burst_bytes, at + interval
+                    continue
+                bound = bound or reach_all + max(c.decode_us[level] for c in group)  # after its bursts can start
+                go = sync != ready_at and max(busy, ready_at) + bound <= limit
+            if reached >= run:  # the run's instants to `reached` are counted, the ones before it skipped
+                last = reached + ready
+                skipped = ceil_div(last - skip, every)
+                path.skip_delivered(n * ((reached - run) // interval * fragments + skipped))
+                skip += skipped * every
+                path.forget_to(last)
+                for _ in group:
+                    path.submit_burst(runs, last)
+                segments.append(((reached - run) // interval + 1, offsets))
+                fates = None
+                if self.log_frames:  # one line per frame, in the order of their readies
+                    for x in range(run + ready, last + 1, interval):
+                        for c, end in zip(group, ends):
+                            logger.debug(FRAME_LINE, x, c.spec.client_id, c.next_frame_id + (x - ready - t) // interval,
+                                         fragments, 0, "completes", x + end)
+            # the run's later instants, and this one if admitted, go to the path as their sync and ready events would
+            for x in range(reached + interval + ready, ready_at + interval if go else ready_at, interval):
+                while skip < x:
+                    path.submit_burst(((sync_bytes, n),), skip)
+                    skip += every
+                path.forget_to(x)
+                if not fates:  # the first of a run of admitted instants
+                    fates = [[] for _ in group]
+                    segments.append((None, fates))
+                for c, fate in zip(group, fates):
+                    cut = path.dropped_queue
+                    arrivals = path.submit_burst(runs, x)
+                    cut = path.dropped_queue - cut  # the path is draw-free: only the queue drops
+                    end, completed = (x, False) if cut else frame_outcome(arrivals)
+                    reason = None if completed else _FRAGMENT_DROPS[Drop.QUEUE] if cut else "reassembly_abandoned"
+                    fate.append((end + c.decode_us[level] if completed else end, reason))
+                    if self.log_frames:
+                        logger.debug(FRAME_LINE, x, c.spec.client_id, c.next_frame_id + (x - ready - t) // interval,
+                                     fragments, cut, reason or "completes", end)
+            if not go:
+                break
+            busy, queued, arrived, reached = path.busy_until, path.queued_bytes, -1, at
+            run = at = at + interval
+        if not segments:
+            return False
         st.train_from = t
         for shown, c, fid in reversed(crossing):  # their outcome or present events then find them presented
             self._on_present(shown, c, fid)
-        for c, present in zip(group, presents):
-            self._settle(c, t, k, interval, present)
-        if self.log_frames and idle:  # one line per frame, in the order of their readies
-            for j in range(k):
-                at = t + j * interval + ready
-                for c, end in zip(group, ends):
-                    logger.debug(FRAME_LINE, at, c.spec.client_id, c.next_frame_id - k + j, fragments, 0, "completes",
-                                 at + end)
+        for k, presents in segments:  # a counted run's k and presents, or None and the fates of an admitted one
+            k = k or len(presents[0])
+            for c, present in zip(group, presents):
+                self._settle(c, t, k, interval, present)
+            t += k * interval
         for c in group:
-            self._push_frame(t + k * interval, c)
+            self._push_frame(t, c)
         return True
-
-    def _admit_busy(self, t: int, group: list[_ClientState], runs, fragments: int, lead: int,
-                    sync_tx: int) -> list[list[tuple[int, str | None]]]:
-        """Admit the group's instants at t, t + I, ... and the syncs between them to their path, as their sync and
-        ready events would, while each instant's frames resolve by `lead` after its bursts can start, before the
-        next window and by the end; returns each client's frames' fates, as `_settle` takes them."""
-        st, settings = group[0], self.settings
-        path, level, n, every = st.down_frames, st.controller.level, len(group), settings.sync_interval_us
-        _, _, ready, interval = self.level_costs[level]
-        fates, limit, sync, at = [[] for _ in group], min(self.next_window - 1, self.end), self.next_sync, t
-        while at <= self.input_bounds[-1] - 2 - ready and (at + interval - self.start) % every:
-            ready_at, busy, due = at + ready, path.busy_until, sync
-            while due < ready_at:  # the syncs due before this ready, each ending by busy at the latest
-                busy, due = max(busy, due) + sync_tx, due + every
-            if due == ready_at or max(busy, ready_at) + lead > limit:
-                break
-            while sync < ready_at:
-                path.submit_burst(((settings.sync_bytes, n),), sync)
-                sync += every
-            path.forget_to(ready_at)
-            for c, fate in zip(group, fates):
-                cut = path.dropped_queue
-                arrivals = path.submit_burst(runs, ready_at)
-                cut = path.dropped_queue - cut
-                if cut:  # the path is draw-free: only the queue drops
-                    end, reason = ready_at, _FRAGMENT_DROPS[Drop.QUEUE]
-                else:
-                    end, completed = frame_outcome(arrivals)
-                    reason = None if completed else "reassembly_abandoned"
-                fate.append((end + c.decode_us[level] if reason is None else end, reason))
-                if self.log_frames:
-                    logger.debug(FRAME_LINE, ready_at, c.spec.client_id, c.next_frame_id + len(fate) - 1, fragments,
-                                 cut, reason or "completes", end)
-            at += interval
-        return fates
 
     def _settle(self, st: _ClientState, t: int, k: int, interval: int, present) -> list[int | None]:
         """Start the client's k frames at t, t + interval, ... and resolve them as their frame, ready, outcome and

@@ -17,7 +17,7 @@ arrival of an earlier packet, inputs and PONGs that arrive at the exact
 microsecond of a frame or window event, inputs sent at the microsecond of a
 bandwidth step, frames whose outcome or present event meets a late fragment,
 a newer frame, a window or the end of the run, and one case for each
-condition under which a train stops short or admits its instants as their
+condition under which a train stops short or admits an instant as its
 events would.
 `tests/test_random_scenarios.py` and `tests/events_equivalence.py` compare
 them on generated scenarios as well.
@@ -614,12 +614,12 @@ def _window_states(args, trains):
     return states
 
 
-# Each case meets one condition under which a train stops short, or admits its instants to netem as
-# their events would (a path busy at a ready, a cut or an abandonment), with the number of frames trains
-# settle.  Without that condition the run leaves the all-events reference, or a frame path's netem
-# state at a window leaves the run without trains.  A sync at the next instant would run after the
-# frame event a train pushed early, where the events run it first when syncs are sparser than frames:
-# without that condition trains settle more frames in `sync-at-the-next-instant`, and in
+# Each case meets one condition under which a train stops short, or admits an instant to netem as its events
+# would in place of counting it (a path busy at a ready, a sync the queue cuts, a cut or an abandonment),
+# with the number of frames trains settle.  Without that condition the run leaves the all-events reference,
+# or a frame path's netem state at a window leaves the run without trains.  A sync at the next instant would
+# run after the frame event a train pushed early, where the events run it first when syncs are sparser than
+# frames: without that condition trains settle more frames in `sync-at-the-next-instant`, and in
 # `sync-time-after-a-level-change` a frame's burst goes ahead of the next sync, not behind it, and one
 # motion-to-photon sample reads 66,785 us in place of 66,789.  Windows are 250 ms apart unless set.
 _TRAIN_CASES = {
@@ -628,12 +628,14 @@ _TRAIN_CASES = {
     # the frame started at 16,667 us is ready at 17,669 us, where the second sync is due and runs first
     "sync-at-a-ready": (dict(sync_interval=17_669), 46),
     # 647 B fragments take 1,849 us at 2.8 Mb/s, and two fill the queue: the sync at 50,005 us,
-    # due 1 us after the frames started at 50,001 us are ready, is cut, so each train admits its instants
+    # due 1 us after the frames started at 50,001 us are ready, is cut, so each train admits the instant
+    # after each sync and counts the ones between
     "sync-inside-a-shared-group": (dict(decodes=(7_000_000_000,) * 2, shared=True, mtu=700, bandwidth=2_800_000,
                                         encode=6_144_000_000, sync_interval=50_005, queue=1_294), 120),
     # the sync at 480,000 us arrives at 485,004 us, after the ready at 483,346 us of the last frame the
-    # train from 250,005 us could settle, so that train ends a frame earlier; the sync at 0, serialized
-    # until 4 us, makes the first frame's ready at 3 us find the path busy, so the train at 0 admits its instants
+    # train from 250,005 us could settle, so that train admits that frame and counts the ones before it; the
+    # sync at 0, serialized until 4 us, makes the first frame's ready at 3 us find the path busy, so the
+    # train at 0 admits its first instant and counts the rest
     "sync-arriving-after-the-last-ready": (dict(latency=5_000, encode=6_144_000_000, sync_interval=60_000), 60),
     # the step at 100 ms makes the one-fragment frame take 1 ms to serialize in place of 8 us
     "bandwidth-step-inside-a-span": (dict(steps=((100_000, 5_000_000),)), 60),
@@ -697,8 +699,8 @@ _TRAIN_CASES = {
                                                    input_latency=4_000, controller=dict(k_down=1, k_up=1, cooldown=0,
                                                                                        window_us=23_334)), 7),
     # `pending-frame-at-another-level` on a 1 Mb/s path: frame 29 still serializes at the first ready of the
-    # train at 500,010 us, so the train takes the busy form, and frame 29, presented at 519,097 us, comes after
-    # the bound below the train's first present, and after that present, frame 30's at 511,457 us
+    # train at 500,010 us, so the train admits that instant, and frame 29, presented at 519,097 us, comes after
+    # the bounds below the train's first present, and after that present, frame 30's at 511,457 us
     "pending-frame-at-another-level-on-a-busy-path": (dict(sizes=((96, 64), (32, 24)), fps=(60, 60), encode=500_000,
                                                            decodes=(500_000,), latency=6_000, bandwidth=1_000_000),
                                                       41),
@@ -710,8 +712,8 @@ _TRAIN_CASES = {
     "pending-frame-that-never-completes": (dict(sizes=((96, 64), (32, 24)), fps=(60, 60), encode=153_600,
                                                 latency=10_000, controller=dict(k_down=1, k_up=1, cooldown=0,
                                                                                 window_us=30_000)), 30),
-    # ten clients as nine: the egress drains only 7 us per instant before syncs, so trains admit their
-    # instants, and 53 of the 56 readies they admit find it busy
+    # ten clients as nine: the egress drains only 7 us per instant before syncs, so trains admit 53 of
+    # their 56 instants, whose readies find it busy, and count 3
     "ten-clients-on-a-shared-egress": (dict(decodes=(7_000_000_000,) * 10, shared=True, bandwidth=1_000_000_000,
                                             mtu=9_000, latency=2_000, encode=4_000_000_000, sizes=((1920, 1080),)),
                                        560),
@@ -733,7 +735,8 @@ _TRAIN_CASES = {
 }
 
 
-# each case as trains run it, and with every train in the busy form, which settles the same frames
+# each case as trains run it, and with `_instant` giving no ends, so that every instant is admitted for
+# real, which settles the same frames
 @pytest.mark.parametrize("case, busy", [pytest.param(case, busy, id=case + "-busy" * busy)
                                         for busy in (False, True) for case in _TRAIN_CASES])
 def test_trains_match_frame_events(case, busy, monkeypatch):
@@ -744,6 +747,46 @@ def test_trains_match_frame_events(case, busy, monkeypatch):
         monkeypatch.setattr(session, "_instant", lambda *args: (None, *idle(*args)[1:]))
     assert _match_events(args, monkeypatch) == settled
     assert _window_states(args, True) == _window_states(args, False)
+
+
+# The lead client's runs of one form in each train that settles frames, in order: "3c" for three instants
+# counted by arithmetic, "1a" for one admitted to netem for real.  A train mixes them where a sync leaves
+# the path busy at a ready, or its queue full, and the instants around that one find it idle.
+_TRAIN_FORMS = {
+    # the sync 1 us after every third ready does not fit the queue behind that instant's bursts, so the
+    # instant after it is admitted
+    "sync-inside-a-shared-group": ["1a 3c 1a 2c 1a 2c 1a 2c 1a 1c"] + ["1c 1a 2c 1a 2c 1a 2c 1a 2c 1a 1c"] * 3,
+    # the sync at 0 still serializes at the first ready, 3 us, and the sync at 480,000 us has not
+    # arrived by the last ready of the train from 250,005 us, which is admitted after the counted ones
+    "sync-arriving-after-the-last-ready": ["1a 14c", "14c 1a", "15c", "15c"],
+    # the sync before every third ready still serializes at it on the 1 Mb/s path
+    "pending-frame-at-another-level-on-a-busy-path": ["13c", "13c", "1a 2c 1a 2c 1a 2c 1a 2c 1a 2c"],
+    # the first train counts three instants; from the sync at 50,000 us on, every ready finds the path busy
+    "ten-clients-on-a-shared-egress": ["3c 11a", "14a", "14a", "14a"],
+}
+
+
+@pytest.mark.parametrize("case", list(_TRAIN_FORMS))
+def test_a_train_counts_or_admits_each_instant(case, monkeypatch):
+    """`_settle` takes one run of instants of one form: an int for a counted run, the frames' fates
+    for an admitted one."""
+    forms, lead = [], []
+    train, settle = session._Simulation._train, session._Simulation._settle
+
+    def training(sim, t, st):
+        forms.append([])
+        lead[:] = [st]
+        return train(sim, t, st)
+
+    def settling(sim, st, t, k, interval, present):
+        if st is lead[0]:
+            forms[-1].append(f"{k}{'c' if present.__class__ is int else 'a'}")
+        return settle(sim, st, t, k, interval, present)
+
+    monkeypatch.setattr(session._Simulation, "_train", training)
+    monkeypatch.setattr(session._Simulation, "_settle", settling)
+    session.run_session(*_train_case(**_TRAIN_CASES[case][0]))
+    assert [" ".join(runs) for runs in forms if runs] == _TRAIN_FORMS[case]
 
 
 # 56 B inputs take 1 us to serialize at 448 Mb/s and 2 us at 224 Mb/s
