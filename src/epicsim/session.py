@@ -26,8 +26,8 @@ burst of an instant can arrive after the next instant begins.
 Each instant's ready is before the next step and at no sync, and the next
 instant is not a sync time.  The syncs due before the ready are stepped in
 closed form, the queue bounded by every byte admitted since the path was
-last idle.  An instant is counted by arithmetic when they fit the queue and
-leave the path idle by the ready, and its frames complete, presented before
+last idle.  An instant is counted by arithmetic when each fits the queue and
+they leave the path idle by the ready, and its frames complete, presented before
 the next window not yet handled and by the end: one instant's bursts are
 admitted once on a fresh idle `Path` and cached (`_instant`).  Otherwise it
 is admitted for real, by its events' calls in their order (each sync's
@@ -657,13 +657,13 @@ class _Simulation:
         # the counted run's first instant, and its last that the last sync skipped before it has reached
         at, run, reached, segments, fates, bound = t, t, t - interval, [], None, 0
         while True:  # each instant counted, or admitted after the counted run before it is flushed
-            ready_at, go = at + ready, at <= stop and (at + interval - start) % every
+            ready_at, go, full = at + ready, at <= stop and (at + interval - start) % every, False
             if go:
-                while sync < ready_at:  # the syncs due before this ready, in closed form
+                while sync < ready_at:  # the syncs due before this ready, in closed form, whether any overflows
                     busy, queued = (busy, queued) if busy > sync else (sync, 0)
-                    busy, queued, sync = busy + sync_tx, queued + sync_bytes, sync + every
-                    arrived = busy + latency
-                if sync != ready_at and ends and queued <= capacity and busy <= ready_at:  # counted
+                    busy, queued, sync = busy + sync_tx, queued + n * sync_bytes, sync + every
+                    arrived, full = busy + latency, full or queued > capacity
+                if sync != ready_at and ends and not full and busy <= ready_at:  # counted
                     if arrived <= ready_at:
                         reached = at
                     busy, queued, at = ready_at + bursts_tx, burst_bytes, at + interval

@@ -632,6 +632,17 @@ _TRAIN_CASES = {
     # after each sync and counts the ones between
     "sync-inside-a-shared-group": (dict(decodes=(7_000_000_000,) * 2, shared=True, mtu=700, bandwidth=2_800_000,
                                         encode=6_144_000_000, sync_interval=50_005, queue=1_294), 120),
+    # the same behind a 1,574 B queue: the sync at 50,005 us finds 1,294 B of bursts queued, and the queue
+    # takes one of its two 280 B datagrams, so a sync's bytes are n datagrams' and the instant after it
+    # is still admitted
+    "sync-partly-cut-in-a-shared-group": (dict(decodes=(7_000_000_000,) * 2, shared=True, mtu=700,
+                                               bandwidth=2_800_000, encode=6_144_000_000, sync_interval=50_005,
+                                               queue=1_574), 120),
+    # the same with syncs every 8 ms: the sync at 168,000 us, 1,327 us after the ready at 166,673 us, finds
+    # the queue full and is cut, and the one at 176,000 us finds the path idle, so the instant at 183,337 us
+    # after both is admitted: a sync cut before the last one stepped keeps its instant from being counted
+    "sync-cut-before-an-idle-sync": (dict(decodes=(7_000_000_000,) * 2, shared=True, mtu=700, bandwidth=2_800_000,
+                                          encode=6_144_000_000, sync_interval=8_000, queue=1_294), 120),
     # the sync at 480,000 us arrives at 485,004 us, after the ready at 483,346 us of the last frame the
     # train from 250,005 us could settle, so that train admits that frame and counts the ones before it; the
     # sync at 0, serialized until 4 us, makes the first frame's ready at 3 us find the path busy, so the

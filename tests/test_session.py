@@ -29,6 +29,7 @@ from epicsim.session import (
 from epicsim.transport import fragment_runs
 from test_per_packet_reference import SCENARIOS, _train_case
 from test_random_scenarios import _document, _tie_document, _train_document
+from train_counts import count as count_trains, run_benchmark_scenario
 
 EDGE_NODE = NodeSpec(node_id=1, pixel_throughput=5_000_000_000, encode_throughput=4_000_000_000)
 CLEAN = NetworkProfile(one_way_latency=0, jitter=0, loss_rate=0.0, bandwidth=10**12, mtu=1400)
@@ -279,35 +280,11 @@ _TRAIN_SETTLED = {"edge-nominal": (600, 600), "master-server": (39, 897), "share
 
 
 @pytest.mark.parametrize("name", list(_TRAIN_SETTLED))
-def test_trains_settle_the_benchmark_scenarios_frames(name, monkeypatch):
+def test_trains_settle_the_benchmark_scenarios_frames(name):
     """The frames that trains settle, counted exactly: one that falls back to its events costs heap
     events, and no report shows it."""
-    counts, settle, run = [0, 0], session._Simulation._settle, session._Simulation.run
-
-    def settling(sim, st, t, k, interval, present):
-        counts[0] += k
-        return settle(sim, st, t, k, interval, present)
-
-    def running(sim):
-        trace = run(sim)
-        counts[1] += sum(st.frames.sent for st in sim.clients.values())
-        return trace
-
-    monkeypatch.setattr(session._Simulation, "_settle", settling)
-    monkeypatch.setattr(session._Simulation, "run", running)
-    _run_benchmark_scenario(name)
-    assert tuple(counts) == _TRAIN_SETTLED[name]
-
-
-def _run_benchmark_scenario(name):
-    """Run a shipped scenario as its benchmark workload does: the shared egress through its load and stress
-    searches, the others once."""
-    cfg = orchestrator.load_scenario(str(SCENARIOS / f"{name}.json"))
-    if name == "shared-egress":
-        orchestrator.load_search(cfg, 7_000, 0.02, 16)
-        orchestrator.stress_search(cfg, 16)
-    else:
-        orchestrator.run_scenario(cfg)
+    counts, _ = count_trains(name)
+    assert (counts["settled"], counts["started"]) == _TRAIN_SETTLED[name]
 
 
 # `Path.submit_series` calls on the input, PING and PONG paths, summed over each scenario's runs as
@@ -336,7 +313,7 @@ def test_inputs_and_probes_are_admitted_a_block_at_a_time(name, monkeypatch):
 
     monkeypatch.setattr(netem.Path, "submit_series", submitting)
     monkeypatch.setattr(session._Simulation, "run", running)
-    _run_benchmark_scenario(name)
+    run_benchmark_scenario(name)
     up_data, up_probe, down_probe = _ADMISSIONS[name]
     assert counts == Counter(up_data=up_data, up_probe=up_probe, down_probe=down_probe)
 

@@ -15,8 +15,8 @@ and `scenarios/shared-egress.json` through `load_search(7000, 0.02, 16)` and
 - the events popped, by handler.
 
 A change that moves frame settlement reports these before and after.  CI
-appends the output to the job summary.  It runs this tree's `src` and is
-not part of tier-1.
+appends the output to the job summary.  It runs this tree's `src`;
+`tests/test_session.py` imports `count` and `run_benchmark_scenario` from it.
 """
 
 from __future__ import annotations
@@ -68,16 +68,22 @@ def count(name: str) -> tuple[Counter, Counter]:
     Simulation._train, Simulation._settle, Simulation.run = training, settling, running
     session.heapq = types.SimpleNamespace(heappush=heapq.heappush, heappop=popping)
     try:
-        cfg = orchestrator.load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
-        if name == "shared-egress":
-            orchestrator.load_search(cfg, 7_000, 0.02, 16)
-            orchestrator.stress_search(cfg, 16)
-        else:
-            orchestrator.run_scenario(cfg)
+        run_benchmark_scenario(name)
     finally:
         Simulation._train, Simulation._settle, Simulation.run = train, settle, run
         session.heapq = heapq
     return counts, popped
+
+
+def run_benchmark_scenario(name: str):
+    """Run a shipped scenario as its benchmark workload does: the shared egress through its load and stress
+    searches, the others once."""
+    cfg = orchestrator.load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
+    if name == "shared-egress":
+        orchestrator.load_search(cfg, 7_000, 0.02, 16)
+        orchestrator.stress_search(cfg, 16)
+    else:
+        orchestrator.run_scenario(cfg)
 
 
 def main() -> int:
