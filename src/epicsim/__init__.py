@@ -22,7 +22,7 @@ from .model import (
 )
 from .netem import Drop, Path
 from .power import EnergyConfig, EnergyMode, average_power, battery_life_gain
-from .render import Renderer, RenderRequest, decode_check
+from .render import Renderer, decode_check
 from .session import (
     BandwidthStep,
     ClientSpec,
@@ -40,7 +40,7 @@ __all__ = [
     "DEFAULT_LADDER", "Drop", "EnergyConfig", "EnergyMode", "FrameFragment",
     "FrameMeta", "KpiReport", "LevelChange", "NetworkProfile",
     "NodeSpec", "Path", "PowerProfile", "QualityLevel", "Reassembler",
-    "Renderer", "RenderRequest", "RttEstimator", "RunTrace", "SessionSettings",
+    "Renderer", "RttEstimator", "RunTrace", "SessionSettings",
     "SessionTopology", "ValidationError", "WindowStats", "WireHeader",
     "average_power", "battery_life_gain", "bitrate", "build_report",
     "compare_topologies", "controller_step", "decode_check", "detect_bottleneck",

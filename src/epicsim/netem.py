@@ -68,9 +68,7 @@ finished before the next one is submitted, so the queue holds one datagram
 at a time (it fits: the queue holds at least one MTU), the arrivals are
 `first + tx + latency + i * step`, and only the last datagram is left
 serializing; the series returns that one run.  Any other series is
-admitted one datagram at a time and returns runs of one.  `_state()`
-expands every run into one tuple per datagram, so paths compare equal
-whatever runs they hold.
+admitted one datagram at a time and returns runs of one.
 """
 
 from __future__ import annotations
@@ -121,21 +119,6 @@ class Path:
         self.last_arrival = 0
         self.last_submit = 0  # time of the latest submission; none may be earlier
         self._last_advance = 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Path):
-            return NotImplemented
-        return self._state() == other._state()
-
-    def _state(self):
-        """Every field, with each run expanded into one tuple per datagram."""
-        return (
-            self.profile, self.rng.state, self.busy_until, self.queued_bytes,
-            self.submitted, self.delivered, self.dropped_loss, self.dropped_queue,
-            tuple((end + i * tx, size) for end, tx, count, size in self._serializing for i in range(count)),
-            tuple((at + i * step, item) for at, step, count, item in self._pending for i in range(count)),
-            self.last_arrival, self.last_submit, self._last_advance,
-        )
 
     @property
     def in_flight(self) -> int:

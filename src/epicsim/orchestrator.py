@@ -153,9 +153,13 @@ def _number(obj: dict, key: str, where: str, kind=int, default=_REQUIRED):
     return _to(kind, _get(obj, key, where, default), f"{where}.{key}")
 
 
-def _object(value, where: str) -> dict:
+def _object(value, where: str, keys=None) -> dict:
+    """`value`, a JSON object at key path `where`, each of whose keys is one of `keys` unless that is None."""
     if not isinstance(value, dict):
         raise ValidationError(f"{where} must be a JSON object, not {value!r:.40}")
+    for key in () if keys is None else value:
+        if key not in keys:
+            raise ValidationError(f"{where}: unknown key {key!r:.40}")
     return value
 
 
@@ -189,6 +193,11 @@ _KEYS = {
 }
 
 
+# the top-level keys of a scenario that are not `SessionSettings` fields
+_SCENARIO_KEYS = ("name", "seed", "duration", "ladder", "nodes", "clients", "topology", "controller",
+                  "shared_egress", "events", "power_model", "budgets")
+
+
 def _named(where: str, build, *args, keys: dict[str, str] | None = None, **kwargs):
     """build(*args, **kwargs), with `where` in front of the ValidationError it
     raises; a message that starts with a field of `keys` ends with its key path."""
@@ -199,14 +208,15 @@ def _named(where: str, build, *args, keys: dict[str, str] | None = None, **kwarg
         raise ValidationError(f"{where}: {exc}" + (f" ({key})" if key else "")) from exc
 
 
-def _read(cls, obj, where: str, **given):
+def _read(cls, obj, where: str, other=(), **given):
     """A `cls` from the JSON object `obj` at key path `where`, by `_KEYS[cls]`.
 
     An absent optional key is left out, so the type's default applies;
-    `given` holds the fields read elsewhere.
+    `other` holds the keys of `obj` that other code reads, and `given` the
+    fields read elsewhere.  Any other key is rejected.
     """
-    obj = _object(obj, where)
     keys, required = _KEYS[cls]
+    obj = _object(obj, where, (*keys, *other))
     paths = {}  # the key path of each field
     for key, kind in keys.items():
         field, kind = kind if isinstance(kind, tuple) else (key, kind)
@@ -240,7 +250,7 @@ def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
     if not paths:
         raise ValidationError(f"{where}.paths must hold at least one path")
     # the run builds its ClientSpec again, on the path to the node it selects
-    spec = _read(ClientSpec, entry, where, profile=next(iter(paths.values())))
+    spec = _read(ClientSpec, entry, where, ("paths", "power"), profile=next(iter(paths.values())))
     power_profile = _read(PowerProfile, entry.get("power", {}), f"{where}.power")
     return ScenarioClient(spec.client_id, paths, power_profile, spec.decode_throughput)
 
@@ -262,20 +272,22 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                   for i, n in enumerate(_array(doc.get("nodes", []), "nodes")))
     node_ids = {n.node_id for n in nodes}
     if len(node_ids) != len(nodes):
-        raise ValidationError("node ids must be unique")
+        i = next(i for i, n in enumerate(nodes) if n.node_id in {m.node_id for m in nodes[:i]})
+        raise ValidationError(f"nodes[{i}].node_id: node id {nodes[i].node_id} is not unique")
 
     clients = [_client_from(entry, f"clients[{i}]", node_ids)
                for i, entry in enumerate(_array(_get(doc, "clients", "scenario"), "clients"))]
     client_ids = {c.client_id for c in clients}
 
-    topo = _object(doc.get("topology", {"mode": EDGE_HOSTED}), "topology")
+    topo = _object(doc.get("topology", {"mode": EDGE_HOSTED}), "topology",
+                   ("mode", "master", "master_uplink", "device_node"))
     mode = topo.get("mode", EDGE_HOSTED)
     master_id = _number(topo, "master", "topology") if "master" in topo else None
     master_uplink = (_read(NetworkProfile, topo["master_uplink"], "topology.master_uplink")
                      if "master_uplink" in topo else None)
 
     ctrl_doc = _object(doc.get("controller", {}), "controller")
-    fields = {"controller": _read(ControllerConfig, ctrl_doc, "controller")}  # of SessionSettings
+    fields = {"controller": _read(ControllerConfig, ctrl_doc, "controller", ("start_level", "enabled"))}
     if "start_level" in ctrl_doc:
         fields["start_level"] = _number(ctrl_doc, "start_level", "controller")
     if "enabled" in ctrl_doc:
@@ -294,17 +306,17 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             ids = tuple(_to(int, x, f"{at}.clients[{j}]") for j, x in enumerate(_array(ids, f"{at}.clients")))
             if not ids:
                 raise ValidationError(f"{at}.clients must list at least one client id")
-        step = _read(BandwidthStep, e, at, client_ids=ids)
+        step = _read(BandwidthStep, e, at, ("clients",), client_ids=ids)
         unknown = set(step.client_ids or ()) - client_ids
         if unknown:
             raise ValidationError(f"{at}: unknown client ids {sorted(unknown)}")
         steps.append(step)
 
-    settings = _read(SessionSettings, doc, "scenario", bandwidth_steps=tuple(steps), **fields)
-    power_doc = _object(doc.get("power_model", {}), "power_model")
-    device = {key: _number(power_doc, key, "power_model", default=default)
-              for key, default in (("device_pixel_throughput", power.DEVICE_PIXEL_THROUGHPUT),
-                                   ("device_decode_throughput", power.DEVICE_DECODE_THROUGHPUT))}
+    settings = _read(SessionSettings, doc, "scenario", _SCENARIO_KEYS, bandwidth_steps=tuple(steps), **fields)
+    defaults = {"device_pixel_throughput": power.DEVICE_PIXEL_THROUGHPUT,
+                "device_decode_throughput": power.DEVICE_DECODE_THROUGHPUT}
+    power_doc = _object(doc.get("power_model", {}), "power_model", defaults)
+    device = {key: _number(power_doc, key, "power_model", default=default) for key, default in defaults.items()}
     for key, value in device.items():
         if value <= 0:
             raise ValidationError(f"power_model.{key} must be positive, not {value}")

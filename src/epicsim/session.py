@@ -473,7 +473,7 @@ class _Simulation:
         self.paths: list[_PathRecord] = []
         self._build_paths()
         # push order of the submission that first reached each frame path's last_arrival
-        self.arrival_seq = {id(r.path): 0 for r in self.paths if r.kind == "frames"}
+        self.arrival_seq = {r.path: 0 for r in self.paths if r.kind == "frames"}
         self.syncs = [(r.path, ((settings.sync_bytes, len(self.clients) if r.owner is None else 1),))
                       for r in self.paths if r.kind == "frames"]  # one datagram per client on the path
         # the run's input admission bounds (module docstring), the next one last: each step by the end, and the end
@@ -822,10 +822,10 @@ class _Simulation:
             # seen with that packet; the tie-break keeps path order.  Two outcomes
             # may take one order at one instant: the handlers compare equal, and
             # seq, the first argument, runs them in their push order
-            order = self.arrival_seq[id(path)] if end == before else seq
+            order = self.arrival_seq[path] if end == before else seq
             heapq.heappush(self.heap, (end, order, self._on_outcome, (seq, st, fid)))
         if path.last_arrival != before:
-            self.arrival_seq[id(path)] = seq
+            self.arrival_seq[path] = seq
         if self.log_frames:
             logger.debug(FRAME_LINE, t, st.spec.client_id, fid, sum(run[2] for run in arrivals), lost + cut,
                          outcome, end)
@@ -838,7 +838,7 @@ class _Simulation:
             path.submit_burst(runs, t)  # nothing reads its arrival
             if path.last_arrival != before:
                 self._seq += 1
-                self.arrival_seq[id(path)] = self._seq
+                self.arrival_seq[path] = self._seq
         self.next_sync = nxt = t + self.settings.sync_interval_us
         if nxt <= self.end:
             self.push(nxt, self._on_sync)
@@ -953,7 +953,7 @@ class _Simulation:
     def _build_trace(self) -> RunTrace:
         """The run's trace, completed with what is known only at the end."""
         trace, totals = self.trace, FrameCounts()
-        path_ids = {id(r.path): i for i, r in enumerate(self.paths)}
+        path_ids = {r.path: i for i, r in enumerate(self.paths)}
         for spec in self.topology.clients:
             cid = spec.client_id
             if cid == self.master_id:
@@ -965,7 +965,7 @@ class _Simulation:
             else:
                 st = self.clients[cid]
                 rtt, m2p, frames, level = st.rtt, st.m2p, st.frames, st.controller.level
-                trace.frame_path_ids[cid] = path_ids[id(st.down_frames)]
+                trace.frame_path_ids[cid] = path_ids[st.down_frames]
             trace.rtt_samples[cid] = rtt
             trace.motion_to_photon[cid] = m2p
             trace.per_client_frames[cid] = frames

@@ -6,7 +6,20 @@ production path uses.  Outcomes must match the production path exactly.
 """
 
 from epicsim.model import NetworkProfile, ceil_div
+from epicsim.netem import Path
 from epicsim.rng import SplitMix64
+
+
+def path_state(path: Path) -> tuple:
+    """Every field of `path`, with each run expanded into one tuple per datagram,
+    so that two paths holding the same datagrams in different runs compare equal."""
+    return (
+        path.profile, path.rng.state, path.busy_until, path.queued_bytes,
+        path.submitted, path.delivered, path.dropped_loss, path.dropped_queue,
+        tuple((end + i * tx, size) for end, tx, count, size in path._serializing for i in range(count)),
+        tuple((at + i * step, item) for at, step, count, item in path._pending for i in range(count)),
+        path.last_arrival, path.last_submit, path._last_advance,
+    )
 
 
 def reference_simulate(profile: NetworkProfile, seed: int,

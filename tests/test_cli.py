@@ -13,6 +13,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _MINI_PATH = {"one_way_latency": 2_000, "bandwidth": 700_000_000}
 _MASTER = json.loads((SCENARIOS / "master-server.json").read_text())
 _RUNG = {"level_index": 0, "width": 640, "height": 360, "fps": 30, "bpp": 0.8}
+_NODE = {"node_id": 1, "pixel_throughput": 5_000_000_000, "encode_throughput": 4_000_000_000}
 
 
 @pytest.fixture()
@@ -154,6 +155,17 @@ def test_validate_ok_and_errors(tmp_path, mini_scenario, capsys):
      "(nodes[0].pixel_throughput)"),
     ({"nodes": [{"node_id": 1, "pixel_throughput": 5_000_000_000, "encode_throughput": -1}]},
      "(nodes[0].encode_throughput)"),
+    # a key that no reader takes is rejected at its key path
+    ({"clients": [{"id": 0, "paths": {"1": dict(_MINI_PATH, jiter=300)}}]}, "clients[0].paths.1: unknown key 'jiter'"),
+    ({"durations": 2_000_000}, "scenario: unknown key 'durations'"),
+    ({"controller": {"enable": False}}, "controller: unknown key 'enable'"),
+    ({"events": [{"time": 0, "bandwidth": 100_000_000, "client": [0]}]}, "events[0]: unknown key 'client'"),
+    ({"topology": {"mode": "edge_hosted", "master_uplnk": _MINI_PATH}}, "topology: unknown key 'master_uplnk'"),
+    ({"power_model": {"device_throughput": 1}}, "power_model: unknown key 'device_throughput'"),
+    # a node id is unique, a client_hosted master streams on its uplink, and prerender is 0 or 1
+    ({"nodes": [_NODE, _NODE]}, "nodes[1].node_id: node id 1 is not unique"),
+    ({"clients": _MASTER["clients"], "topology": {"mode": "client_hosted", "master": 0}}, "(topology.master_uplink)"),
+    ({"prerender": 2}, "(scenario.prerender)"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, mini_scenario, capsys, patch, key):
     doc = dict(json.loads(mini_scenario.read_text()), **patch)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from epicsim.model import NetworkProfile, ValidationError
 from epicsim.netem import Drop, Path
 from epicsim.transport import fragment_runs
-from reference_netem import reference_simulate
+from reference_netem import path_state, reference_simulate
 
 
 def _profile(**kw):
@@ -25,13 +25,18 @@ def test_fresh_path_has_zero_counters():
 
 
 def test_identical_construction_compares_equal():
-    assert Path(_profile(), 42) == Path(_profile(), 42)
-    assert Path(_profile(), 42) != Path(_profile(), 43)
+    assert path_state(Path(_profile(), 42)) == path_state(Path(_profile(), 42))
+    assert path_state(Path(_profile(), 42)) != path_state(Path(_profile(), 43))
 
 
 def test_small_mtu_rejected():
     with pytest.raises(ValidationError):
         NetworkProfile(one_way_latency=0, bandwidth=10_000_000, mtu=64)
+
+
+def test_a_path_needs_a_profile():
+    with pytest.raises(ValidationError, match="profile must be a NetworkProfile"):
+        Path({"one_way_latency": 2_000, "bandwidth": 10_000_000}, seed=1)
 
 
 def test_serialization_plus_latency():
@@ -221,8 +226,8 @@ def _outcome(result):
 
 
 def _timing_state(path):
-    """Path._state() with each pending datagram's bytes replaced by its size."""
-    state = list(path._state())
+    """path_state(path) with each pending datagram's bytes replaced by its size."""
+    state = list(path_state(path))
     pending = 9  # tuple(path._pending)
     state[pending] = tuple((at, len(d) if isinstance(d, bytes) else d) for at, d in state[pending])
     return tuple(state)
@@ -317,7 +322,7 @@ def test_forget_to_leaves_what_advance_to_leaves(profile, seed, ops):
                 path.submit(bytes(arg), now)
             elif op == "bandwidth":
                 path.set_bandwidth(arg)
-        assert advanced._state() == forgot._state()
+        assert path_state(advanced) == path_state(forgot)
         assert (advanced.delivered, advanced.in_flight) == (forgot.delivered, forgot.in_flight)
     if now:
         advanced.advance_to(now)
@@ -327,7 +332,7 @@ def test_forget_to_leaves_what_advance_to_leaves(profile, seed, ops):
         with pytest.raises(ValidationError) as counted:
             forgot.forget_to(now - 1)
         assert str(listed.value) == str(counted.value)
-        assert advanced._state() == forgot._state()
+        assert path_state(advanced) == path_state(forgot)
 
 @settings(max_examples=60, deadline=None)
 @given(profile=(_profiles | _draw_free).filter(lambda p: p.bandwidth >= 20_000_000),
@@ -362,7 +367,7 @@ def test_submitting_an_item_with_its_size_equals_submitting_that_many_bytes(prof
             assert result == loop.submit(bytes(size), now)
             if isinstance(result, int):
                 in_flight.append(record)
-        state = list(items._state())
+        state = list(path_state(items))
         state[9] = tuple((at, item[2]) for at, item in state[9])  # pending records by their sizes
         assert tuple(state) == _timing_state(loop)
         assert items.rng.state == loop.rng.state
@@ -397,6 +402,8 @@ def test_burst_rejects_oversize_and_time_regression_before_any_change():
         path.submit_burst(((100, -2),), 600)
     with pytest.raises(ValidationError, match="count must be non-negative"):
         path.submit_series(100, 600, 100, -3)
+    with pytest.raises(ValidationError, match="submission time regressed"):
+        path.submit_series(100, 600, -1, 3)
     assert _timing_state(path) == before
 
 
@@ -437,7 +444,7 @@ def test_skipping_delivered_datagrams_then_admitting_the_last_instant_leaves_eve
     counted.forget_to(instants[-1])
     for _ in range(2):
         counted.submit_burst(runs, instants[-1])
-    assert counted._state() == admitted._state()
+    assert path_state(counted) == path_state(admitted)
     assert counted.rng.state == admitted.rng.state
 
 

@@ -340,6 +340,9 @@ def test_no_feasible_node_errors():
     doc["nodes"][0]["pixel_throughput"] = 1_000
     with pytest.raises(CapacityError, match="no feasible node"):
         select_node(parse_scenario(doc))
+    # an edge scenario without nodes fails on its host node first, so only the API reaches this
+    with pytest.raises(CapacityError, match="no nodes to select from"):
+        select_node(dataclasses.replace(parse_scenario(doc), nodes=()))
 
 
 def test_selection_invariant_under_latency_scaling():

@@ -48,6 +48,7 @@ from epicsim.transport import (
     encode_message,
     fragment,
 )
+from reference_netem import path_state
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # the payload of every encoded input: the oracle reads only an input's header timestamp
@@ -604,7 +605,7 @@ def _window_states(args, trains):
 
     class Reading(session._Simulation):
         def _on_window(self, t):
-            states.append([r.path._state() for r in self.paths if r.kind == "frames"])
+            states.append([path_state(r.path) for r in self.paths if r.kind == "frames"])
             super()._on_window(t)
 
         def _train(self, t, st):

@@ -57,6 +57,14 @@ def test_bad_version_and_type_rejected():
 def test_truncated_message_rejected():
     with pytest.raises(WireError, match="truncated"):
         decode_message(GOLDEN_PING[:10])
+    with pytest.raises(WireError, match="shorter than its sub-header"):
+        decode_fragment(bytes(FRAG_HEADER_LEN - 1))
+
+
+@pytest.mark.parametrize("index, count", [(3, 3), (-1, 3), (0, 0)])
+def test_a_fragment_index_outside_its_count_rejected(index, count):
+    with pytest.raises(ValidationError, match="frag_index must be within frag_count"):
+        FrameFragment(1, index, count, b"x")
 
 
 @given(
