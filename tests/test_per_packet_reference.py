@@ -366,8 +366,8 @@ def test_each_record_has_the_wire_size_of_its_message(monkeypatch):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             for st in self.clients.values():
-                series_kinds.update({id(st.up_data): MsgType.INPUT, id(st.up_probe): MsgType.PING,
-                                     id(st.down_probe): MsgType.PONG})
+                series_kinds.update({st.up_data: MsgType.INPUT, st.up_probe: MsgType.PING,
+                                     st.down_probe: MsgType.PONG})
 
         def _on_sync(self, t):
             syncing.append(t)
@@ -385,7 +385,7 @@ def test_each_record_has_the_wire_size_of_its_message(monkeypatch):
         return submit_burst(path, runs, now)
 
     def recording_series(path, size, first, step, count):
-        sizes.setdefault(series_kinds[id(path)], set()).add(size)
+        sizes.setdefault(series_kinds[path], set()).add(size)
         return submit_series(path, size, first, step, count)
 
     monkeypatch.setattr(session, "_Simulation", Recording)
