@@ -8,7 +8,6 @@ same config and seed always serialize to byte-identical report files.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 import json
@@ -255,6 +254,15 @@ def _client_from(entry, where: str, node_ids: set[int]) -> ScenarioClient:
     return ScenarioClient(spec.client_id, paths, power_profile, spec.decode_throughput)
 
 
+def _copied(value):
+    """A copy of the JSON value `value` that shares no dict or list with it."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copied(item) for item in value]
+    return value
+
+
 def parse_scenario(doc: dict) -> ScenarioConfig:
     """Validate a scenario JSON document and bind it to domain types.
 
@@ -329,12 +337,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         if "device_node" in topo else DEVICE_NODE,
         power_pixel_throughput=device["device_pixel_throughput"],
         power_decode_throughput=device["device_decode_throughput"],
-        raw=copy.deepcopy(doc),
+        raw=_copied(doc),
     )
     # the session's own checks, each message naming the key of its field
-    _named("scenario", scenario_topology, cfg, next(iter(nodes), None),
-           keys={"mode": "topology.mode", "clients": "clients", "host_node": "nodes",
-                 "master_uplink": "topology.master_uplink"})
+    _check_topology(cfg)
     _named("scenario", check_run, ladder, duration, settings,
            keys={"duration_us": "scenario.duration", "start_level": "controller.start_level"})
 
@@ -467,6 +473,13 @@ def scenario_topology(cfg: ScenarioConfig, node: NodeSpec | None) -> SessionTopo
                            master_uplink=cfg.master_uplink, device_node=cfg.device_node)
 
 
+def _check_topology(cfg: ScenarioConfig) -> None:
+    """The topology's checks on `cfg`'s first node, each message naming the key of its field."""
+    _named("scenario", scenario_topology, cfg, next(iter(cfg.nodes), None),
+           keys={"mode": "topology.mode", "clients": "clients", "host_node": "nodes",
+                 "master_uplink": "topology.master_uplink"})
+
+
 def scenario_battery_gain(cfg: ScenarioConfig) -> float:
     """Offload-vs-local battery gain at the starting level.
 
@@ -555,7 +568,7 @@ def sweep(cfg: ScenarioConfig, param: str, values: list) -> list[tuple[object, K
         raise ValidationError("sweep needs at least one value")
     out = []
     for value in values:
-        doc = copy.deepcopy(cfg.raw)
+        doc = _copied(cfg.raw)
         if not _apply_param(doc, param.split("."), value):
             raise ValidationError(f"parameter path {param!r} matches nothing in the scenario")
         result = run_scenario(parse_scenario(doc))
@@ -564,27 +577,41 @@ def sweep(cfg: ScenarioConfig, param: str, values: list) -> list[tuple[object, K
 
 
 def scale_clients(cfg: ScenarioConfig, n: int) -> ScenarioConfig:
-    """N-user variant: replicate the first client as ids 0..N-1, derive the seed from (seed, N).
+    """N-user variant of the parsed `cfg`: its first client replicated as ids
+    0..N-1, the seed derived from (seed, N), replica 0 a client-hosted master,
+    and each bandwidth step cut to its targets below N, or dropped if none is.
 
-    The ids the document names follow: replica 0 is a client-hosted master,
-    and a bandwidth step keeps only the targets among the N, or is dropped
-    when none is left.  The document shares its parts with `cfg.raw`;
-    `parse_scenario` copies what it keeps.
+    The result equals `parse_scenario` of the scaled document, which `raw`
+    holds unshared.  Of the parser's checks only the topology's depend on N (a
+    run needs a client, a client-hosted one a receiver too); they run here,
+    with its messages.  The rest hold by construction: the ids are unique, the
+    master is one of them, the targets are a subset and every frame path is a
+    copy of one already checked.
     """
     raw = cfg.raw
+    steps, events = [], []
+    for step, event in zip(cfg.settings.bandwidth_steps, raw.get("events", ())):
+        if step.client_ids is not None:
+            targets = tuple(cid for cid in step.client_ids if cid < n)
+            if not targets:
+                continue
+            step, event = replace(step, client_ids=targets), dict(event, clients=list(targets))
+        steps.append(step)
+        events.append(event)
     doc = dict(raw, seed=cfg.seed ^ n, clients=[dict(raw["clients"][0], id=i) for i in range(n)])
+    if "events" in raw:
+        doc["events"] = events
+    master_id = cfg.master_id
     if cfg.mode == CLIENT_HOSTED:
         doc["topology"] = dict(raw["topology"], master=0)
-    if "events" in raw:
-        doc["events"] = []
-        for step in raw["events"]:
-            if step.get("clients") is not None:
-                targets = [cid for cid in step["clients"] if cid < n]
-                if not targets:
-                    continue
-                step = dict(step, clients=targets)
-            doc["events"].append(step)
-    return parse_scenario(doc)
+        master_id = 0
+    first = cfg.clients[0]
+    scaled = replace(
+        cfg, seed=cfg.seed ^ n, master_id=master_id,
+        clients=tuple(ScenarioClient(i, dict(first.paths), first.power, first.decode_throughput) for i in range(n)),
+        settings=replace(cfg.settings, bandwidth_steps=tuple(steps)), raw=_copied(doc))
+    _check_topology(scaled)
+    return scaled
 
 
 def _search_runner(cfg: ScenarioConfig):

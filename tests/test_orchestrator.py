@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_handshake
-from epicsim import netem
+from epicsim import netem, orchestrator
 from epicsim.adapt import ControllerConfig
 from epicsim.model import CapacityError, NetworkProfile, NodeSpec, PowerProfile, ValidationError, ceil_div
 from epicsim.orchestrator import (
+    CLIENT_HOSTED,
     EDGE_HOSTED,
     HANDSHAKE_RETRY_US,
     Budgets,
@@ -36,6 +37,7 @@ from epicsim.orchestrator import (
     sweep,
 )
 from epicsim.session import ClientSpec, SessionSettings
+from test_random_scenarios import _document
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -495,25 +497,83 @@ def test_scale_clients_replicates_template():
     assert all(c.paths[1].bandwidth == 700_000_000 for c in scaled.clients)
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def _scale_documents():
+    """(id, scenario document) pairs on which `scale_clients` meets the parser: the shipped scenarios, generated
+    documents, and by hand bandwidth steps whose targets fall partly or wholly at or above N, a client-hosted
+    master that is not client 0, and a `paths` map with several nodes."""
+    for path in sorted(SCENARIOS.glob("*.json")):
+        yield path.name, json.loads(path.read_text())
+    for seed in range(30):
+        yield f"generated-{seed}", _document(seed)
+    steps = [{"time": 0, "bandwidth": 300_000_000, "clients": [0, 3]},
+             {"time": 200_000, "bandwidth": 200_000_000, "clients": [5, 2, 4]},
+             {"time": 400_000, "bandwidth": 100_000_000, "clients": None},
+             {"time": 600_000, "bandwidth": 50_000_000, "clients": [4, 5]},
+             {"time": 800_000, "bandwidth": 60_000_000, "clients": [3.0, 1]},
+             {"time": 900_000, "bandwidth": 70_000_000}]
+    nominal = _mini_doc(events=steps)
+    nominal["clients"] = [dict(copy.deepcopy(nominal["clients"][0]), id=i) for i in range(6)]
+    yield "targeted-steps", nominal
+    master = json.loads((SCENARIOS / "master-server.json").read_text())
+    master["topology"]["master"] = 2
+    master["events"] = steps[:4]
+    master["clients"] += [dict(master["clients"][0], id=i) for i in (4, 5)]
+    yield "master-not-client-0", master
+    nodes = _two_node_doc(id_a=3, id_b=1)
+    nodes["nodes"].append(dict(nodes["nodes"][0], node_id=8))
+    nodes["clients"][0]["paths"]["8"] = {"one_way_latency": 900, "bandwidth": 90_000_000, "mtu": 9_000}
+    yield "several-paths", nodes
+
+
+_SCALE_DOCUMENTS = dict(_scale_documents())
+
+
+def _scaled_document(cfg, n):
+    """The N-user document of `cfg`, built apart from `scale_clients`: `n` copies of the first client as ids
+    0..n-1, the seed xor n, a client-hosted master on client 0, and each step's targets below n, or no step."""
+    doc = copy.deepcopy(cfg.raw)
+    doc["clients"] = [dict(copy.deepcopy(doc["clients"][0]), id=i) for i in range(n)]
+    doc["seed"] = cfg.seed ^ n
+    if doc["topology"]["mode"] == CLIENT_HOSTED:
+        doc["topology"]["master"] = 0
+    for step in doc.get("events", ()):
+        if step.get("clients") is not None:
+            step["clients"] = [cid for cid in step["clients"] if cid < n]
+    if "events" in doc:
+        doc["events"] = [step for step in doc["events"] if step.get("clients") != []]
+    return doc
+
+
+def _mutate(value):
+    """Change every dict and list inside the JSON value `value`."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _mutate(item)
+        value["mutated"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _mutate(item)
+        value.append("mutated")
+
+
+@pytest.mark.parametrize("name", list(_SCALE_DOCUMENTS))
 def test_scale_clients_copies_nothing_it_shares(name):
-    cfg = load_scenario(str(SCENARIOS / name))
+    """For N = 0..16, `scale_clients` gives what `parse_scenario` makes of the N-user document, or raises its
+    message, and `cfg.raw` stays as it was when every dict and list of the result's `raw` changes."""
+    cfg = parse_scenario(_SCALE_DOCUMENTS[name])
     before = copy.deepcopy(cfg.raw)
-    for n in range(1, 17):
-        doc = copy.deepcopy(cfg.raw)
-        doc["clients"] = [dict(copy.deepcopy(doc["clients"][0]), id=i) for i in range(n)]
-        doc["seed"] = cfg.seed ^ n
+    for n in range(17):
         try:
-            expected = parse_scenario(doc)
-        except ValidationError as exc:  # a client-hosted scenario needs a receiver
-            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            expected = parse_scenario(_scaled_document(cfg, n))
+        except ValidationError as exc:  # no client, or a client-hosted scenario with no receiver
+            with pytest.raises(ValidationError) as raised:
                 scale_clients(cfg, n)
+            assert str(raised.value) == str(exc)
             continue
         scaled = scale_clients(cfg, n)
         assert scaled == expected
-        assert cfg.raw == before
-        scaled.raw["clients"][0]["paths"]["mutated"] = True
-        scaled.raw["seed"] = -1
+        assert len({id(c.paths) for c in (cfg.clients[0], *scaled.clients)}) == n + 1
+        _mutate(scaled.raw)
         assert cfg.raw == before
 
 
@@ -558,3 +618,15 @@ def test_load_and_stress_on_small_egress():
     cfg = parse_scenario(_tiny_egress_doc())
     assert load_search(cfg, 7_000, 0.02, n_max=4) == 2
     assert stress_search(cfg, n_max=4) == 3
+
+
+def test_searches_parse_nothing(monkeypatch):
+    """Each user count's scenario is derived from the parsed one: a search that parsed a document per N would
+    spend most of its set-up there, which no answer shows."""
+    cfg = load_scenario(str(SCENARIOS / "shared-egress.json"))
+    parsed = []
+    parse = orchestrator.parse_scenario
+    monkeypatch.setattr(orchestrator, "parse_scenario", lambda doc: parsed.append(doc) or parse(doc))
+    assert load_search(cfg, 7_000, 0.02, n_max=16) == 10
+    assert stress_search(cfg, n_max=16) == 11
+    assert len(parsed) == 0
